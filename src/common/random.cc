@@ -6,11 +6,8 @@
 namespace wsq {
 
 uint64_t Rng::Next() {
-  state_ += 0x9E3779B97f4A7C15ull;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  state_ += kSplitMixGamma;
+  return Mix64(state_);
 }
 
 uint64_t Rng::Uniform(uint64_t bound) {
@@ -28,9 +25,7 @@ int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
                   Uniform(static_cast<uint64_t>(hi - lo) + 1));
 }
 
-double Rng::NextDouble() {
-  return (Next() >> 11) * (1.0 / 9007199254740992.0);  // 53-bit mantissa
-}
+double Rng::NextDouble() { return UnitDouble(Next()); }
 
 bool Rng::Bernoulli(double p) {
   if (p <= 0) return false;

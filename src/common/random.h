@@ -7,6 +7,25 @@
 
 namespace wsq {
 
+/// SplitMix64's increment (2^64 / golden ratio, odd).
+inline constexpr uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// SplitMix64's output finalizer: a bijective mix of all 64 input bits.
+/// Rng::Next is Mix64 of its state advanced by kSplitMixGamma; the
+/// fault harnesses, shard assignment and static ranks use it as a
+/// stable hash, so their outputs reproduce from seeds alone. Inline
+/// because StaticRank runs it once per scored document.
+inline uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of `h`.
+inline double UnitDouble(uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 /// Deterministic 64-bit PRNG (SplitMix64).
 ///
 /// Used everywhere randomness is needed (corpus generation, latency

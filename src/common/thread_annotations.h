@@ -18,7 +18,7 @@
 // return — into build failures. Under GCC (which has no such analysis)
 // they expand to nothing and the primitives behave identically.
 //
-// Conventions enforced here and by tools/wsqlint.py:
+// Conventions enforced here and by tools/wsqcheck.py:
 //  - shared-state classes hold a wsq::Mutex, never a raw std::mutex;
 //  - every Mutex member has at least one WSQ_GUARDED_BY peer field;
 //  - locking goes through the MutexLock RAII guard — no bare
@@ -110,7 +110,7 @@ class WSQ_CAPABILITY("mutex") Mutex {
   bool TryLock() WSQ_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // BasicLockable surface for std::condition_variable_any; not for
-  // direct use (tools/wsqlint.py flags bare lock()/unlock() calls).
+  // direct use (tools/wsqcheck.py flags bare lock()/unlock() calls).
   void lock() WSQ_ACQUIRE() { mu_.lock(); }
   void unlock() WSQ_RELEASE() { mu_.unlock(); }
 

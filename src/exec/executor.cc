@@ -22,12 +22,13 @@ Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
       return Status::InvalidArgument(
           "plan contains an AEVScan but no ReqPump was supplied");
     }
-    auto async_scan = std::make_unique<AEVScanOperator>(&node, ctx->pump);
+    auto async_scan = std::make_unique<AEVScanOperator>(
+        &node, ctx->pump, &ctx->external_calls);
     async_scan->SetShardOptions(ctx->shard);
     scan = std::move(async_scan);
   } else {
     auto sync_scan = std::make_unique<EVScanOperator>(
-        &node, &ctx->sync_external_calls);
+        &node, &ctx->external_calls);
     sync_scan->SetShardOptions(ctx->shard);
     scan = std::move(sync_scan);
   }

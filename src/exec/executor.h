@@ -19,8 +19,9 @@ namespace wsq {
 class SpillManager;  // storage/spill.h
 
 /// Shared execution state: the ReqPump for asynchronous calls plus a
-/// counter of synchronous (blocking) external calls, so QueryStats can
-/// report call counts for both execution strategies. The degradation
+/// counter of the external calls this query's scans issue, so
+/// QueryStats can report call counts for both execution strategies
+/// even while other queries share the pump. The degradation
 /// counters are bumped by ReqSync operators applying an OnCallError
 /// policy (kDropTuple / kNullPad) so QueryStats can report how much of
 /// the answer was affected by failed external calls.
@@ -47,7 +48,8 @@ struct ExecContext {
   /// Spill scratch-file factory; null disables spilling (a failed
   /// reservation then fails the query with kResourceExhausted).
   SpillManager* spill = nullptr;
-  std::atomic<uint64_t> sync_external_calls{0};
+  /// External calls issued by EVScan (blocking) and AEVScan (async).
+  std::atomic<uint64_t> external_calls{0};
   /// External calls that completed with a non-OK status.
   std::atomic<uint64_t> failed_calls{0};
   /// Tuples cancelled under OnCallError::kDropTuple.

@@ -79,7 +79,7 @@ Result<bool> DependentJoinOperator::NextImpl(Row* row) {
               "dependent join binding out of range");
         }
         // Bounded by the plan's binding count, consumed immediately.
-        // wsqlint: allow(unbounded-op-growth)
+        // wsqcheck: allow(unbounded-op-growth)
         bindings.emplace_back(b.term_index,
                               left_row_.value(b.left_column));
       }

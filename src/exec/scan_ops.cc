@@ -8,7 +8,7 @@ namespace wsq {
 
 Status SeqScanOperator::OpenImpl() {
   // std::optional::emplace — constructs one scanner, grows nothing.
-  // wsqlint: allow(unbounded-op-growth)
+  // wsqcheck: allow(unbounded-op-growth)
   scanner_.emplace(node_->table());
   return Status::OK();
 }
@@ -120,6 +120,13 @@ Result<std::vector<Value>> VScanBase::InputValues(
   return inputs;
 }
 
+void VScanBase::CountExternalCall() {
+  if (call_counter_ != nullptr) {
+    call_counter_->fetch_add(1, std::memory_order_relaxed);
+  }
+  CountCallIssued();
+}
+
 Status EVScanOperator::OpenImpl() {
   rows_.clear();
   next_ = 0;
@@ -127,10 +134,7 @@ Status EVScanOperator::OpenImpl() {
   // it for a query that is already cancelled or past its deadline.
   WSQ_RETURN_IF_ERROR(CheckAlive());
   WSQ_ASSIGN_OR_RETURN(VTableRequest request, BuildRequest());
-  if (call_counter_ != nullptr) {
-    call_counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-  CountCallIssued();
+  CountExternalCall();
   if (tracer() != nullptr) {
     // The blocking fetch is the whole cost of a synchronous EVScan; one
     // span per call makes sum-of-latencies visible in the trace.
@@ -173,7 +177,7 @@ Status AEVScanOperator::OpenImpl() {
     if (pump_default > 0 && pump_default < budget) budget = pump_default;
   }
   call_ = node_->table()->SubmitAsync(request, pump_, budget);
-  CountCallIssued();
+  CountExternalCall();
   if (tracer() != nullptr) {
     tracer()->Event("reqpump", "register",
                     StrFormat("call=%llu %s", (unsigned long long)call_,

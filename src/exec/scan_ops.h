@@ -48,8 +48,12 @@ class IndexScanOperator : public Operator {
 /// VTableRequest from constants plus dependent bindings.
 class VScanBase : public VScanOperator {
  public:
-  explicit VScanBase(const EVScanNode* node)
-      : VScanOperator(&node->schema()), node_(node) {}
+  /// `call_counter` (optional) is bumped once per external call the
+  /// scan issues, for QueryStats.
+  VScanBase(const EVScanNode* node, std::atomic<uint64_t>* call_counter)
+      : VScanOperator(&node->schema()),
+        node_(node),
+        call_counter_(call_counter) {}
 
   void BindTerms(
       std::vector<std::pair<size_t, Value>> bindings) override {
@@ -68,27 +72,31 @@ class VScanBase : public VScanOperator {
   Result<std::vector<Value>> InputValues(
       const VTableRequest& request) const;
 
+  /// Counts one issued external call in `call_counter` and the
+  /// operator profile.
+  void CountExternalCall();
+
   const EVScanNode* node_;
   std::vector<std::pair<size_t, Value>> bound_terms_;
   ShardOptions shard_;
+
+ private:
+  std::atomic<uint64_t>* call_counter_;
 };
 
 /// Blocking external scan: one synchronous call per Open (paper's
 /// baseline execution).
 class EVScanOperator : public VScanBase {
  public:
-  /// `call_counter` (optional) is bumped once per blocking external
-  /// call, for QueryStats.
   EVScanOperator(const EVScanNode* node,
                  std::atomic<uint64_t>* call_counter = nullptr)
-      : VScanBase(node), call_counter_(call_counter) {}
+      : VScanBase(node, call_counter) {}
 
   Status OpenImpl() override;
   Result<bool> NextImpl(Row* row) override;
   Status CloseImpl() override;
 
  private:
-  std::atomic<uint64_t>* call_counter_;
   std::vector<Row> rows_;
   size_t next_ = 0;
 };
@@ -99,8 +107,9 @@ class EVScanOperator : public VScanBase {
 /// operator above patches, cancels, or proliferates it later.
 class AEVScanOperator : public VScanBase {
  public:
-  AEVScanOperator(const EVScanNode* node, ReqPump* pump)
-      : VScanBase(node), pump_(pump) {}
+  AEVScanOperator(const EVScanNode* node, ReqPump* pump,
+                  std::atomic<uint64_t>* call_counter = nullptr)
+      : VScanBase(node, call_counter), pump_(pump) {}
 
   Status OpenImpl() override;
   Result<bool> NextImpl(Row* row) override;

@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "common/random.h"
+
 namespace wsq {
 
 namespace {
@@ -14,15 +16,7 @@ uint64_t StableHash(uint64_t seed, const std::string& key) {
     h ^= c;
     h *= 1099511628211ull;
   }
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-/// Uniform double in [0, 1) from a hash.
-double UnitFromHash(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return Mix64(h + kSplitMixGamma);
 }
 
 }  // namespace
@@ -36,13 +30,13 @@ FaultInjectingSearchService::~FaultInjectingSearchService() {
   MutexLock lock(&mu_);
   // Bounded: ReleaseHung() above resolved every parked call, so the
   // remaining completions are already running to their finish.
-  // wsqlint: allow(cancel-blind-wait)
+  // wsqcheck: allow(cancel-blind-wait)
   while (outstanding_ != 0) cv_.Wait(mu_);
 }
 
 FaultInjectingSearchService::FaultKind
 FaultInjectingSearchService::Classify(const std::string& key) const {
-  double u = UnitFromHash(StableHash(plan_.seed, key));
+  double u = UnitDouble(StableHash(plan_.seed, key));
   if (u < plan_.permanent_rate) return FaultKind::kPermanent;
   u -= plan_.permanent_rate;
   if (u < plan_.hang_rate) return FaultKind::kHang;
@@ -56,7 +50,7 @@ bool FaultInjectingSearchService::ShouldDelay(
   if (plan_.delay_rate <= 0.0) return false;
   // Independent draw: decorate the seed so delay and fault bands don't
   // correlate.
-  double u = UnitFromHash(StableHash(plan_.seed ^ 0xde1a9ull, key));
+  double u = UnitDouble(StableHash(plan_.seed ^ 0xde1a9ull, key));
   return u < plan_.delay_rate;
 }
 

@@ -15,7 +15,7 @@ RetryingSearchService::~RetryingSearchService() {
   MutexLock lock(&mu_);
   // Bounded: the wrapped service resolves every started call, and no
   // new calls can start during destruction.
-  // wsqlint: allow(cancel-blind-wait)
+  // wsqcheck: allow(cancel-blind-wait)
   while (outstanding_ != 0) cv_.Wait(mu_);
 }
 

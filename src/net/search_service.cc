@@ -36,7 +36,7 @@ SearchResponse SearchService::Execute(SearchRequest request) {
   });
   MutexLock lock(&r.mu);
   // Bounded by the async call itself completing; this sync bridge has
-  // no reachable token. wsqlint: allow(cancel-blind-wait)
+  // no reachable token. wsqcheck: allow(cancel-blind-wait)
   while (!r.done) r.cv.Wait(r.mu);
   return std::move(r.out);
 }

@@ -61,7 +61,7 @@ SimulatedServiceStats SimulatedSearchService::stats() const {
 void SimulatedSearchService::Quiesce() {
   MutexLock lock(&mu_);
   // Bounded: the delivery thread keeps draining the heap while we
-  // wait. wsqlint: allow(cancel-blind-wait)
+  // wait. wsqcheck: allow(cancel-blind-wait)
   while (in_flight_ != 0) cv_.Wait(mu_);
 }
 

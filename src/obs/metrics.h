@@ -23,7 +23,7 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 enum class MetricType { kCounter, kGauge, kHistogram };
 
-/// Metric naming scheme (enforced by tools/wsqlint.py `metric-naming`):
+/// Metric naming scheme (enforced by tools/wsqcheck.py `metric-naming`):
 /// snake_case, `wsq_` prefix for this codebase, counters end in
 /// `_total`, histograms carry their unit (`_micros` / `_bytes`), gauges
 /// are bare nouns (`wsq_reqpump_in_flight`).

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/macros.h"
+#include "common/random.h"
 
 namespace wsq {
 
@@ -12,11 +13,7 @@ SearchEngine::SearchEngine(const Corpus* corpus, SearchEngineConfig config)
 
 double SearchEngine::StaticRank(DocId doc) const {
   // SplitMix-style mix of (rank_seed, doc id).
-  uint64_t z = config_.rank_seed * 0x9E3779B97f4A7C15ull + doc;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
-  return (z >> 11) * (1.0 / 9007199254740992.0);
+  return UnitDouble(Mix64(config_.rank_seed * kSplitMixGamma + doc));
 }
 
 namespace {

@@ -4,26 +4,13 @@
 #include <cstring>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "common/strings.h"
 #include "storage/checksum.h"
 
 namespace wsq {
 
 namespace {
-
-/// SplitMix64 finalizer: stable across runs so fault decisions
-/// reproduce from (seed, page id) alone.
-uint64_t StableMix(uint64_t seed, uint64_t value) {
-  uint64_t h = seed ^ (value * 0x9e3779b97f4a7c15ull);
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-double UnitFromHash(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 Status PowerLossError() {
   return Status::IOError("simulated power loss: device offline");
@@ -90,9 +77,11 @@ bool FaultController::ShouldFlipBit(PageId page_id, size_t* bit) {
   MutexLock lock(&mu_);
   ++stats_.reads;
   if (plan_.read_bit_flip_rate <= 0.0) return false;
-  uint64_t h = StableMix(plan_.seed ^ 0xb17f11b5ull,
-                         static_cast<uint64_t>(page_id));
-  if (UnitFromHash(h) >= plan_.read_bit_flip_rate) return false;
+  // Stable across runs: the decision reproduces from (seed, page id).
+  uint64_t key = (plan_.seed ^ 0xb17f11b5ull) ^
+                 (static_cast<uint64_t>(page_id) * kSplitMixGamma);
+  uint64_t h = Mix64(key + kSplitMixGamma);
+  if (UnitDouble(h) >= plan_.read_bit_flip_rate) return false;
   ++stats_.bit_flips;
   *bit = static_cast<size_t>(h >> 17) % (kPageSize * 8);
   return true;

@@ -153,10 +153,7 @@ size_t Corpus::ShardOf(DocId id, size_t num_shards) {
   if (num_shards <= 1) return 0;
   // SplitMix64 finalizer: decorrelates the dense ids so shard loads are
   // balanced regardless of how documents were generated.
-  uint64_t x = static_cast<uint64_t>(id) + 0x9E3779B97f4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  x = x ^ (x >> 31);
+  uint64_t x = Mix64(static_cast<uint64_t>(id) + kSplitMixGamma);
   return static_cast<size_t>(x % num_shards);
 }
 

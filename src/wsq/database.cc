@@ -556,7 +556,6 @@ Result<QueryExecution> WsqDatabase::ExecuteSelect(
                          ApplyAsyncIteration(std::move(plan), rewrite));
   }
 
-  uint64_t calls_before = pump_.stats().registered;
   // Per-query budget: a child of the database budget, so the tighter
   // of the per-query and database/process limits wins. Everything the
   // operators reserve flows up this chain; the budget must outlive the
@@ -586,8 +585,7 @@ Result<QueryExecution> WsqDatabase::ExecuteSelect(
   }();
   auto fill_stats = [&](QueryStats* stats) {
     stats->elapsed_micros = timer.ElapsedMicros();
-    stats->external_calls = pump_.stats().registered - calls_before +
-                            ctx.sync_external_calls.load();
+    stats->external_calls = ctx.external_calls.load();
     stats->async_iteration = options.async_iteration;
     stats->failed_calls = ctx.failed_calls.load();
     stats->dropped_tuples = ctx.dropped_tuples.load();

@@ -10,7 +10,9 @@ The driver builds a throwaway repo root per fixture: the fixture at
 the repo's own Mutex/MutexLock/CondVar vocabulary), and a synthetic
 compile_commands.json so the libclang frontend has a build to read.
 It then runs wsqcheck and asserts the expected findings fire exactly
-that many times. `expect=clean` asserts silence.
+that many times. `expect=clean` asserts silence. Every check that
+`wsqcheck --list-checks` prints must be expected by at least one
+bad_* fixture, so a new check cannot land untested.
 
 The frontend defaults to `internal` (self-contained, runs anywhere).
 Set WSQCHECK_FRONTEND=clang to exercise the libclang frontend — the
@@ -59,22 +61,29 @@ def make_root(tmp, fixture, dest):
     shutil.copy(ANNOTATIONS, common / "thread_annotations.h")
     build = root / "build"
     build.mkdir()
+    # A header fixture has no .cc to include it, so it is parsed as
+    # its own translation unit.
+    tus = sorted(root.rglob("*.cc")) or [target]
     entries = [{
         "directory": str(root),
-        "command": f"clang++ -std=c++20 -I{root}/src -c {p}",
+        "command": f"clang++ -x c++ -std=c++20 -I{root}/src -c {p}",
         "file": str(p),
-    } for p in sorted(root.rglob("*.cc"))]
+    } for p in tus]
     (build / "compile_commands.json").write_text(
         json.dumps(entries, indent=1), encoding="utf-8")
     return root
 
 
-def run_fixture(fixture, frontend):
+def read_marker(fixture):
     first = fixture.read_text(encoding="utf-8").splitlines()[0]
     m = MARKER.search(first)
-    if m is None:
+    return (m.group(1), parse_expect(m.group(2))) if m else (None, None)
+
+
+def run_fixture(fixture, frontend):
+    dest, expect = read_marker(fixture)
+    if dest is None:
         return [f"{fixture.name}: missing wsqcheck-fixture marker"], False
-    dest, expect = m.group(1), parse_expect(m.group(2))
     with tempfile.TemporaryDirectory(prefix="wsqcheck-fx-") as tmp:
         root = make_root(tmp, fixture, dest)
         proc = subprocess.run(
@@ -112,11 +121,20 @@ def main():
         print("wsqcheck_selftest: tool or annotations header missing",
               file=sys.stderr)
         return 2
-    fixtures = sorted(FIXTURES.glob("*.cc"))
+    fixtures = sorted(FIXTURES.glob("*.h")) + \
+        sorted(FIXTURES.glob("*.cc"))
     if not fixtures:
         print(f"wsqcheck_selftest: no fixtures in {FIXTURES}",
               file=sys.stderr)
         return 2
+    checks = subprocess.run(
+        [sys.executable, str(TOOL), "--list-checks"],
+        capture_output=True, text=True, check=True).stdout.split()
+    covered = set()
+    for fixture in fixtures:
+        if fixture.name.startswith("bad_"):
+            covered.update(read_marker(fixture)[1] or ())
+    uncovered = [c for c in checks if c not in covered]
     failures = []
     for fixture in fixtures:
         errs, skipped = run_fixture(fixture, frontend)
@@ -128,10 +146,12 @@ def main():
         failures.extend(errs)
     for f in failures:
         print(f"FAIL {f}")
+    for c in uncovered:
+        print(f"FAIL check '{c}' has no bad_* fixture that expects it")
     print(f"wsqcheck_selftest: {len(fixtures) - len(failures)}/"
           f"{len(fixtures)} fixtures OK [{frontend} frontend]",
           file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failures or uncovered else 0
 
 
 if __name__ == "__main__":

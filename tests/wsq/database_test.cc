@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "wsq/demo.h"
 
 namespace wsq {
@@ -398,6 +404,93 @@ TEST_F(DatabaseTest, EngineSuffixedTablesWork) {
   ASSERT_EQ(g.rows.size(), 1u);
   // Same corpus, single-term query: identical counts.
   EXPECT_EQ(av.rows[0].value(0).AsInt(), g.rows[0].value(0).AsInt());
+}
+
+/// Search backend that answers every call with count 1. When `held`,
+/// it parks each callback until Release(), so a test can keep one
+/// statement waiting on its calls while another statement runs.
+class HeldService : public SearchService {
+ public:
+  HeldService(std::string name, bool held)
+      : name_(std::move(name)), held_(held) {}
+
+  const std::string& name() const override { return name_; }
+
+  void Submit(SearchRequest, SearchCallback done) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (held_) {
+        parked_.push_back(std::move(done));
+        cv_.notify_all();
+        return;
+      }
+    }
+    done(SearchResponse{Status::OK(), 1, {}});
+  }
+
+  /// Waits until `n` callbacks are parked; false after 30 s without.
+  bool AwaitParked(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return parked_.size() >= n; });
+  }
+
+  /// Completes every parked call; later calls complete inline.
+  void Release() {
+    std::vector<SearchCallback> parked;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+      parked.swap(parked_);
+    }
+    for (SearchCallback& done : parked) {
+      done(SearchResponse{Status::OK(), 1, {}});
+    }
+  }
+
+ private:
+  const std::string name_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_;
+  std::vector<SearchCallback> parked_;
+};
+
+// Two statements share the database's ReqPump. Each must report only
+// the external calls its own scans issued, not the pump-wide traffic
+// that overlapped it.
+TEST(DatabaseConcurrencyTest, OverlappingStatementsCountOwnCalls) {
+  HeldService held("Held", /*held=*/true);
+  HeldService quick("Quick", /*held=*/false);
+  WsqDatabase db;
+  ASSERT_TRUE(db.RegisterSearchEngine("Held", &held, false).ok());
+  ASSERT_TRUE(db.RegisterSearchEngine("Quick", &quick, false).ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE Three (Name STRING)").ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO Three VALUES ('a'), ('b'), ('c')").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE Two (Name STRING)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO Two VALUES ('x'), ('y')").ok());
+
+  // Statement A issues its three calls, then waits on them.
+  Result<QueryExecution> a = Status::Internal("statement A never ran");
+  std::thread runner([&] {
+    a = db.Execute(
+        "SELECT Name, Count FROM Three, WebCount_Held WHERE Name = T1");
+  });
+  EXPECT_TRUE(held.AwaitParked(3));
+
+  // Statement B runs start to finish inside A's window.
+  auto b = db.Execute(
+      "SELECT Name, Count FROM Two, WebCount_Quick WHERE Name = T1");
+  held.Release();
+  runner.join();
+
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(b->result.rows.size(), 2u);
+  EXPECT_EQ(a->result.rows.size(), 3u);
+  EXPECT_EQ(b->stats.external_calls, 2u);
+  EXPECT_EQ(a->stats.external_calls, 3u);
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""wsqcheck: AST-level semantic analysis over the WSQ/DSQ sources.
+"""wsqcheck: the repo's static analyzer for the WSQ/DSQ sources.
 
 Run:  python3 tools/wsqcheck.py [--root <repo>]
                                 [--compile-commands <build/compile_commands.json>]
                                 [--frontend auto|clang|internal]
                                 [--only check1,check2]
 
-Where tools/wsqlint.py matches lines, wsqcheck builds a whole-program
-model — classes, members and their types, every function definition
-with its lock scopes and call sites — and runs semantic checks that
-need lock *order*, call graphs, or whole-function context:
+wsqcheck builds a whole-program model — classes, members and their
+types, every function definition with its lock scopes and call sites —
+and runs semantic checks that need lock *order*, call graphs, or
+whole-function context:
 
   lock-order            Extracts the global mutex-acquisition graph:
                         nested MutexLock scopes (including locks held
@@ -28,12 +28,10 @@ need lock *order*, call graphs, or whole-function context:
                         alive. A CondVar wait releases the mutex it is
                         given, so it is flagged only when *another*
                         lock stays held across the wait.
-  cancel-blind-wait     Semantic version of wsqlint's check: an
-                        untimed CondVar::Wait in a function whose whole
-                        body (not a +/-6 line window) never consults a
-                        CancellationToken / shutdown / stop flag.
-  unbounded-op-growth   Semantic version of wsqlint's check: an
-                        OpenImpl/NextImpl body in src/exec growing a
+  cancel-blind-wait     An untimed CondVar::Wait in a function whose
+                        whole body never consults a CancellationToken /
+                        shutdown / stop flag.
+  unbounded-op-growth   An OpenImpl/NextImpl body in src/exec growing a
                         container while the *enclosing function* never
                         touches the memory-budget API.
   deadline-blind-submit Every SubmitAsync call site must clamp its
@@ -45,9 +43,16 @@ need lock *order*, call graphs, or whole-function context:
                         a ternary expression statement, plus bare call
                         statements the compiler misses. The sanctioned
                         discard is WSQ_IGNORE_STATUS(expr).
-  stale-suppression     Any `wsqcheck: allow(...)` comment that no
-                        longer suppresses a finding is itself an error,
-                        so suppressions cannot rot after refactors.
+
+Per-file text checks run over every file under src/, whichever
+frontend built the program model (rationale in DESIGN.md §10):
+mutex-guard, raw-std-mutex and manual-lock (lock hygiene in
+ANNOTATED_DIRS), iostream, randomness, include-guard (path-derived
+guard plus a matching `#endif` comment), submit-drops-callback (a
+SearchService::Submit that can return without completing its request)
+and metric-naming (wsq_ snake_case, unit suffix, METRIC_PREFIXES).
+Last, stale-suppression reports every `wsqcheck: allow(...)` comment
+that no longer suppresses a finding, so suppressions cannot rot.
 
 Suppressions: `// wsqcheck: allow(<check>): <one-line justification>`
 on the offending line or the line directly above. blocking-under-lock
@@ -55,9 +60,6 @@ additionally accepts the comment anchored at the *mutex member
 declaration*: that reads as "blocking under this (and only this) lock
 is the design" — e.g. a mutex that serializes a file handle — and
 suppresses findings whose every held lock carries such an anchor.
-For the two checks shared with wsqlint (cancel-blind-wait,
-unbounded-op-growth) an existing `wsqlint: allow(...)` comment is
-honored too, so one anchored justification covers both tools.
 
 Frontends: with --frontend clang (the CI configuration) the real AST
 of every TU in compile_commands.json is parsed via libclang
@@ -89,13 +91,16 @@ CHECKS = (
     "unbounded-op-growth",
     "deadline-blind-submit",
     "status-discard",
+    "mutex-guard",
+    "raw-std-mutex",
+    "manual-lock",
+    "iostream",
+    "randomness",
+    "include-guard",
+    "submit-drops-callback",
+    "metric-naming",
     "stale-suppression",
 )
-
-# Checks that also exist in tools/wsqlint.py: an anchored
-# `wsqlint: allow(...)` is honored for these so one justification
-# covers both tools.
-SHARED_WITH_WSQLINT = {"cancel-blind-wait", "unbounded-op-growth"}
 
 # Known-blocking free functions / std calls, matched by the last name
 # of the call chain.
@@ -115,9 +120,8 @@ HARD_BLOCKING_METHODS = (
     (None, "join"),  # std::thread::join
 )
 
-# Identifiers whose presence marks a function as cancellation-aware
-# (same vocabulary as wsqlint's CANCEL_AWARE, applied to the whole
-# enclosing function instead of a line window).
+# Identifiers whose presence anywhere in the enclosing function mark
+# it as cancellation-aware.
 CANCEL_AWARE = re.compile(r"shutdown|stop|cancel|token", re.I)
 
 # Memory-budget API surface (common/memory.h + ReqSync's WaitForRoom).
@@ -138,14 +142,11 @@ CONTROL_KEYWORDS = {
 
 
 class Finding:
-    def __init__(self, path, line, check, message, anchors=None):
+    def __init__(self, path, line, check, message):
         self.path = str(path)
         self.line = line
         self.check = check
         self.message = message
-        # (path, line) pairs where an allow() comment suppresses this
-        # finding, in addition to the finding's own site.
-        self.anchors = anchors or []
 
     def key(self):
         return (self.path, self.line, self.check, self.message)
@@ -158,66 +159,62 @@ class Finding:
 # Suppressions
 # --------------------------------------------------------------------
 
-ALLOW_RE = re.compile(
-    r"(wsqcheck|wsqlint):\s*allow\(([a-z][a-z0-9-]*)\)")
+ALLOW_RE = re.compile(r"wsqcheck:\s*allow\(([a-z][a-z0-9-]*)\)")
 
 
 class Suppression:
-    def __init__(self, path, line, tool, check):
+    def __init__(self, path, line, check):
         self.path = str(path)
         self.line = line
-        self.tool = tool
         self.check = check
         self.used = False
+
+
+def relpath(root, path):
+    """Root-relative posix path, or `path` itself when outside root."""
+    try:
+        return pathlib.Path(path).resolve().relative_to(
+            pathlib.Path(root).resolve()).as_posix()
+    except ValueError:
+        return str(path)
 
 
 class Suppressions:
     """All allow() comments in the scanned tree, with use tracking."""
 
     def __init__(self, root):
-        self.root = pathlib.Path(root).resolve()
+        self.root = root
         self.by_site = {}   # (root-relative posix path, line) -> [Sup]
         self.all = []
-
-    def _rel(self, path):
-        try:
-            return pathlib.Path(path).resolve().relative_to(
-                self.root).as_posix()
-        except ValueError:
-            return str(path)
 
     def scan_file(self, path):
         try:
             text = path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             return
-        rel = self._rel(path)
+        rel = relpath(self.root, path)
         for i, raw_line in enumerate(text.splitlines(), start=1):
             for m in ALLOW_RE.finditer(raw_line):
-                sup = Suppression(rel, i, m.group(1), m.group(2))
+                sup = Suppression(rel, i, m.group(1))
                 self.by_site.setdefault((sup.path, i), []).append(sup)
                 self.all.append(sup)
 
     def active(self, check, anchors):
         """True if any anchor (path, line) carries a matching allow()
         on that line or the line above. Marks the suppression used."""
-        tools = ("wsqcheck", "wsqlint") if check in SHARED_WITH_WSQLINT \
-            else ("wsqcheck",)
-        hit = None
+        hit = False
         for (path, line) in anchors:
             for probe in (line, line - 1):
                 for sup in self.by_site.get((str(path), probe), []):
-                    if sup.check == check and sup.tool in tools:
-                        hit = sup
-                        sup.used = True
-        return hit is not None
+                    if sup.check == check:
+                        sup.used = hit = True
+        return hit
 
     def stale(self):
-        """wsqcheck-tool suppressions that never fired (wsqlint's own
-        comments are audited by wsqlint itself)."""
+        """Suppressions that never fired."""
         out = []
         for sup in self.all:
-            if sup.tool != "wsqcheck" or sup.used:
+            if sup.used:
                 continue
             if sup.check not in CHECKS:
                 out.append(Finding(
@@ -392,11 +389,10 @@ class ClassInfo:
 
 
 class LockEvent:
-    def __init__(self, ident, raw, line, anchor):
+    def __init__(self, ident, raw, line):
         self.ident = ident          # 'Class::field' | '?file::field'
         self.raw = raw              # source expression text
         self.line = line
-        self.anchor = anchor        # mutex decl (path, line) or None
         self.held = []              # identities held when acquired
         self.held_raw = []          # raw exprs held when acquired
 
@@ -412,11 +408,10 @@ class CallEvent:
 
 
 class WaitEvent:
-    def __init__(self, line, timed, released, held, held_anchors):
+    def __init__(self, line, timed, released, held_anchors):
         self.line = line
         self.timed = timed
         self.released = released    # identity of the mutex argument
-        self.held = held
         self.held_anchors = held_anchors
 
 
@@ -447,11 +442,8 @@ class FunctionInfo:
         self.waits = []
         self.growths = []
         self.discards = []
-        self.is_lambda = False
         # Filled by the analysis:
         self.direct_acquires = {}   # ident -> LockEvent (first)
-        self.acquires_star = {}     # ident -> witness chain string
-        self.block_info = None      # None|('hard',why)|('cv',ident,why)
 
     def name(self):
         return self.qname.rsplit("::", 1)[-1]
@@ -769,7 +761,7 @@ def scan_body(func, toks, program, out_functions):
                 expr = toks[j + 2:end - 1]
                 ident, anchor = res.mutex_identity(expr)
                 raw = render(expr)
-                ev = LockEvent(ident, raw, t.line, anchor)
+                ev = LockEvent(ident, raw, t.line)
                 ev.held = held()
                 ev.held_raw = held_raw()
                 func.locks.append(ev)
@@ -801,7 +793,7 @@ def scan_body(func, toks, program, out_functions):
                         if args else (None, None)
                     func.waits.append(WaitEvent(
                         t.line, last == "WaitForMicros", released,
-                        held(), held_anchors()))
+                        held_anchors()))
                 elif last in GROWTH_METHODS and len(chain) > 1:
                     func.growths.append(GrowthEvent(t.line, last))
                     ev = CallEvent(chain, t.line, held(), held_anchors())
@@ -842,7 +834,6 @@ def _try_lambda(func, toks, i, program, out_functions):
     sub = FunctionInfo(f"{func.qname}::<lambda@{toks[i].line}>",
                        func.cls, func.path, toks[i].line)
     sub.params = dict(func.params)
-    sub.is_lambda = True
     body = toks[j + 1:end - 1]
     scan_body(sub, body, program, out_functions)
     out_functions.append(sub)
@@ -1259,11 +1250,7 @@ class Analysis:
         self._seen = set()
 
     def rel(self, path):
-        try:
-            return pathlib.Path(path).resolve().relative_to(
-                self.root.resolve()).as_posix()
-        except ValueError:
-            return str(path)
+        return relpath(self.root, path)
 
     def emit(self, finding):
         if finding.key() in self._seen:
@@ -1634,7 +1621,10 @@ class Analysis:
                 self.emit(Finding(site[0], d.line,
                                   "status-discard", msg))
 
-    def run(self, only):
+    def run(self, only, sources):
+        def want(check):
+            return only is None or check in only
+
         self.compute()
         table = {
             "lock-order": self.check_lock_order,
@@ -1645,9 +1635,13 @@ class Analysis:
             "status-discard": self.check_status_discard,
         }
         for name, fn in table.items():
-            if only is None or name in only:
+            if want(name):
                 fn()
-        if only is None or "stale-suppression" in only:
+        for path in sources:
+            raw = path.read_text(encoding="utf-8", errors="replace")
+            for f in text_findings(self.rel(path), raw, self.sups, want):
+                self.emit(f)
+        if want("stale-suppression"):
             for f in self.sups.stale():
                 f.path = self.rel(f.path)
                 self.emit(f)
@@ -1768,6 +1762,258 @@ def tarjan(adj):
         if v not in index:
             strongconnect(v)
     return result
+
+
+# --------------------------------------------------------------------
+# Per-file text checks
+# --------------------------------------------------------------------
+
+# Directories whose shared state must carry capability annotations.
+ANNOTATED_DIRS = (
+    "src/async",
+    "src/net",
+    "src/storage",
+    "src/exec",
+    "src/wsq",
+    "src/obs",
+)
+
+# Files allowed to touch the raw primitives: the annotation layer itself.
+PRIMITIVE_ALLOWLIST = ("src/common/thread_annotations.h",)
+
+# The one sanctioned home of seeded randomness.
+RANDOMNESS_ALLOWLIST = ("src/common/random.h",)
+
+MUTEX_MEMBER = re.compile(
+    r"^\s*(?:mutable\s+)?(?:wsq::)?Mutex\s+(\w+)\s*;", re.M)
+STD_PRIMITIVE = re.compile(
+    r"std::(mutex|recursive_mutex|shared_mutex|condition_variable"
+    r"|condition_variable_any)\b")
+MANUAL_LOCK = re.compile(r"[.>]\s*(?:lock|unlock|try_lock)\s*\(")
+GUARDED_BY = re.compile(r"WSQ_(?:PT_)?GUARDED_BY\(\s*(\w+)\s*\)")
+SUBMIT_SIG = re.compile(
+    r"\bSubmit\s*\(\s*SearchRequest\s+\w+\s*,\s*"
+    r"SearchCallback\s+(\w+)\s*\)\s*(?:override\s*)?\{")
+METRIC_CALL = re.compile(
+    r"\b(GetCounter|GetGauge|GetHistogram"
+    r"|EmitCounter|EmitGauge|EmitHistogram)\s*\(\s*\"")
+METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*$")
+# Registered metric families: every production series belongs to one
+# component namespace so the /metrics dump groups naturally. A new
+# component registers its prefix here (one line, reviewed) rather than
+# minting ad-hoc names.
+METRIC_PREFIXES = (
+    "wsq_admission_",
+    "wsq_buffer_pool_",
+    "wsq_circuit_",
+    "wsq_external_",
+    "wsq_fr_",          # flight recorder + postmortems
+    "wsq_mem_",
+    "wsq_query_",
+    "wsq_reqpump_",
+    "wsq_result_cache_",
+    "wsq_shard_",
+    "wsq_spill_",
+    "wsq_statusz_",     # introspection surface
+    "wsq_wal_",
+)
+METRIC_EXACT = ("wsq_queries_total",)
+RAND_CALL = re.compile(r"(?<![\w:])s?rand\s*\(")
+RANDOM_DEVICE = re.compile(r"std::random_device\b")
+INCLUDE_IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
+
+
+COMMENT_OR_LITERAL = re.compile(
+    r"//[^\n]*|/\*.*?(?:\*/|\Z)"
+    r"|([\"'])(?:\\(?:.|\Z)|(?!\1)[^\\])*(\1|\Z)", re.S)
+
+
+def strip_comments(text):
+    """Blanks out // and /* */ comments and the contents of string and
+    character literals, keeping offsets, newlines and the literals'
+    quote characters, so a regex match in the result points at the
+    same line (and offset) as in `text`."""
+    def blank(m):
+        s = m.group(0)
+        if not m.group(1):
+            return re.sub(r"[^\n]", " ", s)
+        end = len(s) - len(m.group(2))
+        return s[0] + re.sub(r"[^\n]", " ", s[1:end]) + m.group(2)
+    return COMMENT_OR_LITERAL.sub(blank, text)
+
+
+def line_of(text, pos):
+    return text.count("\n", 0, pos) + 1
+
+
+def brace_body(code, start):
+    """code[start - 1] is '{'; returns the text up to its match."""
+    depth, i = 1, start
+    while i < len(code) and depth > 0:
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+        i += 1
+    return code[start:i]
+
+
+def text_findings(rel, raw, sups, want):
+    """Runs the per-file text checks over one source file. `rel` is
+    its root-relative posix path (always under src/); `want(check)`
+    says whether a check was selected."""
+    code = strip_comments(raw)
+    findings = []
+
+    def emit(pos, check, message):
+        # strip_comments preserves offsets: `pos` indexes raw and code.
+        findings.append(Finding(rel, line_of(code, pos), check, message))
+
+    annotated = any(rel.startswith(d + "/") for d in ANNOTATED_DIRS) \
+        and rel not in PRIMITIVE_ALLOWLIST
+    is_header = rel.endswith(".h")
+
+    if annotated and is_header and want("mutex-guard"):
+        guarded_names = set(GUARDED_BY.findall(code))
+        for m in MUTEX_MEMBER.finditer(code):
+            name = m.group(1)
+            if name not in guarded_names:
+                emit(m.start(), "mutex-guard",
+                     f"Mutex member '{name}' has no WSQ_GUARDED_BY({name}) "
+                     "peer; annotate the state it protects (or delete it)")
+
+    if annotated and want("raw-std-mutex"):
+        for m in STD_PRIMITIVE.finditer(code):
+            emit(m.start(), "raw-std-mutex",
+                 f"std::{m.group(1)} is invisible to the capability "
+                 "analysis; use wsq::Mutex / wsq::CondVar "
+                 "(common/thread_annotations.h)")
+
+    if annotated and want("manual-lock"):
+        for m in MANUAL_LOCK.finditer(code):
+            emit(m.start(), "manual-lock",
+                 "manual lock()/unlock() call; use the MutexLock RAII "
+                 "guard (its Lock()/Unlock() members handle re-locking)")
+
+    # Scans each SearchService::Submit override body: every bare
+    # `return;` needs the callback invoked or handed off nearby, and
+    # the callback must be used at least once overall. Heuristic, not
+    # flow analysis — the suppression comment covers handoffs on
+    # another branch (e.g. a callback parked in a container earlier).
+    if want("submit-drops-callback"):
+        for m in SUBMIT_SIG.finditer(code):
+            cb = m.group(1)
+            body = brace_body(code, m.end())
+            cb_use = re.compile(
+                r"\b" + cb + r"\s*\("               # invocation
+                r"|\bmove\s*\(\s*" + cb + r"\s*\)"  # handoff by move
+                r"|[,(]\s*" + cb + r"\s*[,)]")      # pass-through arg
+            if not cb_use.search(body):
+                emit(m.start(), "submit-drops-callback",
+                     f"Submit never invokes or hands off its callback "
+                     f"'{cb}'; every accepted request must eventually "
+                     "complete (net/search_service.h)")
+                continue
+            for r in re.finditer(r"\breturn\s*;", body):
+                # Look back a handful of lines for a callback use.
+                back = body[:r.start()].splitlines()[-8:]
+                if cb_use.search("\n".join(back)):
+                    continue
+                pos = m.end() + r.start()
+                if sups.active("submit-drops-callback",
+                               [(rel, line_of(code, pos))]):
+                    continue
+                emit(pos, "submit-drops-callback",
+                     f"bare 'return;' in Submit with no use of callback "
+                     f"'{cb}' in the preceding lines; complete the "
+                     "request on every path or annotate with "
+                     "'wsqcheck: allow(submit-drops-callback)'")
+
+    if want("iostream"):
+        for m in INCLUDE_IOSTREAM.finditer(code):
+            emit(m.start(), "iostream",
+                 "<iostream> in library code; report errors via "
+                 "Status/Result, format with common/strings.h")
+
+    if rel not in RANDOMNESS_ALLOWLIST and want("randomness"):
+        for m in RAND_CALL.finditer(code):
+            emit(m.start(), "randomness",
+                 "rand()/srand() is not reproducible; use wsq::Rng with "
+                 "an explicit seed")
+        for m in RANDOM_DEVICE.finditer(code):
+            emit(m.start(), "randomness",
+                 "std::random_device draws unseeded entropy; plumb a "
+                 "seed through the options struct instead")
+
+    # strip_comments keeps offsets and quote characters but blanks
+    # string contents, so the literal is matched in `code` and its text
+    # read back from `raw` at the same positions.
+    if want("metric-naming"):
+        for m in METRIC_CALL.finditer(code):
+            kind = m.group(1)
+            open_quote = m.end() - 1
+            close_quote = code.find('"', open_quote + 1)
+            if close_quote < 0:
+                continue
+            name = raw[open_quote + 1:close_quote]
+            if not METRIC_NAME.match(name):
+                emit(m.start(), "metric-naming",
+                     f"metric name '{name}' is not snake_case "
+                     "([a-z][a-z0-9_]*)")
+                continue
+            problem = None
+            if not name.startswith("wsq_"):
+                problem = "must start with 'wsq_'"
+            elif kind in ("GetCounter", "EmitCounter"):
+                if not name.endswith("_total"):
+                    problem = "counters end in '_total'"
+            elif kind in ("GetHistogram", "EmitHistogram"):
+                if not (name.endswith("_micros")
+                        or name.endswith("_bytes")):
+                    problem = ("histograms carry their unit: "
+                               "'_micros' or '_bytes'")
+            elif kind in ("GetGauge", "EmitGauge"):
+                if name.endswith("_total"):
+                    problem = ("'_total' marks a monotonic counter; "
+                               "gauges go up and down")
+            if (problem is None and name not in METRIC_EXACT
+                    and not name.startswith(METRIC_PREFIXES)):
+                problem = ("unregistered metric family; add the "
+                           "component prefix to METRIC_PREFIXES in "
+                           "tools/wsqcheck.py")
+            if problem is not None:
+                emit(m.start(), "metric-naming",
+                     f"metric name '{name}': {problem} (DESIGN.md §12)")
+
+    if is_header and want("include-guard") and "#pragma once" not in code:
+        expected = ("WSQ_" +
+                    rel[len("src/"):]
+                    .replace("/", "_")
+                    .replace(".", "_")
+                    .upper() + "_")
+        guard = re.search(r"#\s*ifndef\s+(\S+)\s*\n\s*#\s*define\s+(\S+)",
+                          code)
+        if guard is None:
+            emit(0, "include-guard",
+                 f"header has neither '#ifndef {expected}' guard nor "
+                 "#pragma once")
+        elif guard.group(1) != expected or guard.group(2) != expected:
+            emit(guard.start(), "include-guard",
+                 f"guard '{guard.group(1)}' should be '{expected}' "
+                 "(derived from the header's path)")
+        else:
+            # The closing #endif must say which guard it closes — at
+            # the bottom of a long header that comment is the only
+            # context a reader has. Match against `raw`: the comment is
+            # what is being checked.
+            endifs = list(re.finditer(r"#\s*endif[^\n]*", raw))
+            want_endif = f"#endif  // {expected}"
+            if endifs and endifs[-1].group(0).rstrip() != want_endif:
+                emit(endifs[-1].start(), "include-guard",
+                     f"closing '#endif' must read '{want_endif}' "
+                     "(trailing comment names the guard it closes)")
+
+    return findings
 
 
 # --------------------------------------------------------------------
@@ -2176,14 +2422,12 @@ def main(argv=None):
         fe.finish()
         frontend_used = "internal"
 
-    program.index()
-
     sups = Suppressions(root)
     for path in sources:
         sups.scan_file(path)
 
     analysis = Analysis(program, root, sups)
-    findings = analysis.run(only)
+    findings = analysis.run(only, sources)
 
     if args.verbose:
         print(f"wsqcheck: frontend={frontend_used} "
@@ -2192,7 +2436,7 @@ def main(argv=None):
               f"files={len(sources)}", file=sys.stderr)
 
     for f in findings:
-        print(f"{f.path}:{f.line}: [{f.check}] {f.message}")
+        print(f)
     if findings:
         counts = {}
         for f in findings:
