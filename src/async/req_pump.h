@@ -65,8 +65,10 @@ struct ReqPumpStats {
   /// Peak length of the resource-limit wait queue.
   uint64_t queued_peak = 0;
   /// Calls resolved with kCancelled: queued calls dropped at
-  /// destruction, or calls cancelled by a query governor (CancelCall).
-  /// Not counted in `completed`/`failed`.
+  /// destruction, or calls cancelled through CancelCall because nothing
+  /// will consume their answers (a query's executor closing its ReqSync
+  /// or sweeping its unconsumed calls, a sharded backend dropping a
+  /// losing hedge leg). Not counted in `completed`/`failed`.
   uint64_t cancelled = 0;
   /// Calls rejected at Register because the wait queue was at
   /// Limits::max_queued (resolved kResourceExhausted immediately). Not
@@ -106,9 +108,14 @@ struct ReqPumpStats {
 class ReqPump {
  public:
   struct Limits {
-    /// Max concurrently-dispatched calls overall; 0 = unbounded.
+    /// Max concurrently-dispatched calls overall; 0 = unbounded. Only
+    /// calls whose answers are still wanted count: an abandoned call
+    /// (timed out, or cancelled through CancelCall) frees its slot at
+    /// once, though its destination may still be serving it.
     int max_global = 0;
     /// Max concurrently-dispatched calls per destination; 0 = unbounded.
+    /// Abandoned calls do not count, as for max_global, so a
+    /// destination can hold more requests than this.
     int max_per_destination = 0;
     /// Deadline applied to calls registered without an explicit timeout,
     /// measured from Register(); 0 = no deadline.
@@ -159,8 +166,8 @@ class ReqPump {
 
   /// As above, observing `token` (may be null): returns the token's
   /// error without consuming the call once the query is cancelled or
-  /// past its deadline. The call stays registered — cancel and reap it
-  /// via CancelCall + TryTake (the ReqSync Close cascade does this).
+  /// past its deadline. The call stays registered — cancel and take it
+  /// via CancelCall + TryTake (ReqSync's Close does this).
   CallResult TakeBlocking(CallId id, const CancellationToken* token)
       WSQ_EXCLUDES(core_->mu);
 

@@ -22,8 +22,9 @@ Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
       return Status::InvalidArgument(
           "plan contains an AEVScan but no ReqPump was supplied");
     }
-    auto async_scan = std::make_unique<AEVScanOperator>(
-        &node, ctx->pump, &ctx->external_calls);
+    ctx->issued_calls_charge.Bind(ctx->memory);
+    auto async_scan =
+        std::make_unique<AEVScanOperator>(&node, ctx->pump, ctx);
     async_scan->SetShardOptions(ctx->shard);
     scan = std::move(async_scan);
   } else {
@@ -35,6 +36,27 @@ Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
   scan->SetCancelToken(ctx->token);
   scan->SetObservability(ctx->tracer, ctx->profile, node.Label());
   return scan;
+}
+
+// Closes the tree, then resolves every call its AEVScans registered
+// that nothing consumed. Once a scan emits its placeholder tuple the
+// call belongs to that tuple's consumer, so a call whose tuple a join
+// or filter below the ReqSync discarded has no taker, and neither has
+// one registered but never emitted. Cancelling and taking what is left
+// keeps the shared ReqPumpHash clean without waiting on the network.
+// Newest first, as in ReqSync's Close: the pump queue is FIFO, so the
+// calls still queued go before any dispatched one frees its slot.
+Status CloseTree(Operator* root, ExecContext* ctx) {
+  Status closed = root->Close();
+  for (auto it = ctx->issued_calls.rbegin(); it != ctx->issued_calls.rend();
+       ++it) {
+    if (ctx->pump->CancelCall(*it)) ++ctx->cancelled_calls;
+    CallResult discarded;
+    ctx->pump->TryTake(*it, &discarded);
+  }
+  ctx->issued_calls.clear();
+  ctx->issued_calls_charge.ReleaseAll();
+  return closed;
 }
 
 }  // namespace
@@ -179,24 +201,24 @@ Result<ResultSet> ExecutePlan(const PlanNode& plan, ExecContext* ctx,
   Status opened = root->Open();
   if (!opened.ok()) {
     // A blocking operator (e.g. Sort) drains its child inside Open, so
-    // a degraded-call error can surface here too: Close anyway so
-    // ReqSync reaps its outstanding calls instead of leaking them.
-    // The Open error is the one the caller needs to see.
-    WSQ_IGNORE_STATUS(root->Close());
+    // a degraded-call error can surface here too: close anyway so the
+    // calls already issued are cancelled instead of leaking. The Open
+    // error is the one the caller needs to see.
+    WSQ_IGNORE_STATUS(CloseTree(root.get(), ctx));
     return opened;
   }
   Row row;
   while (true) {
     auto more = root->Next(&row);
     if (!more.ok()) {
-      // Reap outstanding calls even on error; the Next error wins.
-      WSQ_IGNORE_STATUS(root->Close());
+      // Cancel outstanding calls even on error; the Next error wins.
+      WSQ_IGNORE_STATUS(CloseTree(root.get(), ctx));
       return more.status();
     }
     if (!*more) break;
     result.rows.push_back(std::move(row));
   }
-  WSQ_RETURN_IF_ERROR(root->Close());
+  WSQ_RETURN_IF_ERROR(CloseTree(root.get(), ctx));
   if (profile_out != nullptr) *profile_out = root->BuildProfileTree();
   return result;
 }

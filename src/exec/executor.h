@@ -56,9 +56,17 @@ struct ExecContext {
   std::atomic<uint64_t> dropped_tuples{0};
   /// Tuples completed with NULLs under OnCallError::kNullPad.
   std::atomic<uint64_t> null_padded_tuples{0};
-  /// Outstanding external calls cancelled by the Close cascade of an
-  /// aborted (cancelled / deadline-expired) query.
+  /// Outstanding external calls cancelled because no tuple would use
+  /// their answers: calls a ReqSync still awaited at Close (complete
+  /// output, early stop, error or abort), and calls ExecutePlan found
+  /// unconsumed after the root closed.
   std::atomic<uint64_t> cancelled_calls{0};
+  /// Every call this query's AEVScans registered, each id charged to
+  /// `memory` through `issued_calls_charge`. After the root closes,
+  /// ExecutePlan cancels and takes the ones nothing consumed, then
+  /// clears the list and releases the charge. Executor thread only.
+  std::vector<CallId> issued_calls;
+  MemoryReservation issued_calls_charge;
   /// Pending tuples shed by a ReqSync buffer budget in shed-oldest mode.
   std::atomic<uint64_t> shed_tuples{0};
   /// Peak pending tuples / approximate bytes buffered by any ReqSync
@@ -87,11 +95,16 @@ struct ResultSet {
 
 /// Compiles a logical plan into a physical operator tree. `ctx->pump`
 /// is required when the plan contains asynchronous scans or ReqSyncs;
-/// `ctx` must outlive the returned operators.
+/// `ctx` must outlive the returned operators. Closing the returned
+/// root does not release calls that nothing consumed (those whose
+/// placeholder tuples were dropped below a ReqSync, or never emitted):
+/// only ExecutePlan's sweep of `ctx->issued_calls` does.
 Result<OperatorPtr> BuildOperatorTree(const PlanNode& plan,
                                       ExecContext* ctx);
 
-/// Builds, opens, drains, and closes the plan. With `profile_out`
+/// Builds, opens, drains, and closes the plan, then cancels and takes
+/// every call in `ctx->issued_calls` that nothing consumed, on success
+/// and on every error exit. With `profile_out`
 /// non-null, `ctx->profile` is forced on and the annotated operator
 /// tree (EXPLAIN ANALYZE) is written there on success.
 Result<ResultSet> ExecutePlan(const PlanNode& plan, ExecContext* ctx,

@@ -25,8 +25,8 @@ namespace wsq {
 /// tuple in Next, per child row in a blocking Open drain — call
 /// CheckAlive() so a cancelled or deadline-expired query aborts between
 /// tuples (kCancelled / kDeadlineExceeded) instead of running to
-/// completion. The executor's error-path Close cascade then reaps any
-/// outstanding external calls.
+/// completion. The executor's error-path Close cascade then cancels
+/// any outstanding external calls.
 ///
 /// Observability: Open/Next/Close are non-virtual wrappers around the
 /// OpenImpl/NextImpl/CloseImpl virtuals. With profiling enabled

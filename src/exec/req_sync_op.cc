@@ -1,6 +1,7 @@
 #include "exec/req_sync_op.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -195,8 +196,7 @@ Status ReqSyncOperator::DegradeFailedCall(CallId call,
   if (ctx_ != nullptr) ++ctx_->failed_calls;
 
   // Un-register the call first in every policy: its result has already
-  // been consumed, so leaving it in waiters_ would make Close() block
-  // forever trying to reap it again.
+  // been consumed, so Close has nothing left to cancel or take for it.
   std::vector<uint64_t> ids;
   auto waiting = waiters_.find(call);
   if (waiting != waiters_.end()) {
@@ -319,19 +319,26 @@ Status ReqSyncOperator::ProcessCompletion(CallId call,
 }
 
 Status ReqSyncOperator::CloseImpl() {
-  // A query killed by its governor must not wait out its calls'
-  // natural latencies: cancel them first — CancelCall resolves a
-  // not-yet-complete call immediately (dropping it from the queue or
-  // abandoning its dispatch) — then reap, which never blocks because a
-  // result is guaranteed to be present either way.
-  const bool aborted = !CheckAlive().ok();
-  for (const auto& [call, ids] : waiters_) {
-    if (aborted && pump_->CancelCall(call)) {
-      if (ctx_ != nullptr) ++ctx_->cancelled_calls;
+  // Nothing will consume the calls still in waiters_: their tuples were
+  // cancelled by another call's zero-row answer, the consumer stopped
+  // early (LIMIT), or the query failed or was aborted. Cancel each one
+  // — CancelCall resolves a not-yet-complete call at once, dropping it
+  // from the queue or abandoning its dispatch — and take its result,
+  // which is then always present, so Close never waits on the network.
+  // Newest first: the pump queue is FIFO, so a call still queued is
+  // never older than a dispatched one to the same destination, and
+  // cancelling the dispatched one first would free its slot only to
+  // send the queued call to the engine and abandon it too.
+  std::vector<CallId> calls;
+  calls.reserve(waiters_.size());
+  for (const auto& [call, ids] : waiters_) calls.push_back(call);
+  std::sort(calls.begin(), calls.end(), std::greater<CallId>());
+  for (CallId call : calls) {
+    if (pump_->CancelCall(call) && ctx_ != nullptr) {
+      ++ctx_->cancelled_calls;
     }
-    // Reap only: the query is over, the result (and its error, if any)
-    // no longer has a consumer.
-    WSQ_IGNORE_STATUS(pump_->TakeBlocking(call));
+    CallResult discarded;
+    pump_->TryTake(call, &discarded);
   }
   waiters_.clear();
   entries_.clear();

@@ -35,7 +35,8 @@ namespace wsq {
 /// child and process completions until there is room, so the calls
 /// already in flight drain the buffer. With shed_oldest the oldest
 /// pending tuple is dropped instead (ExecContext::shed_tuples); its
-/// calls are still reaped at Close.
+/// calls are still taken as they complete, and any left at Close are
+/// cancelled there.
 ///
 /// Memory governance: every buffered tuple's bytes are also charged to
 /// the query MemoryBudget (ExecContext::memory) through a
@@ -63,9 +64,10 @@ class ReqSyncOperator : public Operator {
   Status OpenImpl() override;
   Result<bool> NextImpl(Row* row) override;
 
-  /// Reaps any still-outstanding call results (relevant on error/early
-  /// termination paths) so they do not accumulate in the shared
-  /// ReqPumpHash, then closes the child.
+  /// Cancels every call still awaited (no tuple will use its answer:
+  /// complete output, early stop, or error) and takes its result
+  /// without blocking, so nothing accumulates in the shared ReqPumpHash
+  /// and Close never waits on the network; then closes the child.
   Status CloseImpl() override;
 
   /// Peak number of tuples buffered while waiting (observability).

@@ -2,6 +2,7 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "exec/executor.h"
 #include "storage/serde.h"
 
 namespace wsq {
@@ -158,6 +159,12 @@ Status EVScanOperator::CloseImpl() {
   return Status::OK();
 }
 
+AEVScanOperator::AEVScanOperator(const EVScanNode* node, ReqPump* pump,
+                                 ExecContext* ctx)
+    : VScanBase(node, ctx != nullptr ? &ctx->external_calls : nullptr),
+      pump_(pump),
+      ctx_(ctx) {}
+
 Status AEVScanOperator::OpenImpl() {
   emitted_ = false;
   WSQ_RETURN_IF_ERROR(CheckAlive());
@@ -177,6 +184,13 @@ Status AEVScanOperator::OpenImpl() {
     if (pump_default > 0 && pump_default < budget) budget = pump_default;
   }
   call_ = node_->table()->SubmitAsync(request, pump_, budget);
+  if (ctx_ != nullptr) {
+    // One id per issued call (a dependent join re-Opens this scan per
+    // outer row), charged to the query budget until ExecutePlan's
+    // sweep after the root closes.
+    ctx_->issued_calls.push_back(call_);
+    ctx_->issued_calls_charge.ForceAdd(sizeof(CallId));
+  }
   CountExternalCall();
   if (tracer() != nullptr) {
     tracer()->Event("reqpump", "register",
@@ -199,20 +213,6 @@ Result<bool> AEVScanOperator::NextImpl(Row* row) {
   return true;
 }
 
-Status AEVScanOperator::CloseImpl() {
-  if (call_ != kInvalidCallId && !emitted_) {
-    // Defensive reap: the call was registered at Open but its
-    // placeholder row was never emitted (query aborted, or the
-    // executor stopped early under LIMIT before pulling this scan), so
-    // no ReqSync upstream will ever consume it — without this it would
-    // sit in the shared pump hash forever. Once emitted, the row's
-    // consumer owns the call; a dependent join re-Closing this scan
-    // per outer row must not steal it.
-    (void)pump_->CancelCall(call_);
-    WSQ_IGNORE_STATUS(pump_->TakeBlocking(call_).status);
-  }
-  call_ = kInvalidCallId;
-  return Status::OK();
-}
+Status AEVScanOperator::CloseImpl() { return Status::OK(); }
 
 }  // namespace wsq

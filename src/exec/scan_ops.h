@@ -13,6 +13,8 @@
 
 namespace wsq {
 
+struct ExecContext;  // exec/executor.h
+
 /// Stored-table sequential scan.
 class SeqScanOperator : public Operator {
  public:
@@ -107,9 +109,10 @@ class EVScanOperator : public VScanBase {
 /// operator above patches, cancels, or proliferates it later.
 class AEVScanOperator : public VScanBase {
  public:
+  /// With `ctx`, Open counts each call in ExecContext::external_calls
+  /// and records its id in ExecContext::issued_calls.
   AEVScanOperator(const EVScanNode* node, ReqPump* pump,
-                  std::atomic<uint64_t>* call_counter = nullptr)
-      : VScanBase(node, call_counter), pump_(pump) {}
+                  ExecContext* ctx = nullptr);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(Row* row) override;
@@ -117,6 +120,7 @@ class AEVScanOperator : public VScanBase {
 
  private:
   ReqPump* pump_;
+  ExecContext* ctx_;
   CallId call_ = kInvalidCallId;
   std::vector<Value> inputs_;
   bool emitted_ = false;

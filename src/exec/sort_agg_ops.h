@@ -68,7 +68,7 @@ class SortOperator : public Operator {
   size_t next_ = 0;
   // True while the child is open. Open() closes the child after a full
   // drain; if the drain errors out, Close() must cascade instead so a
-  // ReqSync below reaps its outstanding calls.
+  // ReqSync below cancels its outstanding calls.
   bool child_open_ = false;
 
   struct MergeSource {

@@ -41,8 +41,10 @@ struct QueryStats {
   uint64_t dropped_tuples = 0;
   /// Tuples completed with NULLs under OnCallError::kNullPad.
   uint64_t null_padded_tuples = 0;
-  /// Outstanding external calls cancelled when the query was aborted
-  /// (deadline exceeded / explicit cancel).
+  /// Outstanding external calls cancelled because no tuple would use
+  /// their answers: still awaited when a ReqSync closed (its tuples
+  /// already cancelled, an early stop under LIMIT, an error, a deadline
+  /// or an explicit cancel), or whose tuples were dropped below it.
   uint64_t cancelled_calls = 0;
   /// Pending tuples dropped by a ReqSync shed-oldest buffer budget.
   uint64_t shed_tuples = 0;

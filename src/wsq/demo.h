@@ -81,18 +81,23 @@ class DemoEnv {
                              bool async_iteration = true);
 
  private:
-  // Declaration order is destruction-order-critical: the database's
-  // ReqPump must be destroyed (draining in-flight calls) while the
-  // services that complete those calls are still alive.
+  // Declaration order is destruction-order-critical. The database goes
+  // first: its ReqPump waits for the calls whose answers are still
+  // wanted while the services that complete them are alive. It does not
+  // wait for abandoned calls (cancelled once nothing will use them, or
+  // timed out), so the services may still hold requests when they are
+  // destroyed; they deliver those at once, and the answers pass through
+  // the caching layer. The caches are therefore declared before, and
+  // outlive, the services below them.
   std::unique_ptr<Corpus> corpus_;
   std::unique_ptr<SearchEngine> av_engine_;
   std::unique_ptr<SearchEngine> google_engine_;
-  std::unique_ptr<SimulatedSearchService> av_service_;
-  std::unique_ptr<SimulatedSearchService> google_service_;
-  std::unique_ptr<SimulatedShardCluster> shard_cluster_;
   std::unique_ptr<ResultCache> client_cache_;
   std::unique_ptr<CachingSearchService> av_cached_;
   std::unique_ptr<CachingSearchService> google_cached_;
+  std::unique_ptr<SimulatedSearchService> av_service_;
+  std::unique_ptr<SimulatedSearchService> google_service_;
+  std::unique_ptr<SimulatedShardCluster> shard_cluster_;
   std::unique_ptr<WsqDatabase> db_;
 };
 

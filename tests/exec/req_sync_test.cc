@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+
+#include "common/clock.h"
 
 namespace wsq {
 namespace {
@@ -348,7 +351,96 @@ TEST_F(ReqSyncOpTest, FailQueryPolicyDoesNotWedgeClose) {
     if (!*more) break;
   }
   EXPECT_EQ(error.code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(op.Close().ok());  // reaps `slow`, skips consumed `bad`
+  EXPECT_TRUE(op.Close().ok());  // cancels `slow`, skips consumed `bad`
+  EXPECT_EQ(pump.pending_results(), 0u);
+}
+
+TEST_F(ReqSyncOpTest, CloseCancelsUnconsumedCallsWithoutWaiting) {
+  // Close must not wait out a call whose answer nobody will use: (a) an
+  // orphan, whose only tuple was cancelled by another call's zero-row
+  // answer (§4.3, n = 0); (b) a call cut off by an early stop, as under
+  // LIMIT. Each is a 2 s call that Close cancels and takes at once.
+  Schema three({Column("A", TypeId::kInt64, "t"),
+                Column("B", TypeId::kInt64, "t"),
+                Column("C", TypeId::kString, "t")});
+  for (bool early_stop : {false, true}) {
+    SCOPED_TRACE(early_stop ? "early stop" : "orphan");
+    ReqPump pump;
+    std::vector<Row> input;
+    if (early_stop) {
+      CallId fast = Delayed(&pump, {Row({Value::Int(1)})}, 2000);
+      CallId slow = Delayed(&pump, {Row({Value::Int(2)})}, 2000000);
+      input = {Row({Value::Pending(fast, 0), Value::Int(0),
+                    Value::Str("fast")}),
+               Row({Value::Int(0), Value::Pending(slow, 0),
+                    Value::Str("slow")})};
+    } else {
+      CallId fast = Delayed(&pump, {}, 2000);
+      CallId slow = Delayed(&pump, {Row({Value::Int(2)})}, 2000000);
+      input = {Row({Value::Pending(fast, 0), Value::Pending(slow, 0),
+                    Value::Str("x")})};
+    }
+    auto node = std::make_unique<ReqSyncNode>(
+        std::make_unique<StubNode>(three), std::vector<size_t>{0, 1});
+    auto child = std::make_unique<VectorOperator>(&node->schema(),
+                                                  std::move(input));
+    ReqSyncOperator op(node.get(), std::move(child), &pump);
+    Stopwatch timer;
+    ASSERT_TRUE(op.Open().ok());
+    Row row;
+    auto more = op.Next(&row);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    // The orphan's tuple is gone, so the output is already complete;
+    // the early stop takes the fast row and goes no further.
+    ASSERT_EQ(*more, early_stop);
+    if (early_stop) {
+      EXPECT_EQ(row.value(2).AsString(), "fast");
+    }
+    ASSERT_TRUE(op.Close().ok());
+    EXPECT_LT(timer.ElapsedMicros(), 500000);
+    EXPECT_EQ(pump.pending_results(), 0u);
+    EXPECT_EQ(pump.stats().cancelled, 1u);
+  }
+}
+
+TEST_F(ReqSyncOpTest, CloseDropsQueuedCallsBeforeFreeingSlots) {
+  // One slot for the destination: `slow` takes it when `fast` answers,
+  // and `queued` waits behind `slow`. Both tuples die with `fast`'s
+  // empty answer, so Close cancels `slow` and `queued`. Cancelling
+  // `slow` first would free its slot and send `queued` to the engine
+  // only to abandon it.
+  ReqPump::Limits limits;
+  limits.max_per_destination = 1;
+  ReqPump pump(limits);
+  std::atomic<int> queued_runs{0};
+  CallId fast = Delayed(&pump, {}, 2000);
+  CallId slow = Delayed(&pump, {Row({Value::Int(1)})}, 2000000);
+  CallId queued =
+      pump.Register("engine", [&queued_runs](CallCompletion done) {
+        ++queued_runs;
+        done(CallResult{Status::OK(), {Row({Value::Int(2)})}});
+      });
+  Schema three({Column("A", TypeId::kInt64, "t"),
+                Column("B", TypeId::kInt64, "t"),
+                Column("C", TypeId::kString, "t")});
+  std::vector<Row> input = {
+      Row({Value::Pending(fast, 0), Value::Pending(slow, 0),
+           Value::Str("x")}),
+      Row({Value::Pending(fast, 0), Value::Pending(queued, 0),
+           Value::Str("y")})};
+  auto node = std::make_unique<ReqSyncNode>(
+      std::make_unique<StubNode>(three), std::vector<size_t>{0, 1});
+  auto child =
+      std::make_unique<VectorOperator>(&node->schema(), std::move(input));
+  ReqSyncOperator op(node.get(), std::move(child), &pump);
+  ASSERT_TRUE(op.Open().ok());
+  Row row;
+  auto more = op.Next(&row);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_FALSE(*more);
+  ASSERT_TRUE(op.Close().ok());
+  EXPECT_EQ(queued_runs.load(), 0);
+  EXPECT_EQ(pump.stats().cancelled, 2u);
   EXPECT_EQ(pump.pending_results(), 0u);
 }
 

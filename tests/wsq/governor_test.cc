@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +144,70 @@ TEST(GovernorTest, ConcurrentExecuteAndCancelRaces) {
   ReqPumpStats stats = pump->stats();
   EXPECT_EQ(stats.registered,
             stats.completed + stats.cancelled + stats.shed);
+}
+
+// Percolation pulls ReqSync above the non-clashing join with Sigs, and
+// that join discards every placeholder tuple (no state is named like a
+// SIG), so no ReqSync ever sees the 50 WebCount calls. The executor
+// must cancel them after the tree closes instead of leaving their
+// results in the pump hash for good. The second input puts the client
+// result cache in front of the engine: the cancelled calls are still
+// running when the environment is destroyed, and their late answers
+// pass through the caching layer as the services shut down, so the
+// cache must still be alive then (ASan reports a use-after-free
+// otherwise).
+TEST(GovernorTest, CallsWhoseTuplesAreDroppedBelowReqSyncAreCancelled) {
+  for (size_t cache_entries : {size_t{0}, size_t{64}}) {
+    SCOPED_TRACE(cache_entries == 0 ? "no cache" : "client cache");
+    DemoOptions options = SlowWebOptions(1000000);
+    options.client_cache_entries = cache_entries;
+    auto env = std::make_unique<DemoEnv>(options);
+    auto r = env->db().Execute(
+        "SELECT S.Name, Count FROM States S, WebCount, Sigs G "
+        "WHERE S.Name = T1 AND G.Name = S.Name");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->result.rows.empty());
+    EXPECT_EQ(r->stats.external_calls, 50u);
+    EXPECT_EQ(r->stats.cancelled_calls, 50u);
+    ReqPump* pump = env->db().pump();
+    pump->Drain();
+    EXPECT_EQ(pump->pending_results(), 0u);
+    ReqPumpStats stats = pump->stats();
+    EXPECT_EQ(stats.registered,
+              stats.completed + stats.cancelled + stats.shed);
+    EXPECT_EQ(env->altavista_service().stats().completed_requests, 0u);
+    // Teardown delivers the abandoned requests without waiting out
+    // their 1 s latency.
+    Stopwatch timer;
+    env.reset();
+    EXPECT_LT(timer.ElapsedMicros(), 500000);
+  }
+}
+
+// ReqPump limits bound the calls whose answers are still wanted. Each
+// query below dispatches 4 of its 50 calls (the per-destination limit)
+// and queues the rest; its sweep then drops the 46 queued calls before
+// they reach the engine and abandons the 4 dispatched ones, which stop
+// counting against the limit at once although the engine (capacity 4)
+// is still serving them. So three such queries leave the engine
+// holding 12 requests, three times the limit.
+TEST(GovernorTest, AbandonedCallsStopCountingAgainstTheDestinationLimit) {
+  DemoOptions options = SlowWebOptions(1000000);
+  options.server_capacity = 4;
+  options.pump_limits.max_per_destination = 4;
+  DemoEnv env(options);
+  for (int q = 0; q < 3; ++q) {
+    auto r = env.db().Execute(
+        "SELECT S.Name, Count FROM States S, WebCount, Sigs G "
+        "WHERE S.Name = T1 AND G.Name = S.Name");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.cancelled_calls, 50u);
+  }
+  EXPECT_EQ(env.db().pump()->in_flight(), 0);
+  SimulatedServiceStats engine = env.altavista_service().stats();
+  EXPECT_EQ(engine.total_requests, 12u);
+  EXPECT_EQ(engine.completed_requests, 0u);
+  EXPECT_EQ(engine.max_concurrent, 12u);
 }
 
 // ---------------------------------------------------------------------
