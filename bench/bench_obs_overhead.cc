@@ -28,6 +28,7 @@
 
 #include "bench_json.h"
 #include "common/clock.h"
+#include "common/strings.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "wsq/demo.h"
@@ -99,9 +100,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 100; ++i) {
       int id = base + i;
       if (i > 0) insert += ", ";
-      insert += "(" + std::to_string(id) + ", " +
-                std::to_string((id * 2654435761u) % 100000) + ", 'row" +
-                std::to_string(id) + "')";
+      insert += wsq::StrFormat("(%d, %u, 'row%d')", id,
+                               (id * 2654435761u) % 100000, id);
     }
     auto inserted = env.db().Execute(insert);
     if (!inserted.ok()) {

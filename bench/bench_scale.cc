@@ -23,7 +23,7 @@ int main() {
 
   const auto& vocab = env.corpus().vocabulary();
   for (int n : {5, 10, 25, 50, 100, 200}) {
-    std::string table = "T" + std::to_string(n);
+    std::string table = wsq::StrFormat("T%d", n);
     if (!env.db()
              .Execute("CREATE TABLE " + table + " (Name STRING)")
              .ok()) {

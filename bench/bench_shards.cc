@@ -120,7 +120,6 @@ wsq::SimulatedShardCluster::Options ScalingOptions(size_t n) {
   opt.latency = wsq::LatencyModel{2000, 1000, 0.05, 5.0};
   opt.seed = kSeed;
   opt.with_replicas = true;
-  opt.service.poll_micros = 500;
   opt.service.default_hedge_delay_micros = 8000;
   return opt;
 }
@@ -135,7 +134,6 @@ wsq::SimulatedShardCluster::Options DarkOptions(bool dark) {
   opt.latency = wsq::LatencyModel{2000, 1000, 0.05, 5.0};
   opt.seed = kSeed;
   opt.with_replicas = false;
-  opt.service.poll_micros = 500;
   opt.retry.max_attempts = 2;
   if (dark) {
     opt.shard_faults.resize(4);

@@ -36,8 +36,7 @@ class FetchPageTable : public VirtualTable {
     Schema s;
     s.AddColumn(Column("SearchExp", TypeId::kString, name_));
     for (size_t i = 1; i <= n; ++i) {
-      s.AddColumn(Column("T" + std::to_string(i), TypeId::kString,
-                         name_));
+      s.AddColumn(Column(StrFormat("T%zu", i), TypeId::kString, name_));
     }
     s.AddColumn(Column("Words", TypeId::kInt64, name_));
     s.AddColumn(Column("FirstTerms", TypeId::kString, name_));

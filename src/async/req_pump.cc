@@ -142,10 +142,11 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn) {
 }
 
 CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
-                         int64_t timeout_micros) {
+                         int64_t timeout_micros, PumpCallback on_result) {
   CallId id;
   bool dispatch_now;
   bool has_deadline = timeout_micros > 0;
+  bool earliest_deadline = false;
   const uint64_t query_id = CurrentQueryId();
   size_t queue_depth = 0;
   {
@@ -165,6 +166,7 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
           Status::ResourceExhausted("ReqPump queue for '" + destination +
                                     "' is full (max_queued)"),
           {}};
+      if (on_result) core_->notifications.push_back(std::move(on_result));
       ++core_->completion_seq;
       core_->cv.NotifyAll();
       FlightRecorder::Global()->Record(FrEventType::kCallShed, destination,
@@ -174,11 +176,13 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
     }
     ++core_->outstanding;
     int64_t now = NowMicros();
-    core_->unresolved.emplace(
-        id, CallMeta{destination, now, dispatch_now ? now : 0, query_id});
+    core_->unresolved.emplace(id, CallMeta{destination, now,
+                                           dispatch_now ? now : 0, query_id,
+                                           std::move(on_result)});
     int64_t deadline = has_deadline ? now + timeout_micros : 0;
     if (has_deadline) {
-      core_->deadlines.push(Deadline{deadline, id, destination});
+      core_->deadlines.push(Deadline{deadline, id, destination, nullptr});
+      earliest_deadline = core_->deadlines.top().when_micros == deadline;
     }
     if (dispatch_now) {
       ++core_->stats.dispatched;
@@ -200,8 +204,8 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
                                    dispatch_now ? "" : "queued", query_id,
                                    static_cast<int64_t>(id),
                                    static_cast<int64_t>(queue_depth));
-  // Wake the timer so it re-arms for a possibly-earlier deadline.
-  if (has_deadline) core_->cv.NotifyAll();
+  // Wake the timer only if it must re-arm for an earlier deadline.
+  if (earliest_deadline) core_->cv.NotifyAll();
   if (dispatch_now) {
     Dispatch(core_, id, destination, std::move(fn), query_id);
   }
@@ -247,6 +251,9 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
     auto meta = core->unresolved.find(id);
     if (meta != core->unresolved.end()) {
       query_id = meta->second.query_id;
+      if (meta->second.on_result) {
+        core->notifications.push_back(std::move(meta->second.on_result));
+      }
       if (meta->second.dispatched_micros > 0) {
         queue_wait_micros =
             meta->second.dispatched_micros - meta->second.registered_micros;
@@ -336,17 +343,27 @@ std::vector<ReqPump::QueuedCall> ReqPump::TakeDispatchableLocked(
 
 void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
   MutexLock lock(&core->mu);
-  while (!core->shutdown) {
+  for (;;) {
+    // Registrants' callbacks run outside the lock. Notifications still
+    // queued at shutdown run (their calls resolved); timers do not.
+    if (!core->notifications.empty()) {
+      std::vector<PumpCallback> ready;
+      ready.swap(core->notifications);
+      lock.Unlock();
+      for (PumpCallback& fn : ready) fn();
+      ready.clear();  // release captures outside the lock
+      lock.Lock();
+      continue;
+    }
+    if (core->shutdown) break;
     // Drop stale heap entries (calls that resolved before their
     // deadline) so they don't force pointless wakeups.
-    while (!core->deadlines.empty() &&
+    while (!core->deadlines.empty() && !core->deadlines.top().timer &&
            core->unresolved.count(core->deadlines.top().id) == 0) {
       core->deadlines.pop();
     }
     if (core->deadlines.empty()) {
-      while (!core->shutdown && core->deadlines.empty()) {
-        core->cv.Wait(core->mu);
-      }
+      core->cv.Wait(core->mu);
       continue;
     }
     int64_t now = NowMicros();
@@ -357,6 +374,12 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
     }
     Deadline d = core->deadlines.top();
     core->deadlines.pop();
+    if (d.timer) {
+      lock.Unlock();
+      d.timer();
+      lock.Lock();
+      continue;
+    }
     auto meta = core->unresolved.find(d.id);
     if (meta == core->unresolved.end()) continue;
 
@@ -365,43 +388,19 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
     ++core->stats.timed_out;
     ++core->stats.failed;
     ++core->stats.completed;
-    uint64_t query_id = meta->second.query_id;
-    CallResult timeout_result{
-        Status::DeadlineExceeded("external call to '" + d.destination +
-                                 "' exceeded its deadline"),
-        {}};
-    if (meta->second.dispatched_micros > 0) {
-      timeout_result.queue_wait_micros =
-          meta->second.dispatched_micros - meta->second.registered_micros;
-      timeout_result.in_flight_micros =
-          now - meta->second.dispatched_micros;
-      core->stats.queue_wait_micros_total +=
-          timeout_result.queue_wait_micros;
-      core->stats.in_flight_micros_total += timeout_result.in_flight_micros;
-    }
-    int64_t in_flight_micros = timeout_result.in_flight_micros;
-    core->results[d.id] = std::move(timeout_result);
-    core->unresolved.erase(meta);
-    ++core->completion_seq;
-    --core->outstanding;
-
-    bool was_queued = false;
-    for (auto it = core->queue.begin(); it != core->queue.end(); ++it) {
-      if (it->id == d.id) {
-        core->queue.erase(it);  // never dispatched: no straggler coming
-        was_queued = true;
-        break;
-      }
+    const uint64_t query_id = meta->second.query_id;
+    if (meta->second.on_result) {
+      core->notifications.push_back(std::move(meta->second.on_result));
     }
     std::vector<QueuedCall> to_dispatch;
-    if (!was_queued) {
-      // Dispatched: abandon it and free its limit slots so the queue
-      // behind a hung destination keeps moving.
-      core->abandoned.insert(d.id);
-      --core->in_flight_global;
-      --core->in_flight_by_dest[d.destination];
-      to_dispatch = TakeDispatchableLocked(core.get());
-    }
+    const bool was_queued = ResolveEarlyLocked(
+        core.get(), meta,
+        CallResult{Status::DeadlineExceeded("external call to '" +
+                                            d.destination +
+                                            "' exceeded its deadline"),
+                   {}},
+        &to_dispatch);
+    const int64_t in_flight_micros = core->results[d.id].in_flight_micros;
     lock.Unlock();
     FlightRecorder::Global()->Record(
         FrEventType::kCallTimeout, d.destination,
@@ -415,56 +414,67 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
   }
 }
 
+void ReqPump::RunAfter(int64_t delay_micros, PumpCallback fn) {
+  const int64_t when = NowMicros() + delay_micros;
+  bool earliest;
+  {
+    MutexLock lock(&core_->mu);
+    core_->deadlines.push(Deadline{when, kInvalidCallId, "", std::move(fn)});
+    earliest = core_->deadlines.top().when_micros == when;
+  }
+  if (earliest) core_->cv.NotifyAll();  // the timer must re-arm earlier
+}
+
+bool ReqPump::ResolveEarlyLocked(
+    Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
+    CallResult result, std::vector<QueuedCall>* to_dispatch) {
+  const CallId id = meta->first;
+  const CallMeta& call = meta->second;
+  if (call.dispatched_micros > 0) {
+    result.queue_wait_micros = call.dispatched_micros - call.registered_micros;
+    result.in_flight_micros = NowMicros() - call.dispatched_micros;
+    core->stats.queue_wait_micros_total += result.queue_wait_micros;
+    core->stats.in_flight_micros_total += result.in_flight_micros;
+  }
+  core->results[id] = std::move(result);
+  ++core->completion_seq;
+  --core->outstanding;
+  auto queued = std::find_if(core->queue.begin(), core->queue.end(),
+                             [id](const QueuedCall& q) { return q.id == id; });
+  const bool was_queued = queued != core->queue.end();
+  if (was_queued) {
+    core->queue.erase(queued);  // never dispatched: no straggler coming
+  } else {
+    // Dispatched: abandon it and free its limit slots now, so the queue
+    // behind a hung destination keeps moving; its real completion, if
+    // one ever arrives, is discarded.
+    core->abandoned.insert(id);
+    --core->in_flight_global;
+    --core->in_flight_by_dest[call.destination];
+    *to_dispatch = TakeDispatchableLocked(core);
+  }
+  core->unresolved.erase(meta);
+  return was_queued;
+}
+
 bool ReqPump::CancelCall(CallId id) {
   std::vector<QueuedCall> to_dispatch;
-  std::string cancelled_destination;
+  std::string destination;
   uint64_t query_id = 0;
   {
     MutexLock lock(&core_->mu);
     auto meta = core_->unresolved.find(id);
     if (meta == core_->unresolved.end()) return false;
-    std::string destination = meta->second.destination;
-    cancelled_destination = destination;
+    destination = meta->second.destination;
     query_id = meta->second.query_id;
-    CallResult cancel_result{Status::Cancelled("external call cancelled"),
-                             {}};
-    if (meta->second.dispatched_micros > 0) {
-      int64_t now = NowMicros();
-      cancel_result.queue_wait_micros =
-          meta->second.dispatched_micros - meta->second.registered_micros;
-      cancel_result.in_flight_micros =
-          now - meta->second.dispatched_micros;
-      core_->stats.queue_wait_micros_total +=
-          cancel_result.queue_wait_micros;
-      core_->stats.in_flight_micros_total +=
-          cancel_result.in_flight_micros;
-    }
-    core_->unresolved.erase(meta);
     ++core_->stats.cancelled;
-    core_->results[id] = std::move(cancel_result);
-    ++core_->completion_seq;
-    --core_->outstanding;
-
-    bool was_queued = false;
-    for (auto it = core_->queue.begin(); it != core_->queue.end(); ++it) {
-      if (it->id == id) {
-        core_->queue.erase(it);  // never dispatched: no straggler coming
-        was_queued = true;
-        break;
-      }
-    }
-    if (!was_queued) {
-      // Dispatched: abandon it — release its limit slots now, discard
-      // its real completion when (if) it lands.
-      core_->abandoned.insert(id);
-      --core_->in_flight_global;
-      --core_->in_flight_by_dest[destination];
-      to_dispatch = TakeDispatchableLocked(core_.get());
-    }
+    ResolveEarlyLocked(
+        core_.get(), meta,
+        CallResult{Status::Cancelled("external call cancelled"), {}},
+        &to_dispatch);
   }
-  FlightRecorder::Global()->Record(FrEventType::kCallCancel,
-                                   cancelled_destination, "", query_id,
-                                   static_cast<int64_t>(id));
+  FlightRecorder::Global()->Record(FrEventType::kCallCancel, destination, "",
+                                   query_id, static_cast<int64_t>(id));
   core_->cv.NotifyAll();
   for (QueuedCall& q : to_dispatch) {
     Dispatch(core_, q.id, q.destination, std::move(q.fn), q.query_id);

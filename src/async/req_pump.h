@@ -50,6 +50,12 @@ using CallCompletion = std::function<void(CallResult)>;
 /// (from any thread).
 using AsyncCallFn = std::function<void(CallCompletion)>;
 
+/// A registrant's callback (a call's result notification or a RunAfter
+/// timer). The pump runs it on its timer thread, outside its lock and
+/// never inside a pump method, so it may call back into the pump and
+/// take locks that the registering thread held around Register.
+using PumpCallback = std::function<void()>;
+
 /// Observability counters (paper §4.1: resource monitoring).
 struct ReqPumpStats {
   uint64_t registered = 0;
@@ -104,7 +110,9 @@ struct ReqPumpStats {
 /// A dispatched call that times out is *abandoned*: its limit slots are
 /// released immediately and its real completion, if one ever arrives,
 /// is discarded. Shared internal state keeps such late completions safe
-/// even after the ReqPump itself has been destroyed.
+/// even after the ReqPump itself has been destroyed. The same thread
+/// runs registrants' callbacks: result notifications passed to Register
+/// and one-shot RunAfter timers.
 class ReqPump {
  public:
   struct Limits {
@@ -145,9 +153,18 @@ class ReqPump {
   CallId Register(const std::string& destination, AsyncCallFn fn);
 
   /// As above with an explicit per-call deadline; `timeout_micros` <= 0
-  /// means no deadline (overriding any default).
+  /// means no deadline (overriding any default). `on_result`, if set,
+  /// runs once on the timer thread after the call's result lands by
+  /// completion, deadline or shedding; never after CancelCall, and not
+  /// again for a late completion of a timed-out call.
   CallId Register(const std::string& destination, AsyncCallFn fn,
-                  int64_t timeout_micros) WSQ_EXCLUDES(core_->mu);
+                  int64_t timeout_micros, PumpCallback on_result = nullptr)
+      WSQ_EXCLUDES(core_->mu);
+
+  /// Runs `fn` once on the timer thread, `delay_micros` from now.
+  /// Timers run in time order; one still pending at ~ReqPump never runs.
+  void RunAfter(int64_t delay_micros, PumpCallback fn)
+      WSQ_EXCLUDES(core_->mu);
 
   /// True once the call's result is available in ReqPumpHash.
   bool IsComplete(CallId id) const WSQ_EXCLUDES(core_->mu);
@@ -245,12 +262,16 @@ class ReqPump {
     /// events and latency exemplars, which resolve on pump/service
     /// threads with no binding of their own.
     uint64_t query_id = 0;
+    /// Register's `on_result`; dropped unrun by CancelCall.
+    PumpCallback on_result;
   };
 
+  /// A call's deadline, or a RunAfter timer when `timer` is set.
   struct Deadline {
     int64_t when_micros;
     CallId id;
     std::string destination;
+    PumpCallback timer;
 
     bool operator>(const Deadline& o) const {
       if (when_micros != o.when_micros) return when_micros > o.when_micros;
@@ -290,6 +311,8 @@ class ReqPump {
     std::priority_queue<Deadline, std::vector<Deadline>,
                         std::greater<Deadline>>
         deadlines WSQ_GUARDED_BY(mu);
+    /// Result notifications waiting for the timer thread to run them.
+    std::vector<PumpCallback> notifications WSQ_GUARDED_BY(mu);
     /// Registered but not yet resolved/dropped.
     uint64_t outstanding WSQ_GUARDED_BY(mu) = 0;
     bool shutdown WSQ_GUARDED_BY(mu) = false;
@@ -314,11 +337,22 @@ class ReqPump {
   static std::vector<QueuedCall> TakeDispatchableLocked(Core* core)
       WSQ_REQUIRES(core->mu);
 
+  /// Resolves unresolved call `meta` with `result` ahead of its real
+  /// completion (deadline or cancel): stamps its timings and stores it,
+  /// then drops the call from the queue or, if dispatched, abandons it
+  /// and collects in `to_dispatch` the queued calls its slots free.
+  /// Returns true if the call was still queued.
+  static bool ResolveEarlyLocked(
+      Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
+      CallResult result, std::vector<QueuedCall>* to_dispatch)
+      WSQ_REQUIRES(core->mu);
+
   static bool CanDispatchLocked(const Core& core,
                                 const std::string& destination)
       WSQ_REQUIRES(core.mu);
 
-  /// Deadline-timer thread body.
+  /// Timer thread body: expires deadlines, runs timers and
+  /// notifications.
   static void TimerLoop(std::shared_ptr<Core> core);
 
   std::shared_ptr<Core> core_;

@@ -173,29 +173,34 @@ PaperCorpusSpec MakePaperCorpusSpec() {
   spec.entities.push_back(EntitySpec{"scuba diving", 2.0});
   spec.entities.push_back(EntitySpec{"Knuth", 0.8});
 
+  // Plants phrases `a` and `b` near each other (no third phrase).
+  auto plant = [&spec](std::string a, std::string b, double weight) {
+    spec.cooccurrences.push_back({std::move(a), std::move(b), weight, ""});
+  };
+
   // --- Query 3: the four-corners states, with the paper's sharp
   // dropoff after the fourth (1745/1249/1095/994 vs 215).
-  spec.cooccurrences.push_back({"Colorado", "four corners", 88.0});
-  spec.cooccurrences.push_back({"New Mexico", "four corners", 63.0});
-  spec.cooccurrences.push_back({"Arizona", "four corners", 55.0});
-  spec.cooccurrences.push_back({"Utah", "four corners", 50.0});
-  spec.cooccurrences.push_back({"California", "four corners", 2.0});
+  plant("Colorado", "four corners", 88.0);
+  plant("New Mexico", "four corners", 63.0);
+  plant("Arizona", "four corners", 55.0);
+  plant("Utah", "four corners", 50.0);
+  plant("California", "four corners", 2.0);
 
   // --- §4.1 footnote 3: Sigs near "Knuth", in the paper's order.
-  spec.cooccurrences.push_back({"SIGACT", "Knuth", 44.0});
-  spec.cooccurrences.push_back({"SIGPLAN", "Knuth", 22.0});
-  spec.cooccurrences.push_back({"SIGGRAPH", "Knuth", 13.0});
-  spec.cooccurrences.push_back({"SIGMOD", "Knuth", 10.0});
-  spec.cooccurrences.push_back({"SIGCOMM", "Knuth", 7.0});
-  spec.cooccurrences.push_back({"SIGSAM", "Knuth", 5.0});
+  plant("SIGACT", "Knuth", 44.0);
+  plant("SIGPLAN", "Knuth", 22.0);
+  plant("SIGGRAPH", "Knuth", 13.0);
+  plant("SIGMOD", "Knuth", 10.0);
+  plant("SIGCOMM", "Knuth", 7.0);
+  plant("SIGSAM", "Knuth", 5.0);
 
   // --- DSQ scenario: coastal states and diving movies near the phrase.
-  spec.cooccurrences.push_back({"Florida", "scuba diving", 9.0});
-  spec.cooccurrences.push_back({"Hawaii", "scuba diving", 7.0});
-  spec.cooccurrences.push_back({"California", "scuba diving", 5.0});
-  spec.cooccurrences.push_back({"Deep Descent", "scuba diving", 6.0});
-  spec.cooccurrences.push_back({"Coral Kingdom", "scuba diving", 4.0});
-  spec.cooccurrences.push_back({"Silent Depths", "scuba diving", 3.0});
+  plant("Florida", "scuba diving", 9.0);
+  plant("Hawaii", "scuba diving", 7.0);
+  plant("California", "scuba diving", 5.0);
+  plant("Deep Descent", "scuba diving", 6.0);
+  plant("Coral Kingdom", "scuba diving", 4.0);
+  plant("Silent Depths", "scuba diving", 3.0);
   // Triple: "an underwater thriller filmed in Florida" (§1) — plants
   // Florida NEAR Deep Descent NEAR scuba diving in one document.
   spec.cooccurrences.push_back(
@@ -210,7 +215,7 @@ PaperCorpusSpec MakePaperCorpusSpec() {
       for (size_t k = 0; k < 8; ++k) {
         const StateRecord& s = states[(c * 7 + k * 5) % states.size()];
         double w = 2.5 - 0.2 * static_cast<double>(k);
-        spec.cooccurrences.push_back({s.name, constants[c], w});
+        plant(s.name, constants[c], w);
       }
     }
   }
@@ -224,20 +229,20 @@ PaperCorpusSpec MakePaperCorpusSpec() {
     for (size_t c = 0; c < constants.size(); ++c) {
       for (size_t k = 0; k < 12; ++k) {
         const std::string& sig = sigs[(c * 5 + k * 3) % sigs.size()];
-        spec.cooccurrences.push_back({sig, constants[c], 1.6});
+        plant(sig, constants[c], 1.6);
       }
     }
   }
 
   // --- CS fields near SIGs (for the §4.5.4 Example 3 query).
-  spec.cooccurrences.push_back({"SIGMOD", "databases", 5.0});
-  spec.cooccurrences.push_back({"SIGOPS", "operating systems", 5.0});
-  spec.cooccurrences.push_back({"SIGART", "artificial intelligence", 4.0});
-  spec.cooccurrences.push_back({"SIGGRAPH", "computer graphics", 4.0});
-  spec.cooccurrences.push_back({"SIGPLAN", "programming languages", 4.0});
-  spec.cooccurrences.push_back({"SIGIR", "information retrieval", 4.0});
-  spec.cooccurrences.push_back({"SIGCOMM", "computer networks", 4.0});
-  spec.cooccurrences.push_back({"SIGSOFT", "software engineering", 4.0});
+  plant("SIGMOD", "databases", 5.0);
+  plant("SIGOPS", "operating systems", 5.0);
+  plant("SIGART", "artificial intelligence", 4.0);
+  plant("SIGGRAPH", "computer graphics", 4.0);
+  plant("SIGPLAN", "programming languages", 4.0);
+  plant("SIGIR", "information retrieval", 4.0);
+  plant("SIGCOMM", "computer networks", 4.0);
+  plant("SIGSOFT", "software engineering", 4.0);
 
   return spec;
 }

@@ -175,9 +175,9 @@ TypeId BoundBinary::OutputType() const {
 }
 
 std::string BoundBinary::ToString() const {
-  return "(" + left_->ToString() + " " +
-         std::string(BinaryOpToString(op_)) + " " + right_->ToString() +
-         ")";
+  return StrFormat("(%s %s %s)", left_->ToString().c_str(),
+                   std::string(BinaryOpToString(op_)).c_str(),
+                   right_->ToString().c_str());
 }
 
 std::string_view ScalarFuncToString(ScalarFunc f) {

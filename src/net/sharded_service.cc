@@ -60,6 +60,22 @@ void DecodeRows(SearchRequest::Kind kind, const std::vector<Row>& rows,
   }
 }
 
+/// Hedge a shard once its primary has been outstanding for this quantile
+/// of the destination's observed latency distribution...
+constexpr double kHedgeQuantile = 0.95;
+/// ...once the histogram holds this many observations (before that,
+/// Options::default_hedge_delay_micros)...
+constexpr uint64_t kMinHedgeSamples = 50;
+/// ...but never sooner than this: a noisy fast quantile must not turn
+/// hedging into always-mirror.
+constexpr int64_t kHedgeMinDelayMicros = 1000;
+
+/// What a request gets once the service is shutting down.
+SearchResponse ShuttingDown(const std::string& name) {
+  return SearchResponse{
+      Status::Unavailable("sharded service shutting down: " + name), 0, {}};
+}
+
 /// Shards that must answer OK for this waiter's policy to succeed.
 int NeededShards(const ShardOptions& options, int num_shards) {
   switch (options.policy) {
@@ -82,7 +98,7 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
     : shards_(std::move(shards)),
       pump_(pump),
       options_(std::move(options)),
-      wake_(std::make_shared<WakeState>()) {
+      guard_(std::make_shared<Guard>(this)) {
   destinations_.reserve(shards_.size());
   latency_hists_.reserve(shards_.size());
   for (const Shard& shard : shards_) {
@@ -176,46 +192,29 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
         }
         out->push_back(std::move(s));
       });
-  gather_ = std::thread([this] { GatherLoop(); });
 }
 
 ShardedSearchService::~ShardedSearchService() {
   StatuszRegistry::Global()->RemoveProvider(statusz_id_);
   MetricsRegistry::Global()->RemoveCollector(collector_id_);
   {
-    MutexLock lock(&mu_);
-    stopping_ = true;
+    // Waits out a running pump callback; later ones find no service.
+    MutexLock lock(&guard_->mu);
+    guard_->service = nullptr;
   }
-  {
-    MutexLock lock(&wake_->mu);
-    wake_->ping = true;
-    wake_->cv.NotifyAll();
-  }
-  gather_.join();
   // Honour the SearchService contract: every accepted request completes.
   std::vector<Delivery> deliveries;
   {
     MutexLock lock(&mu_);
+    stopping_ = true;
     for (auto& entry : flights_) {
       Flight& flight = entry.second;
-      for (ShardCall& call : flight.calls) {
-        if (!call.primary_taken && call.primary != kInvalidCallId) {
-          ReapLegLocked(call.primary);
-          call.primary_taken = true;
-        }
-        if (!call.hedge_taken && call.hedge != kInvalidCallId) {
-          ReapLegLocked(call.hedge);
-          call.hedge_taken = true;
-        }
+      for (size_t i = 0; i < flight.calls.size(); ++i) {
+        ReapShardLocked(&flight, i, /*record=*/false);
       }
       for (Waiter& waiter : flight.waiters) {
-        deliveries.push_back(Delivery{
-            std::move(waiter.done),
-            SearchResponse{
-                Status::Unavailable("sharded service shutting down: " +
-                                    options_.name),
-                0,
-                {}}});
+        deliveries.push_back(
+            Delivery{std::move(waiter.done), ShuttingDown(options_.name)});
       }
     }
     flights_.clear();
@@ -228,27 +227,28 @@ void ShardedSearchService::Submit(SearchRequest request,
                                   SearchCallback done) {
   const std::string key = request.CacheKey();
   const uint64_t query_id = CurrentQueryId();
-  bool rejected = false;
+  std::vector<Delivery> deliveries;
   {
     MutexLock lock(&mu_);
     if (stopping_) {
-      rejected = true;
+      deliveries.push_back(
+          Delivery{std::move(done), ShuttingDown(options_.name)});
+    } else if (auto it = flights_.find(key); it != flights_.end()) {
+      // Single-flight coalescing: same (kind, k, query) already in
+      // flight — join it as one more waiter. The waiter keeps its own
+      // quorum policy; the shard calls are shared.
+      ++stats_.coalesced;
+      it->second.waiters.push_back(
+          Waiter{request.shard, std::move(done), query_id});
+      FlightRecorder::Global()->Record(
+          FrEventType::kCoalesceJoin, options_.name, "", query_id,
+          static_cast<int64_t>(it->second.flight_id));
+      // A joiner whose quorum is already lost fails now.
+      SettleLocked(it, &deliveries);
     } else {
-      auto it = flights_.find(key);
-      if (it != flights_.end()) {
-        // Single-flight coalescing: same (kind, k, query) already in
-        // flight — join it as one more waiter. The waiter keeps its own
-        // quorum policy; the shard calls are shared.
-        ++stats_.coalesced;
-        it->second.waiters.push_back(
-            Waiter{request.shard, std::move(done), query_id});
-        FlightRecorder::Global()->Record(
-            FrEventType::kCoalesceJoin, options_.name, "", query_id,
-            static_cast<int64_t>(it->second.flight_id));
-        return;
-      }
       ++stats_.fanouts;
       Flight& flight = flights_[key];
+      flight.key = key;
       flight.request = request;
       flight.flight_id = next_flight_id_++;
       flight.calls.resize(shards_.size());
@@ -258,30 +258,18 @@ void ShardedSearchService::Submit(SearchRequest request,
           FrEventType::kFanout, options_.name, "", query_id,
           static_cast<int64_t>(flight.flight_id),
           static_cast<int64_t>(shards_.size()));
-      int64_t now = NowMicros();
       for (size_t i = 0; i < shards_.size(); ++i) {
-        ShardCall& call = flight.calls[i];
-        call.primary = RegisterLeg(shards_[i].primary, flight.request,
-                                   destinations_[i]);
+        flight.calls[i].primary =
+            RegisterLeg(flight, i, shards_[i].primary, destinations_[i]);
         ++stats_.shard_calls;
-        if (options_.enable_hedging && shards_[i].replica != nullptr) {
-          call.hedge_at_micros = now + HedgeDelayMicros(i);
+        if (shards_[i].replica != nullptr) {
+          pump_->RunAfter(HedgeDelayMicros(i),
+                          ShardEvent(flight, i, /*hedge_timer=*/true));
         }
       }
     }
   }
-  if (rejected) {
-    done(SearchResponse{
-        Status::Unavailable("sharded service shutting down: " +
-                            options_.name),
-        0,
-        {}});
-    return;
-  }
-  // Wake the gather loop so it learns the new flight's hedge deadlines.
-  MutexLock lock(&wake_->mu);
-  wake_->ping = true;
-  wake_->cv.NotifyAll();
+  for (Delivery& d : deliveries) d.done(std::move(d.response));
 }
 
 void ShardedSearchService::Quiesce() {
@@ -301,27 +289,57 @@ std::vector<bool> ShardedSearchService::shard_health() const {
   return shard_ok_;
 }
 
-CallId ShardedSearchService::RegisterLeg(SearchService* service,
-                                         const SearchRequest& request,
+CallId ShardedSearchService::RegisterLeg(const Flight& flight, size_t i,
+                                         SearchService* service,
                                          const std::string& destination) {
-  std::shared_ptr<WakeState> wake = wake_;
+  const SearchRequest& request = flight.request;
   SearchRequest::Kind kind = request.kind;
-  AsyncCallFn fn = [service, request, kind,
-                    wake](CallCompletion pump_done) {
-    service->Submit(
-        request,
-        [kind, wake, pump_done = std::move(pump_done)](SearchResponse resp) {
-          // Store the result in the pump first, then ping the gather
-          // loop. The wake state is shared, so a completion landing
-          // after ~ShardedSearchService touches valid memory.
-          pump_done(EncodeResponse(kind, resp));
-          MutexLock lock(&wake->mu);
-          wake->ping = true;
-          wake->cv.NotifyAll();
-        });
+  AsyncCallFn fn = [service, request, kind](CallCompletion pump_done) {
+    service->Submit(request, [kind, pump_done = std::move(pump_done)](
+                                 SearchResponse resp) {
+      pump_done(EncodeResponse(kind, resp));
+    });
   };
   return pump_->Register(destination, std::move(fn),
-                         options_.call_timeout_micros);
+                         options_.call_timeout_micros,
+                         ShardEvent(flight, i, /*hedge_timer=*/false));
+}
+
+PumpCallback ShardedSearchService::ShardEvent(const Flight& flight, size_t i,
+                                              bool hedge_timer) {
+  return [guard = guard_, key = flight.key, flight_id = flight.flight_id, i,
+          hedge_timer] {
+    std::vector<Delivery> deliveries;
+    {
+      MutexLock lock(&guard->mu);
+      if (guard->service == nullptr) return;
+      guard->service->OnShardEvent(key, flight_id, i, hedge_timer,
+                                   &deliveries);
+    }
+    // Deliver waiter callbacks outside every lock: they may re-enter
+    // Submit (a retry layer above us) or take arbitrary downstream locks.
+    for (Delivery& d : deliveries) d.done(std::move(d.response));
+  };
+}
+
+void ShardedSearchService::OnShardEvent(const std::string& key,
+                                        uint64_t flight_id, size_t i,
+                                        bool hedge_timer,
+                                        std::vector<Delivery>* out) {
+  MutexLock lock(&mu_);
+  auto it = flights_.find(key);
+  if (it == flights_.end() || it->second.flight_id != flight_id) return;
+  Flight& flight = it->second;
+  // A hedge timer first takes results that have already landed, so a
+  // primary that has just answered is not hedged.
+  AdvanceShardLocked(&flight, i);
+  const ShardCall& call = flight.calls[i];
+  if (hedge_timer && !call.decided && call.hedge == kInvalidCallId) {
+    // Latency-triggered hedge: the primary has been outstanding past
+    // kHedgeQuantile of this destination's latency.
+    FireHedgeLocked(&flight, i);
+  }
+  SettleLocked(it, out);
 }
 
 int64_t ShardedSearchService::HedgeDelayMicros(size_t i) const {
@@ -329,16 +347,16 @@ int64_t ShardedSearchService::HedgeDelayMicros(size_t i) const {
   const Histogram* hist = latency_hists_[i];
   if (hist != nullptr) {
     HistogramSnapshot snap = hist->Snapshot();
-    if (snap.count >= options_.min_hedge_samples) {
-      delay = static_cast<int64_t>(snap.Quantile(options_.hedge_quantile));
+    if (snap.count >= kMinHedgeSamples) {
+      delay = static_cast<int64_t>(snap.Quantile(kHedgeQuantile));
     }
   }
-  return std::max(delay, options_.hedge_min_delay_micros);
+  return std::max(delay, kHedgeMinDelayMicros);
 }
 
 void ShardedSearchService::FireHedgeLocked(Flight* flight, size_t i) {
   ShardCall& call = flight->calls[i];
-  call.hedge = RegisterLeg(shards_[i].replica, flight->request,
+  call.hedge = RegisterLeg(*flight, i, shards_[i].replica,
                            shards_[i].replica->name());
   ++stats_.hedges;
   ++stats_.shard_calls;
@@ -349,14 +367,28 @@ void ShardedSearchService::FireHedgeLocked(Flight* flight, size_t i) {
       static_cast<int64_t>(i));
 }
 
-void ShardedSearchService::ReapLegLocked(CallId id) {
-  // Either the cancel lands (queued call dropped / dispatched call
-  // abandoned) or a result was already present; both leave a result in
-  // ReqPumpHash, so the TryTake always reaps it and the ledger stays
-  // balanced.
-  pump_->CancelCall(id);
-  CallResult discard;
-  pump_->TryTake(id, &discard);
+void ShardedSearchService::ReapShardLocked(Flight* flight, size_t i,
+                                           bool record) {
+  ShardCall& call = flight->calls[i];
+  for (bool hedge : {false, true}) {
+    CallId id = hedge ? call.hedge : call.primary;
+    bool& taken = hedge ? call.hedge_taken : call.primary_taken;
+    if (id == kInvalidCallId || taken) continue;
+    if (record) {
+      FlightRecorder::Global()->Record(
+          FrEventType::kHedgeReap, destinations_[i],
+          hedge ? "hedge_lost" : "primary_lost", /*query_id=*/0,
+          static_cast<int64_t>(flight->flight_id), static_cast<int64_t>(i));
+    }
+    // Either the cancel lands (queued call dropped / dispatched call
+    // abandoned) or a result was already present; both leave a result
+    // in ReqPumpHash, so the TryTake always reaps it and the ledger
+    // stays balanced.
+    pump_->CancelCall(id);
+    CallResult discard;
+    pump_->TryTake(id, &discard);
+    taken = true;
+  }
 }
 
 SearchResponse ShardedSearchService::MergeLocked(
@@ -394,110 +426,73 @@ SearchResponse ShardedSearchService::MergeLocked(
   return resp;
 }
 
-bool ShardedSearchService::AdvanceFlightLocked(
-    Flight* flight, int64_t now, std::vector<Delivery>* out) {
-  const int n = static_cast<int>(flight->calls.size());
-  for (size_t i = 0; i < flight->calls.size(); ++i) {
-    ShardCall& call = flight->calls[i];
-    if (call.decided) continue;
+void ShardedSearchService::AdvanceShardLocked(Flight* flight, size_t i) {
+  ShardCall& call = flight->calls[i];
+  if (call.decided) return;
 
-    auto decide = [&](bool ok, Status error, bool hedge_won,
-                      const CallResult* result) {
-      call.decided = true;
-      call.ok = ok;
-      call.hedge_won = hedge_won;
-      std::string fail_code;
-      if (ok) {
-        call.answer.status = Status::OK();
-        DecodeRows(flight->request.kind, result->rows,
-                   &call.answer.count, &call.answer.hits);
-        ++shard_decided_ok_[i];
-        if (hedge_won) ++stats_.hedge_wins;
-      } else {
-        fail_code = StatusCodeToString(error.code());
-        call.answer.status = std::move(error);
-        ++shard_decided_failed_[i];
-      }
-      shard_ok_[i] = ok;
-      FlightRecorder::Global()->Record(
-          ok ? FrEventType::kShardLegOk : FrEventType::kShardLegFail,
-          destinations_[i], ok ? (hedge_won ? "hedge_won" : "") : fail_code,
-          /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
-          static_cast<int64_t>(i));
-      // The shard is decided: a still-outstanding losing leg is pure
-      // waste now — cancel and reap it.
-      if (!call.primary_taken) {
-        FlightRecorder::Global()->Record(
-            FrEventType::kHedgeReap, destinations_[i], "primary_lost",
-            /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
-            static_cast<int64_t>(i));
-        ReapLegLocked(call.primary);
-        call.primary_taken = true;
-      }
-      if (call.hedge != kInvalidCallId && !call.hedge_taken) {
-        FlightRecorder::Global()->Record(
-            FrEventType::kHedgeReap, destinations_[i], "hedge_lost",
-            /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
-            static_cast<int64_t>(i));
-        ReapLegLocked(call.hedge);
-        call.hedge_taken = true;
-      }
-    };
+  // Decides the shard on `result`, taken from the hedge leg if `hedge`.
+  auto decide = [&](CallResult& result, bool hedge) {
+    const bool ok = result.status.ok();
+    call.decided = true;
+    call.ok = ok;
+    std::string fail_code;
+    if (ok) {
+      DecodeRows(flight->request.kind, result.rows, &call.answer.count,
+                 &call.answer.hits);
+      ++shard_decided_ok_[i];
+      if (hedge) ++stats_.hedge_wins;
+    } else {
+      fail_code = StatusCodeToString(result.status.code());
+      ++shard_decided_failed_[i];
+    }
+    call.answer.status = std::move(result.status);
+    shard_ok_[i] = ok;
+    FlightRecorder::Global()->Record(
+        ok ? FrEventType::kShardLegOk : FrEventType::kShardLegFail,
+        destinations_[i], ok ? (hedge ? "hedge_won" : "") : fail_code,
+        /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
+        static_cast<int64_t>(i));
+    // The shard is decided: a still-outstanding losing leg is pure
+    // waste now — cancel and reap it.
+    ReapShardLocked(flight, i, /*record=*/true);
+  };
 
-    CallResult result;
-    if (!call.primary_taken && pump_->TryTake(call.primary, &result)) {
-      call.primary_taken = true;
-      if (result.status.ok()) {
-        decide(true, Status::OK(), /*hedge_won=*/false, &result);
-        continue;
-      }
-      bool can_fail_over = options_.enable_hedging &&
-                           shards_[i].replica != nullptr;
-      if (!can_fail_over ||
-          (call.hedge != kInvalidCallId && call.hedge_taken)) {
-        decide(false, std::move(result.status), false, nullptr);
-        continue;
-      }
-      if (call.hedge == kInvalidCallId) {
-        // Failure-triggered failover: don't wait for the latency
-        // trigger when the primary has already failed.
-        FireHedgeLocked(flight, i);
-      }
-      continue;  // hedge still outstanding; keep waiting
-    }
-    if (call.hedge != kInvalidCallId && !call.hedge_taken &&
-        pump_->TryTake(call.hedge, &result)) {
-      call.hedge_taken = true;
-      if (result.status.ok()) {
-        decide(true, Status::OK(), /*hedge_won=*/true, &result);
-        continue;
-      }
-      if (call.primary_taken) {
-        // Both legs failed; the primary's error is the representative
-        // one (the hedge usually just repeats it).
-        decide(false, std::move(result.status), false, nullptr);
-        continue;
-      }
-    }
-    if (!call.decided && call.hedge == kInvalidCallId &&
-        call.hedge_at_micros > 0 && now >= call.hedge_at_micros) {
-      // Latency-triggered hedge: the primary has been outstanding past
-      // the configured quantile of this destination's latency.
+  CallResult result;
+  if (!call.primary_taken && pump_->TryTake(call.primary, &result)) {
+    call.primary_taken = true;
+    if (result.status.ok() || shards_[i].replica == nullptr ||
+        call.hedge_taken) {
+      decide(result, /*hedge=*/false);
+    } else if (call.hedge == kInvalidCallId) {
+      // Failure-triggered failover: don't wait for the latency
+      // trigger when the primary has already failed.
       FireHedgeLocked(flight, i);
+    }  // else the hedge is still outstanding; keep waiting
+    return;
+  }
+  if (call.hedge != kInvalidCallId && !call.hedge_taken &&
+      pump_->TryTake(call.hedge, &result)) {
+    call.hedge_taken = true;
+    // A failed hedge decides the shard, with its own error, only once
+    // the primary has failed too.
+    if (result.status.ok() || call.primary_taken) {
+      decide(result, /*hedge=*/true);
     }
   }
+}
 
+void ShardedSearchService::SettleLocked(
+    std::map<std::string, Flight>::iterator it, std::vector<Delivery>* out) {
+  Flight* flight = &it->second;
+  const int n = static_cast<int>(flight->calls.size());
+  int decided = 0;
   int decided_failed = 0;
-  int decided_ok = 0;
   for (const ShardCall& call : flight->calls) {
     if (!call.decided) continue;
-    if (call.ok) {
-      ++decided_ok;
-    } else {
-      ++decided_failed;
-    }
+    ++decided;
+    if (!call.ok) ++decided_failed;
   }
-  const bool all_decided = decided_ok + decided_failed == n;
+  const bool all_decided = decided == n;
 
   // Representative error for quorum failures: prefer a non-transient
   // shard error (the engine answered — e.g. a parse error — and every
@@ -519,9 +514,9 @@ bool ShardedSearchService::AdvanceFlightLocked(
   // for every shard to decide so healthy runs merge all shards.
   SearchResponse merged;
   bool have_merged = false;
-  auto it = flight->waiters.begin();
-  while (it != flight->waiters.end()) {
-    int need = NeededShards(it->options, n);
+  auto waiter = flight->waiters.begin();
+  while (waiter != flight->waiters.end()) {
+    int need = NeededShards(waiter->options, n);
     bool impossible = n - decided_failed < need;
     if (impossible) {
       ++stats_.quorum_failures;
@@ -529,11 +524,10 @@ bool ShardedSearchService::AdvanceFlightLocked(
           FrEventType::kQuorumFail, options_.name,
           std::to_string(decided_failed) + "_of_" + std::to_string(n) +
               "_shards_failed",
-          it->query_id, static_cast<int64_t>(flight->flight_id), need);
-      out->push_back(
-          Delivery{std::move(it->done),
-                   SearchResponse{failure_status(), 0, {}}});
-      it = flight->waiters.erase(it);
+          waiter->query_id, static_cast<int64_t>(flight->flight_id), need);
+      out->push_back(Delivery{std::move(waiter->done),
+                              SearchResponse{failure_status(), 0, {}}});
+      waiter = flight->waiters.erase(waiter);
       continue;
     }
     if (all_decided) {
@@ -544,79 +538,26 @@ bool ShardedSearchService::AdvanceFlightLocked(
       SearchResponse resp = merged;
       if (resp.partial) {
         ++stats_.partial_results;
-        stats_.degraded_shards +=
-            static_cast<uint64_t>(resp.shards_failed);
+        stats_.degraded_shards += static_cast<uint64_t>(resp.shards_failed);
       } else {
         ++stats_.complete_results;
       }
-      out->push_back(Delivery{std::move(it->done), std::move(resp)});
-      it = flight->waiters.erase(it);
+      out->push_back(Delivery{std::move(waiter->done), std::move(resp)});
+      waiter = flight->waiters.erase(waiter);
       continue;
     }
-    ++it;
+    ++waiter;
   }
 
-  if (all_decided) return true;
-  if (flight->waiters.empty()) {
-    // Every waiter has been resolved (all failed early): nobody will
-    // consume the remaining legs, so cancel them instead of letting a
-    // dark shard's timeout keep the flight alive.
-    for (ShardCall& call : flight->calls) {
-      if (!call.primary_taken) {
-        ReapLegLocked(call.primary);
-        call.primary_taken = true;
-      }
-      if (call.hedge != kInvalidCallId && !call.hedge_taken) {
-        ReapLegLocked(call.hedge);
-        call.hedge_taken = true;
-      }
-    }
-    return true;
+  if (!all_decided && !flight->waiters.empty()) return;
+  // Every waiter has been resolved. If some failed early, nobody will
+  // consume the remaining legs, so cancel them instead of letting a
+  // dark shard's timeout keep the flight alive.
+  for (size_t i = 0; i < flight->calls.size(); ++i) {
+    ReapShardLocked(flight, i, /*record=*/false);
   }
-  return false;
-}
-
-void ShardedSearchService::GatherLoop() {
-  for (;;) {
-    std::vector<Delivery> deliveries;
-    int64_t next_hedge_at = 0;
-    {
-      MutexLock lock(&mu_);
-      if (stopping_) break;
-      int64_t now = NowMicros();
-      for (auto it = flights_.begin(); it != flights_.end();) {
-        if (AdvanceFlightLocked(&it->second, now, &deliveries)) {
-          it = flights_.erase(it);
-        } else {
-          for (const ShardCall& call : it->second.calls) {
-            if (!call.decided && call.hedge == kInvalidCallId &&
-                call.hedge_at_micros > 0) {
-              next_hedge_at =
-                  next_hedge_at == 0
-                      ? call.hedge_at_micros
-                      : std::min(next_hedge_at, call.hedge_at_micros);
-            }
-          }
-          ++it;
-        }
-      }
-      if (flights_.empty()) idle_cv_.NotifyAll();
-    }
-    // Deliver waiter callbacks outside mu_: they may re-enter Submit
-    // (a retry layer above us) or take arbitrary downstream locks.
-    for (Delivery& d : deliveries) d.done(std::move(d.response));
-
-    int64_t wait_micros = options_.poll_micros;
-    if (next_hedge_at > 0) {
-      int64_t until = next_hedge_at - NowMicros();
-      wait_micros = std::min(wait_micros, std::max<int64_t>(until, 100));
-    }
-    MutexLock lock(&wake_->mu);
-    if (!wake_->ping) {
-      wake_->cv.WaitForMicros(wake_->mu, wait_micros);
-    }
-    wake_->ping = false;
-  }
+  flights_.erase(it);
+  if (flights_.empty()) idle_cv_.NotifyAll();
 }
 
 SimulatedShardCluster::SimulatedShardCluster(const Corpus* corpus,

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "async/req_pump.h"
@@ -62,6 +61,9 @@ struct ShardedServiceStats {
 ///    re-issued against its replica; first success wins, the loser is
 ///    cancelled through ReqPump::CancelCall. A failed primary fails
 ///    over to the replica immediately.
+///  - Event-driven gather: each leg's pump notification advances only
+///    its own flight, and each hedge is a pump timer; the service runs
+///    no thread of its own.
 ///  - Single-flight coalescing: logical requests with the same
 ///    (kind, k, query) join one in-flight fan-out as extra waiters;
 ///    each waiter still gets its own policy verdict, and one waiter
@@ -85,24 +87,13 @@ class ShardedSearchService : public SearchService {
     std::string name = "sharded";
     /// Per-shard-call deadline on the pump; <= 0 = pump default.
     int64_t call_timeout_micros = 250000;
-    /// Hedge a shard once its primary has been outstanding for this
-    /// quantile of the destination's observed latency distribution.
-    double hedge_quantile = 0.95;
-    /// Observations required before the histogram seeds the delay;
-    /// below this, `default_hedge_delay_micros` is used.
-    uint64_t min_hedge_samples = 50;
+    /// Hedge delay until the shard's latency histogram holds enough
+    /// observations to seed it (see kMinHedgeSamples in the .cc).
     int64_t default_hedge_delay_micros = 20000;
-    /// Floor for the hedge delay (a noisy fast quantile must not turn
-    /// hedging into always-mirror).
-    int64_t hedge_min_delay_micros = 1000;
-    /// Disable to fan out without ever hedging (benches).
-    bool enable_hedging = true;
-    /// Gather-loop fallback wakeup; bounds reaction time to pump-timer
-    /// completions (deadline expiries) that bypass the completion ping.
-    int64_t poll_micros = 2000;
   };
 
-  /// `pump` carries the shard calls and must outlive the service.
+  /// `pump` carries the shard calls and must outlive the service; its
+  /// timer thread runs the service's hedges and leg notifications.
   ShardedSearchService(std::vector<Shard> shards, ReqPump* pump,
                        Options options);
   ~ShardedSearchService() override;
@@ -136,14 +127,10 @@ class ShardedSearchService : public SearchService {
   struct ShardCall {
     CallId primary = kInvalidCallId;
     CallId hedge = kInvalidCallId;
-    /// Steady-clock micros after which the hedge fires; 0 = no timer
-    /// (hedging disabled or no replica).
-    int64_t hedge_at_micros = 0;
     bool primary_taken = false;
     bool hedge_taken = false;
     bool decided = false;
     bool ok = false;
-    bool hedge_won = false;
     ShardAnswer answer;  // valid when decided && ok
   };
 
@@ -158,6 +145,7 @@ class ShardedSearchService : public SearchService {
 
   /// One in-flight fan-out, keyed by SearchRequest::CacheKey().
   struct Flight {
+    std::string key;  // in flights_; its pump callbacks look it up by it
     SearchRequest request;
     std::vector<ShardCall> calls;
     std::vector<Waiter> waiters;
@@ -172,46 +160,56 @@ class ShardedSearchService : public SearchService {
     SearchResponse response;
   };
 
-  void GatherLoop() WSQ_EXCLUDES(mu_);
-  /// Polls pump results / fires hedges for one flight; appends
-  /// resolved-waiter deliveries. Returns true when the flight is done
-  /// (all waiters delivered) and should be erased.
-  bool AdvanceFlightLocked(Flight* flight, int64_t now,
-                           std::vector<Delivery>* out) WSQ_REQUIRES(mu_);
+  /// How pump timers and leg notifications reach the service: they can
+  /// fire after it is gone (the pump outlives it), so the destructor
+  /// clears `service` and a callback holds `mu` while it runs. Lock
+  /// order: Guard::mu -> mu_ -> the pump's lock.
+  struct Guard {
+    explicit Guard(ShardedSearchService* s) : service(s) {}
+    Mutex mu;
+    ShardedSearchService* service WSQ_GUARDED_BY(mu);
+  };
+
+  /// Pump callback for shard `i` of `flight`: a leg's result landed or,
+  /// with `hedge_timer`, the shard's hedge delay passed.
+  PumpCallback ShardEvent(const Flight& flight, size_t i, bool hedge_timer);
+  /// Advances shard `i` of flight `key` (if still the one numbered
+  /// `flight_id`) and settles it; appends resolved-waiter deliveries.
+  void OnShardEvent(const std::string& key, uint64_t flight_id, size_t i,
+                    bool hedge_timer, std::vector<Delivery>* out)
+      WSQ_EXCLUDES(mu_);
+  /// Takes shard `i`'s landed legs and decides the shard, failing over
+  /// to the replica when the primary failed.
+  void AdvanceShardLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
+  /// Resolves the flight's waiters and erases the flight once none is
+  /// left; appends deliveries.
+  void SettleLocked(std::map<std::string, Flight>::iterator it,
+                    std::vector<Delivery>* out) WSQ_REQUIRES(mu_);
   /// Registers shard `i`'s hedge call on the replica.
   void FireHedgeLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
-  /// Cancels and reaps a still-outstanding losing leg.
-  void ReapLegLocked(CallId id) WSQ_REQUIRES(mu_);
+  /// Cancels and reaps shard `i`'s legs that are still outstanding,
+  /// recording each as a hedge loser if `record`.
+  void ReapShardLocked(Flight* flight, size_t i, bool record)
+      WSQ_REQUIRES(mu_);
   /// Merged response over the flight's OK shards for one waiter.
   SearchResponse MergeLocked(const Flight& flight) const
       WSQ_REQUIRES(mu_);
   /// Hedge delay for shard `i` from its latency histogram.
   int64_t HedgeDelayMicros(size_t i) const;
-  /// Registers a shard call (primary or hedge) on the pump.
-  CallId RegisterLeg(SearchService* service, const SearchRequest& request,
+  /// Registers a leg of shard `i` (primary or hedge) on the pump.
+  CallId RegisterLeg(const Flight& flight, size_t i, SearchService* service,
                      const std::string& destination);
 
   const std::vector<Shard> shards_;
   ReqPump* const pump_;
   const Options options_;
   /// Per-shard primary destination names (= primary->name()), cached so
-  /// the gather loop never touches wrapped services' locks.
+  /// pump callbacks and collectors never touch wrapped services' locks.
   std::vector<std::string> destinations_;
   /// Latency histograms seeding the hedge delay, one per shard;
   /// fetched once at construction (stable registry pointers).
   std::vector<const Histogram*> latency_hists_;
-
-  /// Pinged by leg completions so the gather loop reacts immediately;
-  /// shared with the completion lambdas (a completion arriving during
-  /// or after destruction must touch valid memory). Leaf lock: taken
-  /// with mu_ and pump locks NOT held below it in no cycle — order is
-  /// mu_ -> pump.mu -> wake->mu, each released before the next.
-  struct WakeState {
-    Mutex mu;
-    CondVar cv;
-    bool ping WSQ_GUARDED_BY(mu) = false;
-  };
-  std::shared_ptr<WakeState> wake_;
+  const std::shared_ptr<Guard> guard_;
 
   mutable Mutex mu_;
   CondVar idle_cv_;
@@ -225,7 +223,6 @@ class ShardedSearchService : public SearchService {
   std::vector<uint64_t> shard_decided_failed_ WSQ_GUARDED_BY(mu_);
   bool stopping_ WSQ_GUARDED_BY(mu_) = false;
 
-  std::thread gather_;
   uint64_t collector_id_ = 0;
   /// \statusz section provider handle, removed in the destructor.
   uint64_t statusz_id_ = 0;
@@ -288,8 +285,8 @@ class SimulatedShardCluster {
  private:
   Options options_;
   /// Destruction is bottom-up by declaration order reversal: the
-  /// ShardedSearchService goes first (stops its gather loop and fails
-  /// waiters), then its pump (waits for in-flight legs), then the
+  /// ShardedSearchService goes first (cancels its legs and fails
+  /// waiters), then its pump (drops pending hedge timers), then the
   /// service stacks those legs ran against, then engines and slices.
   std::vector<Corpus> slices_;
   std::vector<std::unique_ptr<SearchEngine>> engines_;

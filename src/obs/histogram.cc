@@ -32,7 +32,9 @@ int64_t HistogramBucketUpperBound(size_t index) {
   size_t off = index - kHistogramLinearMax;
   size_t e = off / kHistogramSubBuckets + 4;
   int64_t width = static_cast<int64_t>(uint64_t{1} << (e - 3));
-  return HistogramBucketLowerBound(index) + width - 1;
+  // width - 1 first: the top bucket ends at INT64_MAX, so lower + width
+  // would overflow.
+  return HistogramBucketLowerBound(index) + (width - 1);
 }
 
 size_t HistogramExemplarCell(int64_t value) {

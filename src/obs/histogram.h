@@ -106,7 +106,7 @@ class Histogram {
 
   /// Record() plus an explicit exemplar query id, for completion paths
   /// that run on a thread other than the one bound to the query (pump
-  /// network threads, shard gather threads).
+  /// network threads, the pump's timer thread).
   void RecordWithExemplar(int64_t value, uint64_t query_id) {
     if (gate_ != nullptr && !gate_->load(std::memory_order_relaxed)) return;
     Record(value);

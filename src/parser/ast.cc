@@ -1,5 +1,7 @@
 #include "parser/ast.h"
 
+#include "common/strings.h"
+
 namespace wsq {
 
 std::string_view BinaryOpToString(BinaryOp op) {
@@ -55,9 +57,9 @@ std::string UnaryExpr::ToString() const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + left_->ToString() + " " +
-         std::string(BinaryOpToString(op_)) + " " + right_->ToString() +
-         ")";
+  return StrFormat("(%s %s %s)", left_->ToString().c_str(),
+                   std::string(BinaryOpToString(op_)).c_str(),
+                   right_->ToString().c_str());
 }
 
 std::string FuncExpr::ToString() const {

@@ -9,7 +9,7 @@ std::string SearchQuery::ToString() const {
   std::string out;
   for (size_t i = 0; i < phrases.size(); ++i) {
     if (i > 0) out += use_near ? " NEAR " : " AND ";
-    out += "\"" + Join(phrases[i].terms, " ") + "\"";
+    out += StrFormat("\"%s\"", Join(phrases[i].terms, " ").c_str());
   }
   return out;
 }
@@ -42,7 +42,7 @@ std::string DefaultSearchTemplate(size_t n, bool supports_near) {
   std::string out;
   for (size_t i = 1; i <= n; ++i) {
     if (i > 1) out += supports_near ? " near " : " ";
-    out += "%" + std::to_string(i);
+    out += StrFormat("%%%zu", i);
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "wsq/web_tables.h"
 
 #include "common/macros.h"
+#include "common/strings.h"
 #include "search/search_expr.h"
 
 namespace wsq {
@@ -11,8 +12,7 @@ Schema InputColumns(const std::string& qualifier, size_t n) {
   Schema s;
   s.AddColumn(Column("SearchExp", TypeId::kString, qualifier));
   for (size_t i = 1; i <= n; ++i) {
-    s.AddColumn(
-        Column("T" + std::to_string(i), TypeId::kString, qualifier));
+    s.AddColumn(Column(StrFormat("T%zu", i), TypeId::kString, qualifier));
   }
   return s;
 }

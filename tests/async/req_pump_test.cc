@@ -366,5 +366,127 @@ TEST(ReqPumpDeadlineTest, ManyMixedDeadlinesResolveIndependently) {
   EXPECT_EQ(pump.stats().timed_out, 8u);
 }
 
+/// Records the tags of PumpCallbacks in the order they ran.
+class CallbackLog {
+ public:
+  PumpCallback Add(int tag) {
+    return [this, tag] {
+      MutexLock lock(&mu_);
+      runs_.push_back(tag);
+      threads_.push_back(std::this_thread::get_id());
+      cv_.NotifyAll();
+    };
+  }
+
+  /// Waits (up to 5 s) until `n` callbacks have run; returns every run.
+  std::vector<int> WaitFor(size_t n) {
+    Stopwatch timer;
+    MutexLock lock(&mu_);
+    while (runs_.size() < n && timer.ElapsedMicros() < 5000000) {
+      cv_.WaitForMicros(mu_, 10000);
+    }
+    return runs_;
+  }
+
+  std::vector<std::thread::id> threads() {
+    MutexLock lock(&mu_);
+    return threads_;
+  }
+
+  Mutex* mu() WSQ_RETURN_CAPABILITY(mu_) { return &mu_; }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  std::vector<int> runs_ WSQ_GUARDED_BY(mu_);
+  std::vector<std::thread::id> threads_ WSQ_GUARDED_BY(mu_);
+};
+
+TEST(ReqPumpCallbackTest, NotificationRunsOnceForCompletionDeadlineAndShed) {
+  ReqPump::Limits limits;
+  limits.max_global = 1;
+  limits.max_queued = 1;
+  ReqPump pump(limits);
+  CallbackLog log;
+  CallCompletion stashed;
+  // Holds the only slot until the test completes it.
+  CallId completes = pump.Register("x", HangingCall(&stashed), 0, log.Add(1));
+  // Waits in the queue behind it and expires there.
+  CallId expires = pump.Register("x", ImmediateCall(2), 10000, log.Add(2));
+  // The queue is full: shed at once.
+  CallId shed = pump.Register("x", ImmediateCall(3), 0, log.Add(3));
+
+  EXPECT_EQ(log.WaitFor(2), (std::vector<int>{3, 2}));
+  stashed(OkRows({Row({Value::Int(1)})}));
+  // A later call's notification runs after any stray repeat would have.
+  pump.Register("x", ImmediateCall(4), 0, log.Add(4));
+  EXPECT_EQ(log.WaitFor(4), (std::vector<int>{3, 2, 1, 4}));
+
+  EXPECT_TRUE(pump.TakeBlocking(completes).status.ok());
+  EXPECT_EQ(pump.TakeBlocking(expires).status.code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(pump.TakeBlocking(shed).status.code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(ReqPumpCallbackTest, LateCompletionAndCancelNeverRunNotification) {
+  ReqPump pump;
+  CallbackLog log;
+  CallCompletion late;
+  CallCompletion after_cancel;
+  CallId timed_out = pump.Register("x", HangingCall(&late), 5000, log.Add(1));
+  CallId cancelled =
+      pump.Register("x", HangingCall(&after_cancel), 0, log.Add(2));
+  ASSERT_TRUE(pump.CancelCall(cancelled));
+  EXPECT_EQ(pump.TakeBlocking(timed_out).status.code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(log.WaitFor(1), (std::vector<int>{1}));
+
+  // Both engines answer after all; the pump discards the answers.
+  late(OkRows({}));
+  after_cancel(OkRows({}));
+  pump.Register("x", ImmediateCall(3), 0, log.Add(3));
+  EXPECT_EQ(log.WaitFor(2), (std::vector<int>{1, 3}));
+  EXPECT_EQ(pump.stats().late_discarded, 2u);
+  CallResult discard;
+  EXPECT_TRUE(pump.TryTake(cancelled, &discard));
+}
+
+TEST(ReqPumpCallbackTest, NotificationNeverRunsOnTheRegisteringThread) {
+  ReqPump pump;
+  CallbackLog log;
+  {
+    // The call completes inline inside Register while this thread holds
+    // the lock the notification takes: running it here would deadlock.
+    MutexLock lock(log.mu());
+    pump.Register("x", ImmediateCall(1), 0, log.Add(1));
+  }
+  EXPECT_EQ(log.WaitFor(1), (std::vector<int>{1}));
+  ASSERT_EQ(log.threads().size(), 1u);
+  EXPECT_NE(log.threads()[0], std::this_thread::get_id());
+}
+
+TEST(ReqPumpCallbackTest, TimersRunInTimeOrder) {
+  ReqPump pump;
+  CallbackLog log;
+  pump.RunAfter(30000, log.Add(3));
+  pump.RunAfter(10000, log.Add(1));
+  pump.RunAfter(20000, log.Add(2));
+  EXPECT_EQ(log.WaitFor(3), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ReqPumpCallbackTest, TimerPendingAtDestructionNeverRuns) {
+  CallbackLog log;
+  Stopwatch timer;
+  {
+    ReqPump pump;
+    pump.RunAfter(10000000, log.Add(1));
+  }
+  // The destructor neither waited for the timer nor ran it; the timer
+  // thread is gone, so nothing can run it later.
+  EXPECT_LT(timer.ElapsedMicros(), 5000000);
+  EXPECT_TRUE(log.WaitFor(0).empty());
+}
+
 }  // namespace
 }  // namespace wsq

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/strings.h"
 
 namespace wsq {
 namespace {
@@ -460,8 +461,8 @@ TEST_F(ReqSyncOpTest, ManyConcurrentCallsAllPatched) {
   for (int i = 0; i < kCalls; ++i) {
     CallId c = Delayed(&pump, {Row({Value::Int(i)})},
                        1000 + (i % 7) * 500);
-    input.push_back(Row({Value::Str("k" + std::to_string(i)),
-                         Value::Pending(c, 0)}));
+    input.push_back(
+        Row({Value::Str(StrFormat("k%d", i)), Value::Pending(c, 0)}));
   }
   auto out = RunReqSync(std::move(input), &pump);
   ASSERT_TRUE(out.ok());
@@ -552,8 +553,8 @@ TEST_F(ReqSyncOpTest, StreamingMatchesBufferedResults) {
     for (int i = 0; i < 20; ++i) {
       CallId c = Delayed(&pump, {Row({Value::Int(i)})},
                          500 + (i % 5) * 700);
-      input.push_back(Row(
-          {Value::Str("k" + std::to_string(i)), Value::Pending(c, 0)}));
+      input.push_back(
+          Row({Value::Str(StrFormat("k%d", i)), Value::Pending(c, 0)}));
     }
     StubNode stub(TwoColumnSchema());
     auto node = std::make_unique<ReqSyncNode>(

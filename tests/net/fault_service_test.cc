@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/clock.h"
+#include "common/strings.h"
 
 namespace wsq {
 namespace {
@@ -220,7 +221,7 @@ TEST(FaultServiceTest, RatesPartitionTheQuerySpace) {
 
   for (int i = 0; i < 32; ++i) {
     SearchResponse resp =
-        faulty.Execute(CountRequest("w" + std::to_string(i)));
+        faulty.Execute(CountRequest(StrFormat("w%d", i)));
     EXPECT_FALSE(resp.status.ok()) << i;
   }
   FaultStats stats = faulty.stats();

@@ -110,7 +110,6 @@ TEST_F(ShardedChaosTest, SweepPreservesInvariants) {
       // Hung shard calls must resolve via the pump deadline, quickly.
       opt.service.call_timeout_micros = 40000;
       opt.service.default_hedge_delay_micros = 5000;
-      opt.service.poll_micros = 1000;
       SimulatedShardCluster cluster(&TestCorpus(), opt);
 
       struct Tally {
@@ -185,7 +184,7 @@ TEST_F(ShardedChaosTest, SweepPreservesInvariants) {
 
 /// Same sweep but through the blocking Execute path with a dark shard
 /// flapping via an outage window: exercises breaker trips + recovery
-/// against the gather loop.
+/// against the leg notifications.
 TEST_F(ShardedChaosTest, OutageWindowTripsBreakerAndRecovers) {
   SimulatedShardCluster::Options opt;
   opt.num_shards = 2;
@@ -203,7 +202,6 @@ TEST_F(ShardedChaosTest, OutageWindowTripsBreakerAndRecovers) {
   opt.retry.max_attempts = 1;
   opt.breaker.failure_threshold = 3;
   opt.breaker.cooldown_micros = 20000;
-  opt.service.poll_micros = 1000;
   SimulatedShardCluster cluster(&TestCorpus(), opt);
 
   SearchRequest req;

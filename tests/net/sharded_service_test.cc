@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/datasets.h"
@@ -55,7 +57,6 @@ class ShardedServiceTest : public ::testing::Test {
     opt.num_shards = n;
     opt.engine = BaseEngineConfig();
     opt.latency = LatencyModel::Instant();
-    opt.service.poll_micros = 500;
     return opt;
   }
 
@@ -475,6 +476,118 @@ TEST_F(ShardedServiceTest, CacheRejectsPartialResponses) {
   SearchResponse hit = healthy_cached.Execute(Count("colorado"));
   EXPECT_EQ(hit.count, full.count);
   EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST_F(ShardedServiceTest, CallbacksAfterDestructionNeverTouchTheService) {
+  // A destination of its own, with no latency history: the hedge delay
+  // is the 1 ms floor.
+  SearchEngineConfig cfg = BaseEngineConfig();
+  cfg.name = "late_callbacks";
+  SearchEngine engine(&TestCorpus(), cfg);
+  SimulatedSearchService::Options fast;
+  fast.latency = LatencyModel::Instant();
+  SimulatedSearchService::Options slow;
+  slow.latency = LatencyModel::Fixed(50000);
+  SimulatedSearchService fast_primary(&engine, fast);
+  SimulatedSearchService slow_primary(&engine, slow);
+  SimulatedSearchService replica(&engine, fast);
+  ReqPump pump;  // outlives the service, as in SimulatedShardCluster
+
+  // Park the pump's timer thread so the service's timers and
+  // notifications pile up behind it.
+  struct Gate {
+    Mutex mu;
+    CondVar cv;
+    bool entered WSQ_GUARDED_BY(mu) = false;
+    bool open WSQ_GUARDED_BY(mu) = false;
+    bool sentinel WSQ_GUARDED_BY(mu) = false;
+  } gate;
+  pump.RunAfter(0, [&gate] {
+    MutexLock lock(&gate.mu);
+    gate.entered = true;
+    gate.cv.NotifyAll();
+    while (!gate.open) gate.cv.WaitForMicros(gate.mu, 5000);
+  });
+  {
+    MutexLock lock(&gate.mu);
+    while (!gate.entered) gate.cv.WaitForMicros(gate.mu, 5000);
+  }
+
+  ShardedSearchService::Options opt;
+  opt.default_hedge_delay_micros = 1000;
+  auto service = std::make_unique<ShardedSearchService>(
+      std::vector<ShardedSearchService::Shard>{{&fast_primary, &replica},
+                                               {&slow_primary, &replica}},
+      &pump, opt);
+  Status status;
+  service->Submit(Count("colorado"),
+                  [&status](SearchResponse resp) { status = resp.status; });
+  // Shard 0's leg lands (its notification queues) and both hedge
+  // delays pass while the timer thread is parked.
+  while (pump.stats().completed < 1) {  // bounded by the ctest timeout
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  service.reset();
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+
+  // Release the pile-up; a later timer runs after all of it.
+  pump.RunAfter(0, [&gate] {
+    MutexLock lock(&gate.mu);
+    gate.sentinel = true;
+    gate.cv.NotifyAll();
+  });
+  {
+    MutexLock lock(&gate.mu);
+    gate.open = true;
+    gate.cv.NotifyAll();
+    while (!gate.sentinel) gate.cv.WaitForMicros(gate.mu, 5000);
+  }
+  // The hedge timers found no service: only the two primaries ran.
+  EXPECT_EQ(pump.stats().registered, 2u);
+  slow_primary.Quiesce();
+  ExpectLedgerBalanced(&pump);
+}
+
+/// Answers every request with a permanent error, inline in Submit.
+class InlineFailingService : public SearchService {
+ public:
+  explicit InlineFailingService(std::string name) : name_(std::move(name)) {}
+  const std::string& name() const override { return name_; }
+  void Submit(SearchRequest, SearchCallback done) override {
+    done(SearchResponse{Status::ExecutionError(name_ + " is down"), 0, {}});
+  }
+
+ private:
+  std::string name_;
+};
+
+TEST_F(ShardedServiceTest, InlineFailuresOnBothLegsFailAFailWaiter) {
+  // Shard 0's primary fails inside Submit, so its failover registers the
+  // replica leg while the service lock is held, and the replica fails
+  // inside that Register in turn.
+  InlineFailingService primary("AV.shard0");
+  InlineFailingService replica("AV.shard0r");
+  SearchEngine engine(&TestCorpus(), BaseEngineConfig());
+  SimulatedSearchService::Options fast;
+  fast.latency = LatencyModel::Instant();
+  SimulatedSearchService healthy(&engine, fast);
+  ReqPump pump;
+  ShardedSearchService service({{&primary, &replica}, {&healthy, nullptr}},
+                               &pump, ShardedSearchService::Options{});
+
+  SearchRequest req = Count("colorado");
+  req.shard.policy = ShardPolicy::kFail;
+  SearchResponse resp = service.Execute(req);
+  EXPECT_EQ(resp.status.code(), StatusCode::kExecutionError)
+      << resp.status.ToString();
+
+  service.Quiesce();
+  ShardedServiceStats stats = service.stats();
+  EXPECT_EQ(stats.hedges, 1u);
+  EXPECT_EQ(stats.quorum_failures, 1u);
+  healthy.Quiesce();
+  ExpectLedgerBalanced(&pump);
 }
 
 }  // namespace

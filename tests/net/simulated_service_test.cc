@@ -173,13 +173,13 @@ TEST_F(SimulatedServiceTest, ShutdownCompletesPendingRequests) {
 }
 
 TEST_F(SimulatedServiceTest, CacheKeyDistinguishesRequests) {
-  SearchRequest a{SearchRequest::Kind::kCount, "colorado", 20};
-  SearchRequest b{SearchRequest::Kind::kTopK, "colorado", 20};
-  SearchRequest c{SearchRequest::Kind::kTopK, "colorado", 5};
+  SearchRequest a{SearchRequest::Kind::kCount, "colorado", 20, {}};
+  SearchRequest b{SearchRequest::Kind::kTopK, "colorado", 20, {}};
+  SearchRequest c{SearchRequest::Kind::kTopK, "colorado", 5, {}};
   EXPECT_NE(a.CacheKey(), b.CacheKey());
   EXPECT_NE(b.CacheKey(), c.CacheKey());
   EXPECT_EQ(a.CacheKey(),
-            (SearchRequest{SearchRequest::Kind::kCount, "colorado", 20}
+            (SearchRequest{SearchRequest::Kind::kCount, "colorado", 20, {}}
                  .CacheKey()));
 }
 

@@ -70,6 +70,11 @@ TEST(HistogramBucketsTest, BoundsBracketEveryProbe) {
   }
 }
 
+TEST(HistogramBucketsTest, TopBucketEndsAtInt64Max) {
+  EXPECT_EQ(HistogramBucketIndex(INT64_MAX), kHistogramBuckets - 1);
+  EXPECT_EQ(HistogramBucketUpperBound(kHistogramBuckets - 1), INT64_MAX);
+}
+
 TEST(HistogramBucketsTest, RelativeErrorBounded) {
   // Bucket width / lower bound <= 1/8 past the linear range: quantiles
   // read from midpoints are within 12.5% of the truth.

@@ -18,7 +18,8 @@ Corpus EntityCorpus() {
   return Corpus::Generate(
       cfg,
       {{"colorado", 5.0}, {"utah", 2.0}, {"new mexico", 3.0}},
-      {{"colorado", "four corners", 1.0}, {"utah", "four corners", 1.0}});
+      {{"colorado", "four corners", 1.0, ""},
+       {"utah", "four corners", 1.0, ""}});
 }
 
 TEST(InvertedIndexTest, TermPostingsPresent) {
@@ -45,7 +46,9 @@ TEST(InvertedIndexTest, PostingsSortedByDocWithSortedPositions) {
   DocId prev_doc = 0;
   bool first = true;
   for (const Posting& p : *posts) {
-    if (!first) EXPECT_GT(p.doc, prev_doc);
+    if (!first) {
+      EXPECT_GT(p.doc, prev_doc);
+    }
     prev_doc = p.doc;
     first = false;
     for (size_t i = 1; i < p.positions.size(); ++i) {

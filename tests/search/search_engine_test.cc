@@ -25,9 +25,9 @@ class SearchEngineTest : public ::testing::Test {
            {"utah", 2.0},
            {"wyoming", 0.5},
            {"new mexico", 3.0}},
-          {{"colorado", "four corners", 3.0},
-           {"utah", "four corners", 2.0},
-           {"california", "beaches", 4.0}}));
+          {{"colorado", "four corners", 3.0, ""},
+           {"utah", "four corners", 2.0, ""},
+           {"california", "beaches", 4.0, ""}}));
     }();
     return *kCorpus;
   }

@@ -6,6 +6,7 @@
 
 #include "common/memory.h"
 #include "common/random.h"
+#include "common/strings.h"
 #include "exec/executor.h"
 #include "parser/parser.h"
 #include "plan/binder.h"
@@ -110,7 +111,8 @@ class SpillCrashSweepTest : public ::testing::Test {
     Rng rng(23);
     for (size_t i = 0; i < kRows; ++i) {
       EXPECT_TRUE(
-          t->Insert(Row({Value::Str("k" + std::to_string(rng.Uniform(97))),
+          t->Insert(Row({Value::Str(StrFormat(
+                             "k%d", static_cast<int>(rng.Uniform(97)))),
                          Value::Int(static_cast<int64_t>(i))}))
               .ok());
     }

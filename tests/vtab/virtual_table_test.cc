@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+
 namespace wsq {
 namespace {
 
@@ -19,7 +21,7 @@ class FakeTable : public VirtualTable {
     Schema s;
     s.AddColumn(Column("SearchExp", TypeId::kString, name_));
     for (size_t i = 1; i <= n; ++i) {
-      s.AddColumn(Column("T" + std::to_string(i), TypeId::kString, name_));
+      s.AddColumn(Column(StrFormat("T%zu", i), TypeId::kString, name_));
     }
     s.AddColumn(Column("Out", TypeId::kInt64, name_));
     return s;

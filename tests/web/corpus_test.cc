@@ -127,7 +127,7 @@ TEST(CorpusTest, CooccurrencesPlantedWithinWindow) {
   CorpusConfig cfg = SmallConfig();
   cfg.cooc_rate = 0.5;
   Corpus c = Corpus::Generate(cfg, {},
-                              {{"alphaterm", "betaterm", 1.0}});
+                              {{"alphaterm", "betaterm", 1.0, ""}});
   size_t near_pairs = 0;
   for (const Document& d : c.documents()) {
     std::vector<size_t> a_pos, b_pos;

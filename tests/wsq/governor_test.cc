@@ -8,6 +8,7 @@
 
 #include "common/cancellation.h"
 #include "common/clock.h"
+#include "common/strings.h"
 #include "exec/scan_ops.h"
 #include "plan/logical_plan.h"
 #include "wsq/demo.h"
@@ -227,8 +228,7 @@ class RecordingTable : public VirtualTable {
     Schema s;
     s.AddColumn(Column("SearchExp", TypeId::kString, name_));
     for (size_t i = 1; i <= n; ++i) {
-      s.AddColumn(
-          Column("T" + std::to_string(i), TypeId::kString, name_));
+      s.AddColumn(Column(StrFormat("T%zu", i), TypeId::kString, name_));
     }
     s.AddColumn(Column("Out", TypeId::kInt64, name_));
     return s;
