@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,7 +65,7 @@ wsq::SearchEngineConfig EngineConfig() {
 /// vocabulary words.
 std::vector<std::string> QueryTerms() {
   std::vector<std::string> terms = {"colorado", "utah", "nevada"};
-  const std::vector<std::string>& vocab = BenchCorpus().vocabulary();
+  std::span<const std::string> vocab = BenchCorpus().vocabulary();
   for (size_t i = 0; i < vocab.size() && terms.size() < kQueryTerms; ++i) {
     terms.push_back(vocab[i]);
   }

@@ -99,7 +99,7 @@ class FetchPageTable : public VirtualTable {
     std::string first;
     for (size_t i = 0; i < 3 && i < d.terms.size(); ++i) {
       if (i > 0) first += " ";
-      first += d.terms[i];
+      first += corpus_->term(d.terms[i]);
     }
     return Row({Value::Int(static_cast<int64_t>(d.terms.size())),
                 Value::Str(first), Value::Str(d.date)});

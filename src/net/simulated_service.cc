@@ -25,6 +25,7 @@ SimulatedSearchService::~SimulatedSearchService() {
 void SimulatedSearchService::Submit(SearchRequest request,
                                     SearchCallback done) {
   int64_t now = NowMicros();
+  bool earliest = false;
   {
     MutexLock lock(&mu_);
     int64_t latency = options_.latency.SampleMicros(rng_);
@@ -45,12 +46,15 @@ void SimulatedSearchService::Submit(SearchRequest request,
     p.seq = next_seq_++;
     p.request = std::move(request);
     p.done = std::move(done);
+    uint64_t seq = p.seq;
     heap_.push(std::move(p));
+    earliest = heap_.top().seq == seq;
     ++stats_.total_requests;
     ++in_flight_;
     stats_.max_concurrent = std::max(stats_.max_concurrent, in_flight_);
   }
-  cv_.NotifyAll();
+  // Wake the timer only if it must re-arm for an earlier deadline.
+  if (earliest) cv_.NotifyAll();
 }
 
 SimulatedServiceStats SimulatedSearchService::stats() const {

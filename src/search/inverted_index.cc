@@ -1,104 +1,99 @@
 #include "search/inverted_index.h"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 namespace wsq {
 
 InvertedIndex::InvertedIndex(const Corpus* corpus) : corpus_(corpus) {
+  const size_t n = corpus->num_terms();
+  // last_doc[t] is 1 + the last document seen holding term t (0: none),
+  // so each (term, document) pair opens one entry.
+  std::vector<uint32_t> last_doc(n, 0);
+  std::vector<uint32_t> next_entry(n, 0);
+  std::vector<uint32_t> next_position(n, 0);
+
+  // Pass 1: count each term's entries and positions.
+  for (const Document& doc : corpus->documents()) {
+    for (TermId t : doc.terms) {
+      if (last_doc[t] != doc.id + 1) {
+        last_doc[t] = doc.id + 1;
+        ++next_entry[t];
+      }
+      ++next_position[t];
+    }
+  }
+
+  // Turn the counts into each term's first entry and first position.
+  term_begin_.resize(n + 1);
+  uint32_t entries = 0;
+  uint32_t positions = 0;
+  for (size_t t = 0; t < n; ++t) {
+    if (next_entry[t] > 0) ++num_terms_;
+    term_begin_[t] = entries;
+    entries += std::exchange(next_entry[t], entries);
+    positions += std::exchange(next_position[t], positions);
+  }
+  term_begin_[n] = entries;
+  docs_.resize(entries);
+  offsets_.resize(entries + 1);
+  offsets_[entries] = positions;
+  positions_.resize(positions);
+
+  // Pass 2: fill the arrays in document order, so every term's entries
+  // are sorted by document and each entry's positions ascend.
+  std::fill(last_doc.begin(), last_doc.end(), 0);
   for (const Document& doc : corpus->documents()) {
     for (uint32_t pos = 0; pos < doc.terms.size(); ++pos) {
-      std::vector<Posting>& list = postings_[doc.terms[pos]];
-      if (list.empty() || list.back().doc != doc.id) {
-        list.push_back(Posting{doc.id, {}});
+      TermId t = doc.terms[pos];
+      if (last_doc[t] != doc.id + 1) {
+        last_doc[t] = doc.id + 1;
+        uint32_t e = next_entry[t]++;
+        docs_[e] = doc.id;
+        offsets_[e] = next_position[t];
       }
-      list.back().positions.push_back(pos);
+      positions_[next_position[t]++] = pos;
     }
   }
 }
 
-const std::vector<Posting>* InvertedIndex::TermPostings(
-    const std::string& term) const {
-  auto it = postings_.find(term);
-  return it == postings_.end() ? nullptr : &it->second;
+PostingsView InvertedIndex::TermPostings(const std::string& term) const {
+  std::optional<TermId> t = corpus_->FindTerm(term);
+  if (!t) return {};
+  uint32_t begin = term_begin_[*t];
+  uint32_t size = term_begin_[*t + 1] - begin;
+  return PostingsView(std::span(docs_).subspan(begin, size),
+                      std::span(offsets_).subspan(begin, size + 1),
+                      positions_.data());
 }
 
-size_t InvertedIndex::DocumentFrequency(const std::string& term) const {
-  const std::vector<Posting>* p = TermPostings(term);
-  return p == nullptr ? 0 : p->size();
-}
-
-std::vector<Posting> InvertedIndex::PhrasePostings(
-    const SearchPhrase& phrase) const {
-  std::vector<Posting> result;
-  if (phrase.terms.empty()) return result;
-
-  const std::vector<Posting>* first = TermPostings(phrase.terms[0]);
-  if (first == nullptr) return result;
-
-  if (phrase.terms.size() == 1) return *first;
-
-  // Gather the remaining term postings; bail if any term is absent.
-  std::vector<const std::vector<Posting>*> lists;
-  lists.push_back(first);
-  for (size_t i = 1; i < phrase.terms.size(); ++i) {
-    const std::vector<Posting>* p = TermPostings(phrase.terms[i]);
-    if (p == nullptr) return result;
-    lists.push_back(p);
+PostingList InvertedIndex::PhrasePostings(const SearchPhrase& phrase) const {
+  PostingList result;
+  std::vector<PostingsView> lists;
+  for (const std::string& term : phrase.terms) {
+    PostingsView list = TermPostings(term);
+    if (list.empty()) return result;
+    lists.push_back(list);
   }
 
-  // Intersect doc lists (all are sorted by doc id), then verify
-  // adjacency of positions within each candidate document.
-  std::vector<size_t> cursors(lists.size(), 0);
-  while (true) {
-    // Find the max current doc across lists; advance the laggards.
-    DocId target = 0;
-    bool done = false;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursors[i] >= lists[i]->size()) {
-        done = true;
-        break;
-      }
-      target = std::max(target, (*lists[i])[cursors[i]].doc);
-    }
-    if (done) break;
-
-    bool aligned = true;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      while (cursors[i] < lists[i]->size() &&
-             (*lists[i])[cursors[i]].doc < target) {
-        ++cursors[i];
-      }
-      if (cursors[i] >= lists[i]->size()) {
-        aligned = false;
-        done = true;
-        break;
-      }
-      if ((*lists[i])[cursors[i]].doc != target) aligned = false;
-    }
-    if (done) break;
-    if (!aligned) continue;
-
-    // All lists point at `target`: collect phrase starts.
-    Posting hit{target, {}};
-    const std::vector<uint32_t>& starts =
-        (*lists[0])[cursors[0]].positions;
-    for (uint32_t start : starts) {
+  // In each document holding every term, keep the first term's
+  // positions that the others follow adjacently.
+  ForEachCommonDoc(lists, [&](std::span<const size_t> cursors) {
+    for (uint32_t start : lists[0].positions(cursors[0])) {
       bool match = true;
-      for (size_t i = 1; i < lists.size(); ++i) {
-        const std::vector<uint32_t>& pos =
-            (*lists[i])[cursors[i]].positions;
-        if (!std::binary_search(pos.begin(), pos.end(),
-                                start + static_cast<uint32_t>(i))) {
-          match = false;
-          break;
-        }
+      for (size_t i = 1; i < lists.size() && match; ++i) {
+        std::span<const uint32_t> pos = lists[i].positions(cursors[i]);
+        match = std::binary_search(pos.begin(), pos.end(),
+                                   start + static_cast<uint32_t>(i));
       }
-      if (match) hit.positions.push_back(start);
+      if (match) result.positions.push_back(start);
     }
-    if (!hit.positions.empty()) result.push_back(std::move(hit));
-
-    for (size_t i = 0; i < lists.size(); ++i) ++cursors[i];
-  }
+    if (result.positions.size() > result.offsets.back()) {
+      result.docs.push_back(lists[0].doc(cursors[0]));
+      result.offsets.push_back(static_cast<uint32_t>(result.positions.size()));
+    }
+  });
   return result;
 }
 

@@ -20,8 +20,8 @@ namespace {
 
 /// Minimum absolute distance between any pair of positions drawn from
 /// two sorted lists (classic two-pointer merge).
-uint32_t MinDistance(const std::vector<uint32_t>& a,
-                     const std::vector<uint32_t>& b) {
+uint32_t MinDistance(std::span<const uint32_t> a,
+                     std::span<const uint32_t> b) {
   size_t i = 0, j = 0;
   uint32_t best = UINT32_MAX;
   while (i < a.size() && j < b.size()) {
@@ -43,72 +43,45 @@ Result<std::vector<SearchEngine::Match>> SearchEngine::Evaluate(
   WSQ_ASSIGN_OR_RETURN(SearchQuery query, ParseSearchQuery(query_text));
   bool near = query.use_near && config_.supports_near;
 
-  // Phrase postings per conjunct.
-  std::vector<std::vector<Posting>> phrase_posts;
-  phrase_posts.reserve(query.phrases.size());
+  // One posting list per conjunct: a single term is a view into the
+  // index; a phrase's starts are computed into `phrase_lists`.
+  std::vector<PostingList> phrase_lists;
+  phrase_lists.reserve(query.phrases.size());
+  std::vector<PostingsView> lists;
+  lists.reserve(query.phrases.size());
   for (const SearchPhrase& p : query.phrases) {
-    std::vector<Posting> posts = index_.PhrasePostings(p);
-    if (posts.empty()) return std::vector<Match>{};  // conjunct absent
-    phrase_posts.push_back(std::move(posts));
+    PostingsView list;
+    if (p.terms.size() == 1) {
+      list = index_.TermPostings(p.terms[0]);
+    } else {
+      phrase_lists.push_back(index_.PhrasePostings(p));
+      list = phrase_lists.back().view();
+    }
+    if (list.empty()) return std::vector<Match>{};  // conjunct absent
+    lists.push_back(list);
   }
 
-  // Intersect by doc id (all lists sorted).
   std::vector<Match> matches;
-  std::vector<size_t> cursors(phrase_posts.size(), 0);
-  while (true) {
-    DocId target = 0;
-    bool done = false;
-    for (size_t i = 0; i < phrase_posts.size(); ++i) {
-      if (cursors[i] >= phrase_posts[i].size()) {
-        done = true;
-        break;
-      }
-      target = std::max(target, phrase_posts[i][cursors[i]].doc);
-    }
-    if (done) break;
-
-    bool aligned = true;
-    for (size_t i = 0; i < phrase_posts.size(); ++i) {
-      while (cursors[i] < phrase_posts[i].size() &&
-             phrase_posts[i][cursors[i]].doc < target) {
-        ++cursors[i];
-      }
-      if (cursors[i] >= phrase_posts[i].size()) {
-        aligned = false;
-        done = true;
-        break;
-      }
-      if (phrase_posts[i][cursors[i]].doc != target) aligned = false;
-    }
-    if (done) break;
-    if (!aligned) continue;
-
-    bool ok = true;
-    if (near && phrase_posts.size() > 1) {
+  ForEachCommonDoc(lists, [&](std::span<const size_t> cursors) {
+    if (near) {
       // Consecutive phrases must fall within the proximity window
       // (order-insensitive, AltaVista-style).
-      for (size_t i = 0; i + 1 < phrase_posts.size(); ++i) {
-        const Posting& pa = phrase_posts[i][cursors[i]];
-        const Posting& pb = phrase_posts[i + 1][cursors[i + 1]];
+      for (size_t i = 0; i + 1 < lists.size(); ++i) {
         size_t span = config_.near_window +
                       std::max(query.phrases[i].terms.size(),
                                query.phrases[i + 1].terms.size());
-        if (MinDistance(pa.positions, pb.positions) > span) {
-          ok = false;
-          break;
+        if (MinDistance(lists[i].positions(cursors[i]),
+                        lists[i + 1].positions(cursors[i + 1])) > span) {
+          return;
         }
       }
     }
-    if (ok) {
-      double tf = 0;
-      for (size_t i = 0; i < phrase_posts.size(); ++i) {
-        tf += static_cast<double>(
-            phrase_posts[i][cursors[i]].positions.size());
-      }
-      matches.push_back(Match{target, tf});
+    double tf = 0;
+    for (size_t i = 0; i < lists.size(); ++i) {
+      tf += static_cast<double>(lists[i].positions(cursors[i]).size());
     }
-    for (size_t i = 0; i < phrase_posts.size(); ++i) ++cursors[i];
-  }
+    matches.push_back(Match{lists[0].doc(cursors[0]), tf});
+  });
   return matches;
 }
 

@@ -42,6 +42,9 @@ struct SearchEngineConfig {
 /// Exposes exactly the two capabilities the paper's virtual tables
 /// consume: a fast total-hit count (WebCount) and ranked top-k URLs
 /// (WebPages). Evaluation is deterministic.
+///
+/// Immutable after construction: every const method, Count and Search
+/// included, is safe to call from any number of threads at once.
 class SearchEngine {
  public:
   SearchEngine(const Corpus* corpus, SearchEngineConfig config);

@@ -34,8 +34,8 @@ const Spec& PickWeighted(const std::vector<Spec>& specs, double total,
   return specs.back();
 }
 
-void InsertPhraseAt(std::vector<std::string>* terms, size_t pos,
-                    const std::vector<std::string>& phrase) {
+void InsertPhraseAt(std::vector<TermId>* terms, size_t pos,
+                    const std::vector<TermId>& phrase) {
   pos = std::min(pos, terms->size());
   terms->insert(terms->begin() + static_cast<ptrdiff_t>(pos),
                 phrase.begin(), phrase.end());
@@ -55,12 +55,38 @@ std::vector<std::string> MakeSyntheticVocabulary(size_t n, uint64_t seed) {
   return vocab;
 }
 
+TermId Corpus::Dictionary::Intern(const std::string& token) {
+  auto [it, inserted] =
+      ids.try_emplace(token, static_cast<TermId>(text.size()));
+  if (inserted) text.push_back(token);
+  return it->second;
+}
+
+std::vector<TermId> Corpus::Dictionary::InternText(std::string_view phrase) {
+  std::vector<TermId> out;
+  for (const std::string& token : TokenizeText(phrase)) {
+    out.push_back(Intern(token));
+  }
+  return out;
+}
+
+std::optional<TermId> Corpus::FindTerm(const std::string& token) const {
+  auto it = dictionary_->ids.find(token);
+  if (it == dictionary_->ids.end()) return std::nullopt;
+  return it->second;
+}
+
 Corpus Corpus::Generate(
     const CorpusConfig& config, const std::vector<EntitySpec>& entities,
     const std::vector<CooccurrenceSpec>& cooccurrences) {
   Corpus corpus;
-  corpus.vocabulary_ =
-      MakeSyntheticVocabulary(config.vocab_size, config.seed);
+  auto dict = std::make_shared<Dictionary>();
+  // The vocabulary words are distinct, so word i becomes term i.
+  for (const std::string& word :
+       MakeSyntheticVocabulary(config.vocab_size, config.seed)) {
+    dict->Intern(word);
+  }
+  corpus.vocab_size_ = config.vocab_size;
   Rng rng(config.seed);
   ZipfDistribution zipf(config.vocab_size, config.zipf_skew);
 
@@ -69,22 +95,23 @@ Corpus Corpus::Generate(
   double cooc_total = 0;
   for (const CooccurrenceSpec& c : cooccurrences) cooc_total += c.weight;
 
-  // Pre-tokenize all planted phrases once.
-  std::vector<std::vector<std::string>> entity_tokens;
+  // Pre-tokenize and intern all planted phrases once.
+  std::vector<std::vector<TermId>> entity_tokens;
   entity_tokens.reserve(entities.size());
   for (const EntitySpec& e : entities) {
-    entity_tokens.push_back(TokenizeText(e.phrase));
+    entity_tokens.push_back(dict->InternText(e.phrase));
   }
   struct CoocTokens {
-    std::vector<std::string> a;
-    std::vector<std::string> b;
-    std::vector<std::string> c;  // empty for pairs
+    std::vector<TermId> a;
+    std::vector<TermId> b;
+    std::vector<TermId> c;  // empty for pairs
   };
   std::vector<CoocTokens> cooc_tokens;
   cooc_tokens.reserve(cooccurrences.size());
   for (const CooccurrenceSpec& c : cooccurrences) {
-    cooc_tokens.push_back(CoocTokens{TokenizeText(c.a), TokenizeText(c.b),
-                                     TokenizeText(c.c)});
+    cooc_tokens.push_back(CoocTokens{dict->InternText(c.a),
+                                     dict->InternText(c.b),
+                                     dict->InternText(c.c)});
   }
 
   corpus.documents_.reserve(config.num_documents);
@@ -97,7 +124,7 @@ Corpus Corpus::Generate(
                                 config.min_doc_length + 1);
     doc.terms.reserve(length + 8);
     for (size_t i = 0; i < length; ++i) {
-      doc.terms.push_back(corpus.vocabulary_[zipf.Sample(rng)]);
+      doc.terms.push_back(static_cast<TermId>(zipf.Sample(rng)));
     }
 
     // Plant entity mentions.
@@ -131,10 +158,8 @@ Corpus Corpus::Generate(
     }
 
     // Deterministic URL and date.
-    const std::string& site =
-        corpus.vocabulary_[rng.Uniform(corpus.vocabulary_.size())];
-    const std::string& path =
-        corpus.vocabulary_[rng.Uniform(corpus.vocabulary_.size())];
+    const std::string& site = dict->text[rng.Uniform(config.vocab_size)];
+    const std::string& path = dict->text[rng.Uniform(config.vocab_size)];
     doc.url = StrFormat("www.%s%llu.com/%s/p%u.html", site.c_str(),
                         static_cast<unsigned long long>(rng.Uniform(100)),
                         path.c_str(), doc.id);
@@ -146,6 +171,7 @@ Corpus Corpus::Generate(
 
     corpus.documents_.push_back(std::move(doc));
   }
+  corpus.dictionary_ = std::move(dict);
   return corpus;
 }
 
@@ -160,7 +186,8 @@ size_t Corpus::ShardOf(DocId id, size_t num_shards) {
 Corpus Corpus::ShardSlice(const Corpus& full, size_t shard,
                           size_t num_shards) {
   Corpus slice;
-  slice.vocabulary_ = full.vocabulary_;
+  slice.dictionary_ = full.dictionary_;
+  slice.vocab_size_ = full.vocab_size_;
   slice.documents_.reserve(full.documents_.size());
   for (const Document& doc : full.documents_) {
     if (ShardOf(doc.id, num_shards) == shard) {

@@ -2,7 +2,11 @@
 #define WSQ_WEB_CORPUS_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -55,6 +59,10 @@ struct CorpusConfig {
 /// This substitutes for the live 1999 Web crawled by AltaVista/Google
 /// (see DESIGN.md §2): it supplies what WSQ actually consumes — skewed
 /// mention counts, NEAR co-occurrence structure, and stable URLs.
+///
+/// Tokens are interned into one dictionary: background word i is term
+/// i, followed by the tokens of the planted phrases. A corpus is
+/// immutable once built, so its const methods are safe from any thread.
 class Corpus {
  public:
   /// Generates a corpus. Entity phrases are tokenized with the same
@@ -70,7 +78,8 @@ class Corpus {
   /// by other shards are blanked — no terms, so they produce no
   /// postings and match nothing. Ownership is ShardOf(id, num_shards),
   /// a seed-independent hash, so the union over all shards is exactly
-  /// `full` and the slices are pairwise disjoint.
+  /// `full` and the slices are pairwise disjoint. The slice shares
+  /// `full`'s dictionary, so term ids agree across shards.
   static Corpus ShardSlice(const Corpus& full, size_t shard,
                            size_t num_shards);
 
@@ -82,12 +91,35 @@ class Corpus {
   const Document& document(DocId id) const { return documents_[id]; }
   const std::vector<Document>& documents() const { return documents_; }
 
-  /// The background vocabulary (for tests and workload generators).
-  const std::vector<std::string>& vocabulary() const { return vocabulary_; }
+  /// Text of interned token `id`.
+  const std::string& term(TermId id) const { return dictionary_->text[id]; }
+  /// Id of `token`, or nullopt when the corpus never interned it.
+  std::optional<TermId> FindTerm(const std::string& token) const;
+  /// Number of interned tokens; ids run from 0 to num_terms() - 1.
+  size_t num_terms() const { return dictionary_->text.size(); }
+
+  /// The background vocabulary (for tests and workload generators):
+  /// word i is term i.
+  std::span<const std::string> vocabulary() const {
+    return {dictionary_->text.data(), vocab_size_};
+  }
 
  private:
+  /// Interned token text, shared by a corpus and its shard slices.
+  struct Dictionary {
+    std::vector<std::string> text;  // indexed by TermId
+    std::unordered_map<std::string, TermId> ids;
+
+    TermId Intern(const std::string& token);
+    /// Tokenizes `phrase` (TokenizeText) and interns every token.
+    std::vector<TermId> InternText(std::string_view phrase);
+  };
+
+  Corpus() = default;
+
   std::vector<Document> documents_;
-  std::vector<std::string> vocabulary_;
+  std::shared_ptr<const Dictionary> dictionary_;
+  size_t vocab_size_ = 0;
 };
 
 /// Builds the `n`-word synthetic background vocabulary used by

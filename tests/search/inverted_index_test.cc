@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 // Tests use Corpus::Generate with crafted entities/co-occurrences and
 // cross-check the index against brute-force scans of the documents.
 namespace wsq {
 namespace {
+
+std::vector<uint32_t> Positions(const PostingsView& posts, size_t i) {
+  std::span<const uint32_t> p = posts.positions(i);
+  return {p.begin(), p.end()};
+}
 
 Corpus EntityCorpus() {
   CorpusConfig cfg;
@@ -25,38 +32,40 @@ Corpus EntityCorpus() {
 TEST(InvertedIndexTest, TermPostingsPresent) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
-  const auto* posts = idx.TermPostings("colorado");
-  ASSERT_NE(posts, nullptr);
-  EXPECT_GT(posts->size(), 10u);
-  EXPECT_EQ(idx.DocumentFrequency("colorado"), posts->size());
+  PostingsView posts = idx.TermPostings("colorado");
+  ASSERT_FALSE(posts.empty());
+  EXPECT_GT(posts.size(), 10u);
+  EXPECT_EQ(idx.DocumentFrequency("colorado"), posts.size());
 }
 
 TEST(InvertedIndexTest, MissingTermIsNull) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
-  EXPECT_EQ(idx.TermPostings("zzzznotaword"), nullptr);
+  EXPECT_TRUE(idx.TermPostings("zzzznotaword").empty());
   EXPECT_EQ(idx.DocumentFrequency("zzzznotaword"), 0u);
 }
 
 TEST(InvertedIndexTest, PostingsSortedByDocWithSortedPositions) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
-  const auto* posts = idx.TermPostings("colorado");
-  ASSERT_NE(posts, nullptr);
+  PostingsView posts = idx.TermPostings("colorado");
+  ASSERT_FALSE(posts.empty());
   DocId prev_doc = 0;
   bool first = true;
-  for (const Posting& p : *posts) {
+  for (size_t e = 0; e < posts.size(); ++e) {
+    DocId doc = posts.doc(e);
+    std::span<const uint32_t> positions = posts.positions(e);
     if (!first) {
-      EXPECT_GT(p.doc, prev_doc);
+      EXPECT_GT(doc, prev_doc);
     }
-    prev_doc = p.doc;
+    prev_doc = doc;
     first = false;
-    for (size_t i = 1; i < p.positions.size(); ++i) {
-      EXPECT_LT(p.positions[i - 1], p.positions[i]);
+    for (size_t i = 1; i < positions.size(); ++i) {
+      EXPECT_LT(positions[i - 1], positions[i]);
     }
     // Positions actually hold the term.
-    for (uint32_t pos : p.positions) {
-      EXPECT_EQ(c.document(p.doc).terms[pos], "colorado");
+    for (uint32_t pos : positions) {
+      EXPECT_EQ(c.term(c.document(doc).terms[pos]), "colorado");
     }
   }
 }
@@ -65,14 +74,15 @@ TEST(InvertedIndexTest, PhrasePostingsMatchAdjacentPairs) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
   SearchPhrase phrase{{"new", "mexico"}};
-  auto posts = idx.PhrasePostings(phrase);
+  PostingList list = idx.PhrasePostings(phrase);
+  PostingsView posts = list.view();
   ASSERT_FALSE(posts.empty());
-  for (const Posting& p : posts) {
-    const Document& d = c.document(p.doc);
-    for (uint32_t pos : p.positions) {
+  for (size_t e = 0; e < posts.size(); ++e) {
+    const Document& d = c.document(posts.doc(e));
+    for (uint32_t pos : posts.positions(e)) {
       ASSERT_LT(pos + 1, d.terms.size());
-      EXPECT_EQ(d.terms[pos], "new");
-      EXPECT_EQ(d.terms[pos + 1], "mexico");
+      EXPECT_EQ(c.term(d.terms[pos]), "new");
+      EXPECT_EQ(c.term(d.terms[pos + 1]), "mexico");
     }
   }
 }
@@ -82,14 +92,18 @@ TEST(InvertedIndexTest, PhrasePostingsExhaustive) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
   SearchPhrase phrase{{"four", "corners"}};
-  auto posts = idx.PhrasePostings(phrase);
+  PostingList list = idx.PhrasePostings(phrase);
+  PostingsView posts = list.view();
   size_t index_hits = 0;
-  for (const Posting& p : posts) index_hits += p.positions.size();
+  for (size_t e = 0; e < posts.size(); ++e) {
+    index_hits += posts.positions(e).size();
+  }
 
   size_t brute_hits = 0;
   for (const Document& d : c.documents()) {
     for (size_t i = 0; i + 1 < d.terms.size(); ++i) {
-      if (d.terms[i] == "four" && d.terms[i + 1] == "corners") {
+      if (c.term(d.terms[i]) == "four" &&
+          c.term(d.terms[i + 1]) == "corners") {
         ++brute_hits;
       }
     }
@@ -101,20 +115,22 @@ TEST(InvertedIndexTest, PhrasePostingsExhaustive) {
 TEST(InvertedIndexTest, PhraseWithMissingTermIsEmpty) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
-  EXPECT_TRUE(idx.PhrasePostings({{"colorado", "zzzznotaword"}}).empty());
-  EXPECT_TRUE(idx.PhrasePostings({{}}).empty());
+  EXPECT_TRUE(
+      idx.PhrasePostings({{"colorado", "zzzznotaword"}}).view().empty());
+  EXPECT_TRUE(idx.PhrasePostings({{}}).view().empty());
 }
 
 TEST(InvertedIndexTest, SingleTermPhraseEqualsTermPostings) {
   Corpus c = EntityCorpus();
   InvertedIndex idx(&c);
-  auto phrase_posts = idx.PhrasePostings({{"utah"}});
-  const auto* term_posts = idx.TermPostings("utah");
-  ASSERT_NE(term_posts, nullptr);
-  ASSERT_EQ(phrase_posts.size(), term_posts->size());
+  PostingList list = idx.PhrasePostings({{"utah"}});
+  PostingsView phrase_posts = list.view();
+  PostingsView term_posts = idx.TermPostings("utah");
+  ASSERT_FALSE(term_posts.empty());
+  ASSERT_EQ(phrase_posts.size(), term_posts.size());
   for (size_t i = 0; i < phrase_posts.size(); ++i) {
-    EXPECT_EQ(phrase_posts[i].doc, (*term_posts)[i].doc);
-    EXPECT_EQ(phrase_posts[i].positions, (*term_posts)[i].positions);
+    EXPECT_EQ(phrase_posts.doc(i), term_posts.doc(i));
+    EXPECT_EQ(Positions(phrase_posts, i), Positions(term_posts, i));
   }
 }
 

@@ -45,6 +45,44 @@ TEST(VocabularyTest, DifferentSeedsDiffer) {
             MakeSyntheticVocabulary(100, 2));
 }
 
+TEST(CorpusTest, BackgroundWordIIsTermI) {
+  CorpusConfig cfg = SmallConfig();
+  Corpus c = Corpus::Generate(cfg, {{"new mexico", 1.0}});
+  std::vector<std::string> vocab =
+      MakeSyntheticVocabulary(cfg.vocab_size, cfg.seed);
+  ASSERT_EQ(c.vocabulary().size(), vocab.size());
+  for (size_t i = 0; i < vocab.size(); ++i) {
+    EXPECT_EQ(c.vocabulary()[i], vocab[i]);
+    EXPECT_EQ(c.term(static_cast<TermId>(i)), vocab[i]);
+    EXPECT_EQ(c.FindTerm(vocab[i]), static_cast<TermId>(i));
+  }
+  // Planted tokens follow the vocabulary; unknown text has no id.
+  ASSERT_TRUE(c.FindTerm("mexico").has_value());
+  EXPECT_EQ(c.term(*c.FindTerm("mexico")), "mexico");
+  EXPECT_GE(c.num_terms(), vocab.size() + 1);
+  EXPECT_FALSE(c.FindTerm("zzzznotaword").has_value());
+}
+
+TEST(CorpusTest, ShardSliceSharesTermIds) {
+  Corpus full = Corpus::Generate(SmallConfig(), {{"colorado", 1.0}});
+  size_t owned = 0;
+  for (size_t shard = 0; shard < 3; ++shard) {
+    Corpus slice = Corpus::ShardSlice(full, shard, 3);
+    ASSERT_EQ(slice.size(), full.size());
+    EXPECT_EQ(slice.num_terms(), full.num_terms());
+    for (const Document& d : slice.documents()) {
+      if (Corpus::ShardOf(d.id, 3) != shard) {
+        EXPECT_TRUE(d.terms.empty());
+        continue;
+      }
+      ++owned;
+      EXPECT_EQ(d.terms, full.document(d.id).terms);
+      EXPECT_EQ(d.url, full.document(d.id).url);
+    }
+  }
+  EXPECT_EQ(owned, full.size());
+}
+
 TEST(CorpusTest, GeneratesRequestedDocumentCount) {
   Corpus c = Corpus::Generate(SmallConfig(), {});
   EXPECT_EQ(c.size(), 500u);
@@ -89,8 +127,8 @@ TEST(CorpusTest, DatesLookLike1999) {
 size_t CountMentions(const Corpus& c, const std::string& word) {
   size_t n = 0;
   for (const Document& d : c.documents()) {
-    for (const std::string& t : d.terms) {
-      if (t == word) ++n;
+    for (TermId t : d.terms) {
+      if (c.term(t) == word) ++n;
     }
   }
   return n;
@@ -111,7 +149,10 @@ TEST(CorpusTest, MultiWordEntitiesInsertedAdjacently) {
   size_t adjacent = 0;
   for (const Document& d : c.documents()) {
     for (size_t i = 0; i + 1 < d.terms.size(); ++i) {
-      if (d.terms[i] == "new" && d.terms[i + 1] == "mexico") ++adjacent;
+      if (c.term(d.terms[i]) == "new" &&
+          c.term(d.terms[i + 1]) == "mexico") {
+        ++adjacent;
+      }
     }
   }
   EXPECT_GT(adjacent, 0u);
@@ -132,8 +173,8 @@ TEST(CorpusTest, CooccurrencesPlantedWithinWindow) {
   for (const Document& d : c.documents()) {
     std::vector<size_t> a_pos, b_pos;
     for (size_t i = 0; i < d.terms.size(); ++i) {
-      if (d.terms[i] == "alphaterm") a_pos.push_back(i);
-      if (d.terms[i] == "betaterm") b_pos.push_back(i);
+      if (c.term(d.terms[i]) == "alphaterm") a_pos.push_back(i);
+      if (c.term(d.terms[i]) == "betaterm") b_pos.push_back(i);
     }
     for (size_t a : a_pos) {
       for (size_t b : b_pos) {
