@@ -1,6 +1,7 @@
 #include "common/random.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace wsq {
@@ -41,11 +42,23 @@ ZipfDistribution::ZipfDistribution(size_t n, double s) {
     cdf_[i] = total;
   }
   for (double& v : cdf_) v /= total;
+
+  const size_t buckets = std::bit_ceil(cdf_.size());
+  guide_.resize(buckets + 1);
+  for (size_t j = 0; j <= buckets; ++j) {
+    double start = static_cast<double>(j) / static_cast<double>(buckets);
+    guide_[j] = static_cast<size_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), start) - cdf_.begin());
+  }
 }
 
 size_t ZipfDistribution::Sample(Rng& rng) const {
   double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  const double buckets = static_cast<double>(guide_.size() - 1);
+  size_t j = static_cast<size_t>(u * buckets);  // u < 1, so j < M
+  auto first = cdf_.begin() + static_cast<ptrdiff_t>(guide_[j]);
+  auto last = cdf_.begin() + static_cast<ptrdiff_t>(guide_[j + 1]);
+  auto it = std::lower_bound(first, last, u);
   if (it == cdf_.end()) return cdf_.size() - 1;
   return static_cast<size_t>(it - cdf_.begin());
 }

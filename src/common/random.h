@@ -59,6 +59,12 @@ class Rng {
 ///
 /// Rank 0 is the most frequent element. Used to give the synthetic Web
 /// corpus a realistic skewed term distribution.
+///
+/// A guide table over the CDF narrows each draw's search: with M a
+/// power of two, bucket j starts at the first rank whose CDF reaches
+/// j/M. A draw u lies in bucket floor(u * M), and both u * M and j/M
+/// are exact in binary floating point, so the search within the bucket
+/// returns the same rank as a binary search over the whole CDF.
 class ZipfDistribution {
  public:
   /// `n` must be >= 1; `s` is the skew exponent (s=0 is uniform).
@@ -71,6 +77,8 @@ class ZipfDistribution {
 
  private:
   std::vector<double> cdf_;
+  /// M + 1 entries: bucket j covers ranks [guide_[j], guide_[j + 1]].
+  std::vector<size_t> guide_;
 };
 
 }  // namespace wsq

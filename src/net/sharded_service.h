@@ -228,12 +228,14 @@ class ShardedSearchService : public SearchService {
   uint64_t statusz_id_ = 0;
 };
 
-/// Self-contained N-shard simulated cluster: slices one corpus into N
-/// disjoint shards, builds primary (and optionally replica) engines
-/// per shard — all sharing the base engine's rank_seed so merged
-/// results are byte-identical to an unsharded engine over the full
-/// corpus — wraps each in the fault -> retry -> circuit-breaker stack,
-/// and fronts them with a ShardedSearchService on a private ReqPump.
+/// Self-contained N-shard simulated cluster: takes N disjoint shard
+/// views of one corpus (Corpus::ShardSlice: each shares the corpus's
+/// documents and indexes only the documents it owns), builds primary
+/// (and optionally replica) engines per shard over that shard's one
+/// index — all sharing the base engine's rank_seed so merged results
+/// are byte-identical to an unsharded engine over the full corpus —
+/// wraps each in the fault -> retry -> circuit-breaker stack, and
+/// fronts them with a ShardedSearchService on a private ReqPump.
 /// Used by DemoEnv (`search_shards`), tests/net and bench_shards.
 class SimulatedShardCluster {
  public:

@@ -9,7 +9,7 @@
 namespace wsq {
 
 SearchEngine::SearchEngine(const Corpus* corpus, SearchEngineConfig config)
-    : corpus_(corpus), config_(std::move(config)), index_(corpus) {}
+    : corpus_(corpus), config_(std::move(config)) {}
 
 double SearchEngine::StaticRank(DocId doc) const {
   // SplitMix-style mix of (rank_seed, doc id).
@@ -49,12 +49,13 @@ Result<std::vector<SearchEngine::Match>> SearchEngine::Evaluate(
   phrase_lists.reserve(query.phrases.size());
   std::vector<PostingsView> lists;
   lists.reserve(query.phrases.size());
+  const InvertedIndex& index = corpus_->index();
   for (const SearchPhrase& p : query.phrases) {
     PostingsView list;
     if (p.terms.size() == 1) {
-      list = index_.TermPostings(p.terms[0]);
+      list = index.TermPostings(p.terms[0]);
     } else {
-      phrase_lists.push_back(index_.PhrasePostings(p));
+      phrase_lists.push_back(index.PhrasePostings(p.terms));
       list = phrase_lists.back().view();
     }
     if (list.empty()) return std::vector<Match>{};  // conjunct absent

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "search/inverted_index.h"
 #include "search/search_expr.h"
 #include "web/corpus.h"
+#include "web/inverted_index.h"
 
 namespace wsq {
 
@@ -41,7 +41,9 @@ struct SearchEngineConfig {
 ///
 /// Exposes exactly the two capabilities the paper's virtual tables
 /// consume: a fast total-hit count (WebCount) and ranked top-k URLs
-/// (WebPages). Evaluation is deterministic.
+/// (WebPages). Evaluation is deterministic. The engine is ranking and
+/// NEAR evaluation over the corpus's own index (Corpus::index); it
+/// builds and keeps no index, so engines over one corpus share it.
 ///
 /// Immutable after construction: every const method, Count and Search
 /// included, is safe to call from any number of threads at once.
@@ -54,7 +56,7 @@ class SearchEngine {
 
   const SearchEngineConfig& config() const { return config_; }
   const std::string& name() const { return config_.name; }
-  const InvertedIndex& index() const { return index_; }
+  const InvertedIndex& index() const { return corpus_->index(); }
 
   /// Total number of matching pages ("many Web search engines can
   /// return a total number of pages immediately", §3).
@@ -79,7 +81,6 @@ class SearchEngine {
 
   const Corpus* corpus_;
   SearchEngineConfig config_;
-  InvertedIndex index_;
 };
 
 }  // namespace wsq

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "web/inverted_index.h"
 
 namespace wsq {
 
@@ -70,10 +71,15 @@ std::vector<TermId> Corpus::Dictionary::InternText(std::string_view phrase) {
   return out;
 }
 
-std::optional<TermId> Corpus::FindTerm(const std::string& token) const {
-  auto it = dictionary_->ids.find(token);
-  if (it == dictionary_->ids.end()) return std::nullopt;
+std::optional<TermId> Corpus::Dictionary::Find(
+    const std::string& token) const {
+  auto it = ids.find(token);
+  if (it == ids.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<TermId> Corpus::FindTerm(const std::string& token) const {
+  return dictionary_->Find(token);
 }
 
 Corpus Corpus::Generate(
@@ -114,7 +120,8 @@ Corpus Corpus::Generate(
                                      dict->InternText(c.c)});
   }
 
-  corpus.documents_.reserve(config.num_documents);
+  std::vector<Document> documents;
+  documents.reserve(config.num_documents);
   for (size_t d = 0; d < config.num_documents; ++d) {
     Document doc;
     doc.id = static_cast<DocId>(d);
@@ -169,9 +176,12 @@ Corpus Corpus::Generate(
                          static_cast<unsigned long long>(1 +
                                                          rng.Uniform(28)));
 
-    corpus.documents_.push_back(std::move(doc));
+    documents.push_back(std::move(doc));
   }
+  corpus.documents_ =
+      std::make_shared<const std::vector<Document>>(std::move(documents));
   corpus.dictionary_ = std::move(dict);
+  corpus.index_.reset(new InvertedIndex(corpus, 0, 1));
   return corpus;
 }
 
@@ -186,20 +196,10 @@ size_t Corpus::ShardOf(DocId id, size_t num_shards) {
 Corpus Corpus::ShardSlice(const Corpus& full, size_t shard,
                           size_t num_shards) {
   Corpus slice;
+  slice.documents_ = full.documents_;
   slice.dictionary_ = full.dictionary_;
   slice.vocab_size_ = full.vocab_size_;
-  slice.documents_.reserve(full.documents_.size());
-  for (const Document& doc : full.documents_) {
-    if (ShardOf(doc.id, num_shards) == shard) {
-      slice.documents_.push_back(doc);
-    } else {
-      // Keep the slot so DocIds stay dense (scores hash the id), but
-      // strip the content: a blank doc yields no postings.
-      Document blank;
-      blank.id = doc.id;
-      slice.documents_.push_back(std::move(blank));
-    }
-  }
+  slice.index_.reset(new InvertedIndex(slice, shard, num_shards));
   return slice;
 }
 

@@ -14,6 +14,8 @@
 
 namespace wsq {
 
+class InvertedIndex;  // web/inverted_index.h
+
 /// A named phrase to plant in the corpus; `weight` scales how often it
 /// is mentioned relative to other entities (any positive scale).
 struct EntitySpec {
@@ -61,8 +63,12 @@ struct CorpusConfig {
 /// mention counts, NEAR co-occurrence structure, and stable URLs.
 ///
 /// Tokens are interned into one dictionary: background word i is term
-/// i, followed by the tokens of the planted phrases. A corpus is
-/// immutable once built, so its const methods are safe from any thread.
+/// i, followed by the tokens of the planted phrases. The corpus owns its
+/// positional index, built once with it, so every engine over one
+/// corpus shares that index. The documents, the dictionary and the
+/// index sit behind shared pointers: moving or copying a Corpus keeps
+/// their addresses. A corpus is immutable once built, so its const
+/// methods are safe from any thread.
 class Corpus {
  public:
   /// Generates a corpus. Entity phrases are tokenized with the same
@@ -72,14 +78,14 @@ class Corpus {
       const std::vector<EntitySpec>& entities,
       const std::vector<CooccurrenceSpec>& cooccurrences = {});
 
-  /// The slice of `full` owned by shard `shard` of `num_shards`:
-  /// documents keep their dense DocIds (so per-shard scores and ranks
-  /// merge byte-identically with the unsharded engine), but docs owned
-  /// by other shards are blanked — no terms, so they produce no
-  /// postings and match nothing. Ownership is ShardOf(id, num_shards),
-  /// a seed-independent hash, so the union over all shards is exactly
-  /// `full` and the slices are pairwise disjoint. The slice shares
-  /// `full`'s dictionary, so term ids agree across shards.
+  /// A view of shard `shard` of `num_shards` over `full`: it shares
+  /// `full`'s documents and dictionary, so DocIds stay dense (per-shard
+  /// scores and ranks merge byte-identically with the unsharded
+  /// engine) and term ids agree across shards, and it indexes only the
+  /// documents it owns, so the others have no postings and match
+  /// nothing. Ownership is ShardOf(id, num_shards), a seed-independent
+  /// hash, so the slices' indexes are pairwise disjoint and together
+  /// hold exactly `full`'s postings. No document is copied.
   static Corpus ShardSlice(const Corpus& full, size_t shard,
                            size_t num_shards);
 
@@ -87,9 +93,13 @@ class Corpus {
   /// partitioning (SplitMix64 finalizer of the id, mod N).
   static size_t ShardOf(DocId id, size_t num_shards);
 
-  size_t size() const { return documents_.size(); }
-  const Document& document(DocId id) const { return documents_[id]; }
-  const std::vector<Document>& documents() const { return documents_; }
+  size_t size() const { return documents_->size(); }
+  const Document& document(DocId id) const { return (*documents_)[id]; }
+  const std::vector<Document>& documents() const { return *documents_; }
+
+  /// The positional index over this corpus's documents (a slice's:
+  /// over the documents it owns).
+  const InvertedIndex& index() const { return *index_; }
 
   /// Text of interned token `id`.
   const std::string& term(TermId id) const { return dictionary_->text[id]; }
@@ -105,20 +115,25 @@ class Corpus {
   }
 
  private:
+  friend class InvertedIndex;  // looks terms up in the dictionary
+
   /// Interned token text, shared by a corpus and its shard slices.
   struct Dictionary {
     std::vector<std::string> text;  // indexed by TermId
     std::unordered_map<std::string, TermId> ids;
 
     TermId Intern(const std::string& token);
+    /// Id of `token`, or nullopt when it was never interned.
+    std::optional<TermId> Find(const std::string& token) const;
     /// Tokenizes `phrase` (TokenizeText) and interns every token.
     std::vector<TermId> InternText(std::string_view phrase);
   };
 
   Corpus() = default;
 
-  std::vector<Document> documents_;
+  std::shared_ptr<const std::vector<Document>> documents_;
   std::shared_ptr<const Dictionary> dictionary_;
+  std::shared_ptr<const InvertedIndex> index_;
   size_t vocab_size_ = 0;
 };
 

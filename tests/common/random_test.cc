@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 namespace wsq {
 namespace {
@@ -112,6 +116,78 @@ TEST(ZipfTest, SingleElement) {
   Rng rng(1);
   ZipfDistribution zipf(1, 1.0);
   EXPECT_EQ(zipf.Sample(rng), 0u);
+}
+
+/// The rank a binary search over the whole of `cdf` gives for `u`: the
+/// reference ZipfDistribution's guided search must match.
+size_t FullSearchRank(const std::vector<double>& cdf, double u) {
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) return cdf.size() - 1;
+  return static_cast<size_t>(it - cdf.begin());
+}
+
+/// An Rng whose next NextDouble() is exactly `u`, a multiple of 2^-53
+/// in [0, 1): inverts Mix64 on the 64-bit value that maps to `u`.
+Rng RngYielding(double u) {
+  uint64_t z = static_cast<uint64_t>(u * 0x1.0p53) << 11;
+  z ^= (z >> 31) ^ (z >> 62);
+  z *= 0x319642B2D24D8EC3ull;  // inverse of 0x94D049BB133111EB
+  z ^= (z >> 27) ^ (z >> 54);
+  z *= 0x96DE1B173F119089ull;  // inverse of 0xBF58476D1CE4E5B9
+  z ^= (z >> 30) ^ (z >> 60);
+  return Rng(z - kSplitMixGamma);
+}
+
+TEST(RandomTest, ZipfSampleMatchesFullBinarySearch) {
+  constexpr int kDraws = 1 << 20;
+  const std::pair<size_t, double> kCases[] = {
+      {1, 1.0}, {10, 0.0}, {1000, 1.2}, {4000, 1.05}};
+  for (const auto& [n, s] : kCases) {
+    // The CDF exactly as ZipfDistribution computes it.
+    std::vector<double> cdf(n);
+    double total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      total += 1.0 / std::pow(static_cast<double>(i + 1), s);
+      cdf[i] = total;
+    }
+    for (double& v : cdf) v /= total;
+    const ZipfDistribution zipf(n, s);
+
+    // Random draws: the same NextDouble() from a copy of the Rng.
+    Rng rng(1000 + n);
+    Rng copy = rng;
+    size_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      size_t rank = zipf.Sample(rng);
+      if (rank != FullSearchRank(cdf, copy.NextDouble())) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
+    EXPECT_EQ(rng.state(), copy.state()) << "n=" << n << " s=" << s;
+
+    // Draws on and next to every boundary: each CDF value rounded down
+    // and up to a multiple of 2^-53, and each power-of-two bucket start
+    // j/M with the value below it.
+    std::vector<double> edges;
+    for (double v : cdf) {
+      double k = std::floor(v * 0x1.0p53);
+      edges.push_back(k * 0x1.0p-53);
+      edges.push_back((k + 1) * 0x1.0p-53);
+    }
+    for (size_t m = 1; m < 2 * n; m *= 2) {
+      for (size_t j = 0; j <= m; ++j) {
+        double start = static_cast<double>(j) / static_cast<double>(m);
+        edges.push_back(start);
+        edges.push_back(start - 0x1.0p-53);
+      }
+    }
+    for (double u : edges) {
+      if (u < 0 || u >= 1) continue;
+      Rng at = RngYielding(u);
+      ASSERT_EQ(Rng(at).NextDouble(), u);
+      EXPECT_EQ(zipf.Sample(at), FullSearchRank(cdf, u))
+          << "n=" << n << " s=" << s << " u=" << u;
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-#include "search/inverted_index.h"
+#include "web/inverted_index.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 // Tests use Corpus::Generate with crafted entities/co-occurrences and
 // cross-check the index against brute-force scans of the documents.
 namespace wsq {
 namespace {
+
+using Terms = std::vector<std::string>;
 
 std::vector<uint32_t> Positions(const PostingsView& posts, size_t i) {
   std::span<const uint32_t> p = posts.positions(i);
@@ -31,7 +34,7 @@ Corpus EntityCorpus() {
 
 TEST(InvertedIndexTest, TermPostingsPresent) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
+  const InvertedIndex& idx = c.index();
   PostingsView posts = idx.TermPostings("colorado");
   ASSERT_FALSE(posts.empty());
   EXPECT_GT(posts.size(), 10u);
@@ -40,14 +43,14 @@ TEST(InvertedIndexTest, TermPostingsPresent) {
 
 TEST(InvertedIndexTest, MissingTermIsNull) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
+  const InvertedIndex& idx = c.index();
   EXPECT_TRUE(idx.TermPostings("zzzznotaword").empty());
   EXPECT_EQ(idx.DocumentFrequency("zzzznotaword"), 0u);
 }
 
 TEST(InvertedIndexTest, PostingsSortedByDocWithSortedPositions) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
+  const InvertedIndex& idx = c.index();
   PostingsView posts = idx.TermPostings("colorado");
   ASSERT_FALSE(posts.empty());
   DocId prev_doc = 0;
@@ -72,8 +75,8 @@ TEST(InvertedIndexTest, PostingsSortedByDocWithSortedPositions) {
 
 TEST(InvertedIndexTest, PhrasePostingsMatchAdjacentPairs) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
-  SearchPhrase phrase{{"new", "mexico"}};
+  const InvertedIndex& idx = c.index();
+  Terms phrase{"new", "mexico"};
   PostingList list = idx.PhrasePostings(phrase);
   PostingsView posts = list.view();
   ASSERT_FALSE(posts.empty());
@@ -90,8 +93,8 @@ TEST(InvertedIndexTest, PhrasePostingsMatchAdjacentPairs) {
 TEST(InvertedIndexTest, PhrasePostingsExhaustive) {
   // Brute-force cross-check of phrase matching.
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
-  SearchPhrase phrase{{"four", "corners"}};
+  const InvertedIndex& idx = c.index();
+  Terms phrase{"four", "corners"};
   PostingList list = idx.PhrasePostings(phrase);
   PostingsView posts = list.view();
   size_t index_hits = 0;
@@ -114,16 +117,16 @@ TEST(InvertedIndexTest, PhrasePostingsExhaustive) {
 
 TEST(InvertedIndexTest, PhraseWithMissingTermIsEmpty) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
+  const InvertedIndex& idx = c.index();
   EXPECT_TRUE(
-      idx.PhrasePostings({{"colorado", "zzzznotaword"}}).view().empty());
-  EXPECT_TRUE(idx.PhrasePostings({{}}).view().empty());
+      idx.PhrasePostings(Terms{"colorado", "zzzznotaword"}).view().empty());
+  EXPECT_TRUE(idx.PhrasePostings(Terms{}).view().empty());
 }
 
 TEST(InvertedIndexTest, SingleTermPhraseEqualsTermPostings) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
-  PostingList list = idx.PhrasePostings({{"utah"}});
+  const InvertedIndex& idx = c.index();
+  PostingList list = idx.PhrasePostings(Terms{"utah"});
   PostingsView phrase_posts = list.view();
   PostingsView term_posts = idx.TermPostings("utah");
   ASSERT_FALSE(term_posts.empty());
@@ -136,7 +139,7 @@ TEST(InvertedIndexTest, SingleTermPhraseEqualsTermPostings) {
 
 TEST(InvertedIndexTest, NumDocumentsMatchesCorpus) {
   Corpus c = EntityCorpus();
-  InvertedIndex idx(&c);
+  const InvertedIndex& idx = c.index();
   EXPECT_EQ(idx.num_documents(), c.size());
   EXPECT_GT(idx.num_terms(), 100u);
 }

@@ -494,16 +494,28 @@ std::string Answer(const SearchEngine& engine, const std::string& query) {
 }
 
 TEST_F(SearchEngineTest, ConcurrentQueriesMatchSerialAnswers) {
-  // The engine is immutable after construction, so concurrent const
-  // calls must see exactly the serial answers.
+  // Engines are immutable after construction, so concurrent const
+  // calls must see exactly the serial answers, also when two engines
+  // read their corpus's one index at once.
   constexpr size_t kThreads = 4;
-  SearchEngine engine(&DifferentialCorpus(), AvConfig());
+  SearchEngineConfig google_cfg = AvConfig();
+  google_cfg.name = "Google";
+  google_cfg.supports_near = false;
+  google_cfg.rank_seed = 20706;
+  const SearchEngine av(&DifferentialCorpus(), AvConfig());
+  const SearchEngine google(&DifferentialCorpus(), google_cfg);
+  // Both rank over their corpus's one index.
+  ASSERT_EQ(&av.index(), &DifferentialCorpus().index());
+  ASSERT_EQ(&google.index(), &DifferentialCorpus().index());
+  const SearchEngine* const engines[] = {&av, &google};
   QueryGenerator generator(&DifferentialCorpus(), 77);
   std::vector<std::string> queries;
-  std::vector<std::string> serial;
+  std::vector<std::string> serial;  // AltaVista's, then Google's answer
   for (int i = 0; i < 200; ++i) {
     queries.push_back(generator.Next().text);
-    serial.push_back(Answer(engine, queries.back()));
+    for (const SearchEngine* engine : engines) {
+      serial.push_back(Answer(*engine, queries.back()));
+    }
   }
 
   std::atomic<size_t> mismatches{0};
@@ -513,7 +525,12 @@ TEST_F(SearchEngineTest, ConcurrentQueriesMatchSerialAnswers) {
       // Each thread starts at a different query, so calls interleave.
       for (size_t i = 0; i < queries.size(); ++i) {
         size_t q = (i + t * queries.size() / kThreads) % queries.size();
-        if (Answer(engine, queries[q]) != serial[q]) ++mismatches;
+        for (size_t e = 0; e < std::size(engines); ++e) {
+          if (Answer(*engines[e], queries[q]) !=
+              serial[q * std::size(engines) + e]) {
+            ++mismatches;
+          }
+        }
       }
     });
   }

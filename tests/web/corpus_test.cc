@@ -4,6 +4,13 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "data/datasets.h"
+#include "web/inverted_index.h"
 
 namespace wsq {
 namespace {
@@ -63,6 +70,16 @@ TEST(CorpusTest, BackgroundWordIIsTermI) {
   EXPECT_FALSE(c.FindTerm("zzzznotaword").has_value());
 }
 
+/// Ids of the documents with at least one posting in `corpus`'s index.
+std::set<DocId> IndexedDocuments(const Corpus& corpus) {
+  std::set<DocId> docs;
+  for (TermId t = 0; t < corpus.num_terms(); ++t) {
+    PostingsView posts = corpus.index().TermPostings(corpus.term(t));
+    for (size_t e = 0; e < posts.size(); ++e) docs.insert(posts.doc(e));
+  }
+  return docs;
+}
+
 TEST(CorpusTest, ShardSliceSharesTermIds) {
   Corpus full = Corpus::Generate(SmallConfig(), {{"colorado", 1.0}});
   size_t owned = 0;
@@ -70,9 +87,14 @@ TEST(CorpusTest, ShardSliceSharesTermIds) {
     Corpus slice = Corpus::ShardSlice(full, shard, 3);
     ASSERT_EQ(slice.size(), full.size());
     EXPECT_EQ(slice.num_terms(), full.num_terms());
+    std::set<DocId> indexed = IndexedDocuments(slice);
     for (const Document& d : slice.documents()) {
+      // A view: the slice's documents are the full corpus's objects.
+      ASSERT_EQ(&slice.document(d.id), &full.document(d.id));
       if (Corpus::ShardOf(d.id, 3) != shard) {
-        EXPECT_TRUE(d.terms.empty());
+        // Not owned: no posting in the slice's index, so it matches
+        // nothing.
+        EXPECT_EQ(indexed.count(d.id), 0u) << d.id;
         continue;
       }
       ++owned;
@@ -81,6 +103,82 @@ TEST(CorpusTest, ShardSliceSharesTermIds) {
     }
   }
   EXPECT_EQ(owned, full.size());
+}
+
+TEST(CorpusTest, ShardSlicePostingsPartitionFullIndex) {
+  constexpr size_t kShards = 3;
+  Corpus full = Corpus::Generate(SmallConfig(), {{"new mexico", 2.0}});
+  std::vector<Corpus> slices;
+  for (size_t s = 0; s < kShards; ++s) {
+    slices.push_back(Corpus::ShardSlice(full, s, kShards));
+  }
+  for (TermId t = 0; t < full.num_terms(); ++t) {
+    const std::string& term = full.term(t);
+    // Each full entry, by document: its positions.
+    std::map<DocId, std::vector<uint32_t>> expected;
+    PostingsView posts = full.index().TermPostings(term);
+    for (size_t e = 0; e < posts.size(); ++e) {
+      std::span<const uint32_t> p = posts.positions(e);
+      expected[posts.doc(e)].assign(p.begin(), p.end());
+    }
+    std::map<DocId, std::vector<uint32_t>> merged;
+    for (size_t s = 0; s < kShards; ++s) {
+      PostingsView shard_posts = slices[s].index().TermPostings(term);
+      for (size_t e = 0; e < shard_posts.size(); ++e) {
+        DocId doc = shard_posts.doc(e);
+        EXPECT_EQ(Corpus::ShardOf(doc, kShards), s) << term << " " << doc;
+        std::span<const uint32_t> p = shard_posts.positions(e);
+        bool fresh =
+            merged.emplace(doc, std::vector<uint32_t>(p.begin(), p.end()))
+                .second;
+        EXPECT_TRUE(fresh) << term << " " << doc;
+      }
+    }
+    ASSERT_EQ(merged, expected) << term;
+  }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+uint64_t Fnv1a(uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Digest of every document's id, URL, date and token text.
+uint64_t CorpusDigest(const Corpus& c) {
+  uint64_t h = 14695981039346656037ull;
+  for (const Document& d : c.documents()) {
+    h = Fnv1a(h, std::to_string(d.id));
+    h = Fnv1a(h, "|");
+    h = Fnv1a(h, d.url);
+    h = Fnv1a(h, "|");
+    h = Fnv1a(h, d.date);
+    h = Fnv1a(h, "|");
+    for (TermId t : d.terms) {
+      h = Fnv1a(h, c.term(t));
+      h = Fnv1a(h, " ");
+    }
+    h = Fnv1a(h, "\n");
+  }
+  return h;
+}
+
+TEST(CorpusTest, PaperCorpusDigestIsPinned) {
+  // Pins generation (vocabulary, Zipf draws, planting, URLs, dates):
+  // any change to the RNG stream or the sampler moves these.
+  const std::pair<uint64_t, uint64_t> kPinned[] = {
+      {1, 0xab44b6aa81cab190ull},
+      {7, 0xb882d5330ecfc8edull},
+  };
+  for (const auto& [seed, digest] : kPinned) {
+    CorpusConfig cfg = DefaultPaperCorpusConfig();
+    cfg.num_documents = 2000;
+    cfg.seed = seed;
+    EXPECT_EQ(CorpusDigest(MakePaperCorpus(cfg)), digest) << "seed " << seed;
+  }
 }
 
 TEST(CorpusTest, GeneratesRequestedDocumentCount) {
