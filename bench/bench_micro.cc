@@ -14,6 +14,7 @@
 #include "plan/binder.h"
 #include "search/search_engine.h"
 #include "storage/serde.h"
+#include "web/inverted_index.h"
 #include "wsq/demo.h"
 
 namespace wsq {
@@ -92,13 +93,25 @@ const Corpus& MicroCorpus() {
 }
 
 void BM_IndexBuild(benchmark::State& state) {
-  // A one-shard slice indexes every document of the corpus.
+  // A full build over every document, as Corpus::Generate does once.
   for (auto _ : state) {
-    Corpus slice = Corpus::ShardSlice(MicroCorpus(), 0, 1);
-    benchmark::DoNotOptimize(slice.index().num_terms());
+    InvertedIndex index(MicroCorpus());
+    benchmark::DoNotOptimize(&index);
   }
 }
 BENCHMARK(BM_IndexBuild);
+
+void BM_ShardSlice(benchmark::State& state) {
+  // The four slices of a 4-shard cluster: windows onto the corpus's one
+  // index, so each costs O(1) whatever the corpus size.
+  for (auto _ : state) {
+    for (size_t s = 0; s < 4; ++s) {
+      Corpus slice = Corpus::ShardSlice(MicroCorpus(), s, 4);
+      benchmark::DoNotOptimize(&slice.index());
+    }
+  }
+}
+BENCHMARK(BM_ShardSlice);
 
 const SearchEngine& MicroEngine() {
   static const SearchEngine* const kEngine = [] {

@@ -45,7 +45,7 @@ struct ShardedServiceStats {
   uint64_t degraded_shards = 0;
 };
 
-/// Scatter-gather front-end over N hash-partitioned search shards
+/// Scatter-gather front-end over N range-partitioned search shards
 /// (ROADMAP item 4; ODYS in PAPERS.md): one logical SearchRequest fans
 /// out to every shard through a ReqPump — each shard its own
 /// destination, so per-destination limits, deadlines and latency
@@ -229,11 +229,12 @@ class ShardedSearchService : public SearchService {
 };
 
 /// Self-contained N-shard simulated cluster: takes N disjoint shard
-/// views of one corpus (Corpus::ShardSlice: each shares the corpus's
-/// documents and indexes only the documents it owns), builds primary
-/// (and optionally replica) engines per shard over that shard's one
-/// index — all sharing the base engine's rank_seed so merged results
-/// are byte-identical to an unsharded engine over the full corpus —
+/// views of one corpus (Corpus::ShardSlice: shard s owns a contiguous
+/// document-id range, and its view is an O(1) window onto the corpus's
+/// one index that shows only that range's postings), builds primary
+/// (and optionally replica) engines per shard over that window — all
+/// sharing the base engine's rank_seed so merged results are
+/// byte-identical to an unsharded engine over the full corpus —
 /// wraps each in the fault -> retry -> circuit-breaker stack, and
 /// fronts them with a ShardedSearchService on a private ReqPump.
 /// Used by DemoEnv (`search_shards`), tests/net and bench_shards.

@@ -95,29 +95,35 @@ Result<std::vector<SearchHit>> SearchEngine::Search(
     std::string_view query_text, size_t k) const {
   WSQ_ASSIGN_OR_RETURN(std::vector<Match> matches, Evaluate(query_text));
 
-  std::vector<SearchHit> hits;
-  hits.reserve(matches.size());
+  // Rank (score, doc) pairs; only the top k become SearchHits.
+  struct Ranked {
+    double score;
+    DocId doc;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(matches.size());
   for (const Match& m : matches) {
-    const Document& doc = corpus_->document(m.doc);
-    SearchHit hit;
-    hit.doc = m.doc;
-    hit.url = doc.url;
-    hit.date = doc.date;
-    double content = m.tf / (1.0 + std::log1p(doc.terms.size()));
-    hit.score = (1.0 - config_.static_rank_weight) * content +
-                config_.static_rank_weight * StaticRank(m.doc);
-    hits.push_back(std::move(hit));
+    double content =
+        m.tf / (1.0 + std::log1p(corpus_->document(m.doc).terms.size()));
+    ranked.push_back({(1.0 - config_.static_rank_weight) * content +
+                          config_.static_rank_weight * StaticRank(m.doc),
+                      m.doc});
   }
 
-  size_t top = std::min(k, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + top, hits.end(),
-                    [](const SearchHit& a, const SearchHit& b) {
+  size_t top = std::min(k, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + top, ranked.end(),
+                    [](const Ranked& a, const Ranked& b) {
                       if (a.score != b.score) return a.score > b.score;
                       return a.doc < b.doc;
                     });
-  hits.resize(top);
-  for (size_t i = 0; i < hits.size(); ++i) {
+  std::vector<SearchHit> hits(top);
+  for (size_t i = 0; i < top; ++i) {
+    const Document& doc = corpus_->document(ranked[i].doc);
+    hits[i].url = doc.url;
     hits[i].rank = static_cast<int>(i + 1);
+    hits[i].date = doc.date;
+    hits[i].doc = ranked[i].doc;
+    hits[i].score = ranked[i].score;
   }
   return hits;
 }

@@ -181,25 +181,27 @@ Corpus Corpus::Generate(
   corpus.documents_ =
       std::make_shared<const std::vector<Document>>(std::move(documents));
   corpus.dictionary_ = std::move(dict);
-  corpus.index_.reset(new InvertedIndex(corpus, 0, 1));
+  corpus.index_ = std::make_shared<const InvertedIndex>(corpus);
   return corpus;
 }
 
-size_t Corpus::ShardOf(DocId id, size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // SplitMix64 finalizer: decorrelates the dense ids so shard loads are
-  // balanced regardless of how documents were generated.
-  uint64_t x = Mix64(static_cast<uint64_t>(id) + kSplitMixGamma);
-  return static_cast<size_t>(x % num_shards);
+size_t Corpus::ShardOf(DocId id, size_t num_shards) const {
+  if (num_shards <= 1 || size() == 0) return 0;
+  // floor(id*N/D) is the s with ceil(s*D/N) <= id < ceil((s+1)*D/N).
+  return static_cast<size_t>(uint64_t{id} * num_shards / size());
 }
 
 Corpus Corpus::ShardSlice(const Corpus& full, size_t shard,
                           size_t num_shards) {
-  Corpus slice;
-  slice.documents_ = full.documents_;
-  slice.dictionary_ = full.dictionary_;
-  slice.vocab_size_ = full.vocab_size_;
-  slice.index_.reset(new InvertedIndex(slice, shard, num_shards));
+  num_shards = std::max<size_t>(num_shards, 1);
+  // Shard s's first id: ceil(s*D/N).
+  auto first_id = [&](uint64_t s) {
+    return static_cast<DocId>((s * full.size() + num_shards - 1) /
+                              num_shards);
+  };
+  Corpus slice = full;
+  slice.index_.reset(
+      new InvertedIndex(*full.index_, first_id(shard), first_id(shard + 1)));
   return slice;
 }
 

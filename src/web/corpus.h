@@ -65,10 +65,11 @@ struct CorpusConfig {
 /// Tokens are interned into one dictionary: background word i is term
 /// i, followed by the tokens of the planted phrases. The corpus owns its
 /// positional index, built once with it, so every engine over one
-/// corpus shares that index. The documents, the dictionary and the
-/// index sit behind shared pointers: moving or copying a Corpus keeps
-/// their addresses. A corpus is immutable once built, so its const
-/// methods are safe from any thread.
+/// corpus shares that index, and a shard slice reads a window of it.
+/// The documents, the dictionary and the index sit behind shared
+/// pointers: moving or copying a Corpus keeps their addresses. A corpus
+/// is immutable once built, so its const methods are safe from any
+/// thread.
 class Corpus {
  public:
   /// Generates a corpus. Entity phrases are tokenized with the same
@@ -79,26 +80,28 @@ class Corpus {
       const std::vector<CooccurrenceSpec>& cooccurrences = {});
 
   /// A view of shard `shard` of `num_shards` over `full`: it shares
-  /// `full`'s documents and dictionary, so DocIds stay dense (per-shard
-  /// scores and ranks merge byte-identically with the unsharded
-  /// engine) and term ids agree across shards, and it indexes only the
-  /// documents it owns, so the others have no postings and match
-  /// nothing. Ownership is ShardOf(id, num_shards), a seed-independent
-  /// hash, so the slices' indexes are pairwise disjoint and together
-  /// hold exactly `full`'s postings. No document is copied.
+  /// `full`'s documents, dictionary and index, so DocIds stay dense
+  /// (per-shard scores and ranks merge byte-identically with the
+  /// unsharded engine) and term ids agree across shards. Its index is a
+  /// window onto `full`'s that shows only the postings of the documents
+  /// the shard owns (see ShardOf), so the others match nothing. The
+  /// windows of the N shards are disjoint and together show exactly
+  /// `full`'s postings. O(1): nothing is copied or indexed.
   static Corpus ShardSlice(const Corpus& full, size_t shard,
                            size_t num_shards);
 
-  /// Which shard owns document `id` under `num_shards`-way hash
-  /// partitioning (SplitMix64 finalizer of the id, mod N).
-  static size_t ShardOf(DocId id, size_t num_shards);
+  /// Which shard owns document `id` when the corpus's D documents are
+  /// range-partitioned `num_shards` (N) ways: shard s owns the
+  /// contiguous ids [ceil(s*D/N), ceil((s+1)*D/N)), so shard sizes
+  /// differ by at most one, and when N > D some shards own nothing.
+  size_t ShardOf(DocId id, size_t num_shards) const;
 
   size_t size() const { return documents_->size(); }
   const Document& document(DocId id) const { return (*documents_)[id]; }
   const std::vector<Document>& documents() const { return *documents_; }
 
-  /// The positional index over this corpus's documents (a slice's:
-  /// over the documents it owns).
+  /// The positional index over this corpus's documents (a slice's: a
+  /// window onto the full corpus's index over the documents it owns).
   const InvertedIndex& index() const { return *index_; }
 
   /// Text of interned token `id`.

@@ -2,8 +2,10 @@
 #define WSQ_WEB_INVERTED_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "web/corpus.h"
@@ -74,29 +76,39 @@ void ForEachCommonDoc(std::span<const PostingsView> lists, Fn fn) {
 /// document id and an offset into one positions array. Building it
 /// allocates nothing per (term, document) pair.
 ///
-/// An index belongs to its corpus (Corpus::index), which builds it once:
-/// a generated corpus indexes every document, a shard slice only the
-/// documents it owns. Every engine, replica and shard view over one
-/// corpus therefore reads the same arrays, and only the corpus
-/// constructs an index.
+/// A corpus has one index, built by Corpus::Generate, and every engine,
+/// replica and shard view over the corpus reads its arrays. A shard
+/// slice's index (Corpus::ShardSlice) is a window onto them: a shard
+/// owns one contiguous range of document ids, which each term's
+/// document-sorted entries hold as one sub-range, so a window finds it
+/// with two binary searches per lookup and copies nothing.
 ///
 /// Immutable after construction: every const method is safe to call
 /// from any number of threads at once.
 class InvertedIndex {
  public:
+  /// Indexes every document of `corpus`. Corpus::Generate builds the
+  /// corpus's own index this way; any other instance is an unshared
+  /// copy (bench_micro times the build with one). Keeps `corpus`'s
+  /// dictionary, which is shared and never moves, to look terms up; it
+  /// keeps no pointer to `corpus` itself.
+  explicit InvertedIndex(const Corpus& corpus);
+
   InvertedIndex(const InvertedIndex&) = delete;
   InvertedIndex& operator=(const InvertedIndex&) = delete;
 
   /// Postings of a single term, pointing into the index (valid while
-  /// the index lives); empty when no indexed document holds the term.
+  /// the index lives); empty when no document in the window holds the
+  /// term.
   PostingsView TermPostings(const std::string& term) const;
 
   /// Postings of phrase *start* positions (adjacent-term match).
   /// Empty when any term is absent or the phrase never occurs.
   PostingList PhrasePostings(std::span<const std::string> terms) const;
 
-  /// Number of distinct terms that occur in the indexed documents.
-  size_t num_terms() const { return num_terms_; }
+  /// Number of distinct terms that occur in the window's documents,
+  /// counted on each call.
+  size_t num_terms() const;
   /// Size of the document id space (the corpus's size).
   size_t num_documents() const { return num_documents_; }
 
@@ -106,24 +118,32 @@ class InvertedIndex {
   }
 
  private:
-  friend class Corpus;
+  friend class Corpus;  // makes shard windows
 
-  /// Indexes the documents of `corpus` that Corpus::ShardOf assigns to
-  /// shard `shard` of `num_shards` (all of them when num_shards is 1).
-  /// Keeps `corpus`'s dictionary, which is shared and never moves, to
-  /// look terms up; it keeps no pointer to `corpus` itself.
-  InvertedIndex(const Corpus& corpus, size_t shard, size_t num_shards);
+  /// The flat arrays, shared by an index and its windows.
+  struct Postings {
+    /// Term t's entries are [term_begin[t], term_begin[t + 1]).
+    std::vector<uint32_t> term_begin;
+    /// Per entry: its document, and where its positions begin (one
+    /// extra trailing offset closes the last entry).
+    std::vector<DocId> docs;
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> positions;
+  };
+
+  /// A window onto `full`'s arrays that shows only the entries of the
+  /// documents in [begin, end).
+  InvertedIndex(const InvertedIndex& full, DocId begin, DocId end);
+
+  /// Term `t`'s entries inside the window, as [first, last).
+  std::pair<uint32_t, uint32_t> Entries(TermId t) const;
 
   const Corpus::Dictionary* dictionary_;
   size_t num_documents_;
-  size_t num_terms_ = 0;
-  /// Term t's entries are [term_begin_[t], term_begin_[t + 1]).
-  std::vector<uint32_t> term_begin_;
-  /// Per entry: its document, and where its positions begin (one extra
-  /// trailing offset closes the last entry).
-  std::vector<DocId> docs_;
-  std::vector<uint32_t> offsets_;
-  std::vector<uint32_t> positions_;
+  std::shared_ptr<const Postings> postings_;
+  /// The window: only documents in [begin_, end_) are visible.
+  DocId begin_;
+  DocId end_;
 };
 
 }  // namespace wsq

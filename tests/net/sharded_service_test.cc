@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -86,18 +87,31 @@ class ShardedServiceTest : public ::testing::Test {
 constexpr const char* ShardedServiceTest::kQueries[];
 
 TEST_F(ShardedServiceTest, ShardOfPartitionsEveryDocument) {
-  for (size_t n : {1u, 2u, 4u, 8u}) {
+  const Corpus& corpus = TestCorpus();
+  // The last count has more shards than the corpus has documents.
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8},
+                   corpus.size() + 12}) {
     std::vector<size_t> sizes(n, 0);
-    for (DocId id = 0; id < TestCorpus().size(); ++id) {
-      size_t s = Corpus::ShardOf(id, n);
+    size_t prev = 0;
+    for (DocId id = 0; id < corpus.size(); ++id) {
+      size_t s = corpus.ShardOf(id, n);
       ASSERT_LT(s, n);
+      // Shards never decrease with the id, so each owns one contiguous
+      // range.
+      ASSERT_GE(s, prev) << "shards=" << n << " id=" << id;
+      prev = s;
       ++sizes[s];
     }
-    // The hash spreads documents across every shard (no empty shard at
-    // these sizes), so a merge bug on any shard is visible.
-    for (size_t s = 0; s < n; ++s) {
-      EXPECT_GT(sizes[s], 0u) << "shards=" << n << " shard=" << s;
-    }
+    // The ranges are balanced to within one document. Below the corpus
+    // size every shard owns some, so a merge bug on any shard is
+    // visible; above it the surplus shards own nothing.
+    auto [smallest, largest] =
+        std::minmax_element(sizes.begin(), sizes.end());
+    EXPECT_LE(*largest - *smallest, 1u) << "shards=" << n;
+    size_t empty = 0;
+    for (size_t size : sizes) empty += size == 0 ? 1 : 0;
+    EXPECT_EQ(empty, n > corpus.size() ? n - corpus.size() : 0)
+        << "shards=" << n;
   }
 }
 
@@ -130,6 +144,67 @@ TEST_F(ShardedServiceTest, ByteIdenticalToUnshardedAtEveryShardCount) {
     cluster.Quiesce();
     ExpectLedgerBalanced(cluster.pump());
   }
+}
+
+TEST_F(ShardedServiceTest, MoreShardsThanDocumentsLeavesEmptyShards) {
+  // Six documents over eight shards: two shards own no document. They
+  // answer like any other shard, with nothing, and the merge still
+  // equals the unsharded engine.
+  constexpr size_t kShards = 8;
+  CorpusConfig cfg;
+  cfg.num_documents = 6;
+  cfg.vocab_size = 50;
+  cfg.seed = 7;
+  const Corpus tiny = Corpus::Generate(
+      cfg, {{"colorado", 3.0}, {"utah", 1.5}, {"nevada", 0.5}});
+  const SearchEngine reference(&tiny, BaseEngineConfig());
+  SimulatedShardCluster cluster(&tiny, FastCluster(kShards));
+
+  size_t empty_shards = 0;
+  for (size_t s = 0; s < kShards; ++s) {
+    bool owns = false;
+    for (DocId id = 0; id < tiny.size(); ++id) {
+      owns = owns || tiny.ShardOf(id, kShards) == s;
+    }
+    if (owns) continue;
+    ++empty_shards;
+    for (const char* q : kQueries) {
+      SearchResponse count = cluster.breaker(s)->Execute(Count(q));
+      ASSERT_TRUE(count.status.ok()) << count.status.ToString();
+      EXPECT_EQ(count.count, 0) << "shard=" << s << " q=" << q;
+      SearchResponse top = cluster.breaker(s)->Execute(TopK(q));
+      ASSERT_TRUE(top.status.ok()) << top.status.ToString();
+      EXPECT_TRUE(top.hits.empty()) << "shard=" << s << " q=" << q;
+    }
+  }
+  EXPECT_EQ(empty_shards, kShards - tiny.size());
+
+  size_t answered = 0;
+  for (const char* q : kQueries) {
+    int64_t want = *reference.Count(q);
+    std::vector<SearchHit> want_hits = *reference.Search(q, 10);
+    if (want > 0) ++answered;
+    SearchResponse got = cluster.service()->Execute(Count(q));
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.count, want) << "q=" << q;
+    EXPECT_EQ(got.shards_total, static_cast<int>(kShards));
+    EXPECT_FALSE(got.partial);
+
+    SearchResponse got_k = cluster.service()->Execute(TopK(q));
+    ASSERT_TRUE(got_k.status.ok()) << got_k.status.ToString();
+    ASSERT_EQ(got_k.hits.size(), want_hits.size()) << "q=" << q;
+    for (size_t i = 0; i < want_hits.size(); ++i) {
+      EXPECT_EQ(got_k.hits[i].url, want_hits[i].url);
+      EXPECT_EQ(got_k.hits[i].rank, want_hits[i].rank);
+      EXPECT_EQ(got_k.hits[i].doc, want_hits[i].doc);
+      EXPECT_EQ(got_k.hits[i].date, want_hits[i].date);
+      EXPECT_EQ(got_k.hits[i].score, want_hits[i].score);
+    }
+  }
+  // The tiny corpus still answers most queries, so the merge is tested.
+  EXPECT_GE(answered, 3u);
+  cluster.Quiesce();
+  ExpectLedgerBalanced(cluster.pump());
 }
 
 TEST_F(ShardedServiceTest, FailPolicyFailsWithoutLeakingCalls) {

@@ -123,6 +123,10 @@ TEST_F(SearchEngineTest, SearchRanksAreDenseFromOne) {
     EXPECT_EQ(hits[i].rank, static_cast<int>(i + 1));
     EXPECT_FALSE(hits[i].url.empty());
     EXPECT_FALSE(hits[i].date.empty());
+    // Each hit carries its own document's URL and date.
+    const Document& doc = TestCorpus().document(hits[i].doc);
+    EXPECT_EQ(hits[i].url, doc.url);
+    EXPECT_EQ(hits[i].date, doc.date);
   }
   // Scores are non-increasing.
   for (size_t i = 1; i < hits.size(); ++i) {
@@ -135,6 +139,32 @@ TEST_F(SearchEngineTest, SearchKLargerThanMatchesReturnsAll) {
   int64_t total = *engine.Count("wyoming");
   auto hits = *engine.Search("wyoming", 100000);
   EXPECT_EQ(static_cast<int64_t>(hits.size()), total);
+}
+
+TEST_F(SearchEngineTest, TopKIsAPrefixOfTheFullRanking) {
+  // The full ranking orders by score descending, then doc ascending,
+  // and every top k is its first k hits, ranks included.
+  SearchEngine engine(&TestCorpus(), AvConfig());
+  for (const char* q : {"colorado", "california", "new mexico", "utah"}) {
+    std::vector<SearchHit> all = *engine.Search(q, TestCorpus().size());
+    ASSERT_GT(all.size(), 3u) << q;
+    for (size_t i = 1; i < all.size(); ++i) {
+      EXPECT_TRUE(all[i - 1].score > all[i].score ||
+                  (all[i - 1].score == all[i].score &&
+                   all[i - 1].doc < all[i].doc))
+          << q << " at " << i;
+    }
+    for (size_t k : {1u, 2u, 3u, 10u}) {
+      std::vector<SearchHit> top = *engine.Search(q, k);
+      ASSERT_EQ(top.size(), std::min(k, all.size())) << q;
+      for (size_t i = 0; i < top.size(); ++i) {
+        EXPECT_EQ(top[i].doc, all[i].doc) << q << " k=" << k;
+        EXPECT_EQ(top[i].rank, all[i].rank);
+        EXPECT_EQ(top[i].score, all[i].score);
+        EXPECT_EQ(top[i].url, all[i].url);
+      }
+    }
+  }
 }
 
 TEST_F(SearchEngineTest, SearchIsDeterministic) {
@@ -454,7 +484,7 @@ TEST_F(SearchEngineTest, GeneratedQueriesMatchBruteForce) {
       for (size_t s = 0; s < kShards; ++s) {
         std::vector<DocId> owned;
         for (DocId d : expected) {
-          if (Corpus::ShardOf(d, kShards) == s) owned.push_back(d);
+          if (corpus.ShardOf(d, kShards) == s) owned.push_back(d);
         }
         std::vector<DocId> got;
         ExpectOracleAnswer(*shard_engines[s], corpus.size(), q.text, owned,

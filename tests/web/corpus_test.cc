@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -91,7 +92,7 @@ TEST(CorpusTest, ShardSliceSharesTermIds) {
     for (const Document& d : slice.documents()) {
       // A view: the slice's documents are the full corpus's objects.
       ASSERT_EQ(&slice.document(d.id), &full.document(d.id));
-      if (Corpus::ShardOf(d.id, 3) != shard) {
+      if (full.ShardOf(d.id, 3) != shard) {
         // Not owned: no posting in the slice's index, so it matches
         // nothing.
         EXPECT_EQ(indexed.count(d.id), 0u) << d.id;
@@ -126,7 +127,7 @@ TEST(CorpusTest, ShardSlicePostingsPartitionFullIndex) {
       PostingsView shard_posts = slices[s].index().TermPostings(term);
       for (size_t e = 0; e < shard_posts.size(); ++e) {
         DocId doc = shard_posts.doc(e);
-        EXPECT_EQ(Corpus::ShardOf(doc, kShards), s) << term << " " << doc;
+        EXPECT_EQ(full.ShardOf(doc, kShards), s) << term << " " << doc;
         std::span<const uint32_t> p = shard_posts.positions(e);
         bool fresh =
             merged.emplace(doc, std::vector<uint32_t>(p.begin(), p.end()))
@@ -135,6 +136,40 @@ TEST(CorpusTest, ShardSlicePostingsPartitionFullIndex) {
       }
     }
     ASSERT_EQ(merged, expected) << term;
+  }
+}
+
+TEST(CorpusTest, ShardSliceIsAWindowOntoTheFullIndex) {
+  // A slice indexes nothing of its own: for every term, its postings
+  // are the full index's entries of the documents it owns, one run of
+  // consecutive entries read from the same arrays.
+  Corpus full = Corpus::Generate(SmallConfig(), {{"new mexico", 2.0}});
+  for (size_t n : {1u, 3u, 8u}) {
+    for (size_t s = 0; s < n; ++s) {
+      Corpus slice = Corpus::ShardSlice(full, s, n);
+      size_t terms_present = 0;
+      for (TermId t = 0; t < full.num_terms(); ++t) {
+        PostingsView all = full.index().TermPostings(full.term(t));
+        PostingsView part = slice.index().TermPostings(full.term(t));
+        if (!part.empty()) ++terms_present;
+        size_t first = all.size();
+        size_t owned = 0;
+        for (size_t e = 0; e < all.size(); ++e) {
+          if (full.ShardOf(all.doc(e), n) != s) continue;
+          first = std::min(first, e);
+          ++owned;
+        }
+        ASSERT_EQ(part.size(), owned) << full.term(t) << " shard " << s;
+        for (size_t i = 0; i < part.size(); ++i) {
+          EXPECT_EQ(full.ShardOf(part.doc(i), n), s);
+          EXPECT_EQ(part.doc(i), all.doc(first + i));
+          EXPECT_EQ(part.positions(i).data(),
+                    all.positions(first + i).data());
+          EXPECT_EQ(part.positions(i).size(), all.positions(first + i).size());
+        }
+      }
+      EXPECT_EQ(slice.index().num_terms(), terms_present) << "shard " << s;
+    }
   }
 }
 
