@@ -135,7 +135,7 @@ wsq::SimulatedShardCluster::Options DarkOptions(bool dark) {
   opt.latency = wsq::LatencyModel{2000, 1000, 0.05, 5.0};
   opt.seed = kSeed;
   opt.with_replicas = false;
-  opt.retry.max_attempts = 2;
+  opt.pump_limits.retry.max_attempts = 2;
   if (dark) {
     opt.shard_faults.resize(4);
     opt.shard_faults[1].transient_rate = 1.0;

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/cancellation.h"
@@ -115,12 +116,14 @@ void PrintShards(wsq::DemoEnv& env, const wsq::ShardOptions& shard) {
   std::printf("\n");
   std::vector<bool> health = svc->shard_health();
   for (size_t i = 0; i < health.size(); ++i) {
-    std::printf(
-        "  shard %zu: %s, breaker %s\n", i,
-        health[i] ? "healthy" : "failing",
-        std::string(wsq::CircuitStateToString(
-                        cluster->breaker(i)->breaker()->state()))
-            .c_str());
+    std::optional<wsq::CircuitBreaker> breaker =
+        cluster->pump()->breaker(cluster->node(i)->name());
+    std::printf("  shard %zu: %s, breaker %s\n", i,
+                health[i] ? "healthy" : "failing",
+                std::string(wsq::CircuitStateToString(
+                                breaker ? breaker->state()
+                                        : wsq::CircuitState::kClosed))
+                    .c_str());
   }
   wsq::ShardedServiceStats stats = svc->stats();
   std::printf(

@@ -6,6 +6,7 @@
 #include "common/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/statusz.h"
 
 namespace wsq {
 
@@ -34,10 +35,13 @@ void RecordCallTiming(const std::string& destination,
   if (queue_wait != nullptr) queue_wait->Record(queue_wait_micros);
 }
 
+/// A retry's backoff floor doubles per retry, at most this many times.
+constexpr int kMaxBackoffDoublings = 16;
+
 }  // namespace
 
 ReqPump::ReqPump(Limits limits)
-    : core_(std::make_shared<Core>(limits)),
+    : core_(std::make_shared<Core>(std::move(limits))),
       timer_([core = core_] { TimerLoop(std::move(core)); }) {
   // Publish the pump's stats ledger (kept authoritative in Core::stats)
   // via a collector; several pumps merge into process-wide series.
@@ -47,18 +51,23 @@ ReqPump::ReqPump(Limits limits)
         int in_flight;
         size_t queued;
         size_t pending;
+        std::map<std::string, CircuitBreaker> breakers;
         {
           MutexLock lock(&core->mu);
           s = core->stats;
           in_flight = core->in_flight_global;
           queued = core->queue.size();
           pending = core->results.size();
+          breakers = core->breakers;
         }
         emitter->EmitCounter("wsq_reqpump_calls_registered_total",
                              "External calls registered", {}, s.registered);
         emitter->EmitCounter("wsq_reqpump_calls_dispatched_total",
                              "External calls handed to their dispatch fn",
                              {}, s.dispatched);
+        emitter->EmitCounter("wsq_reqpump_calls_retried_total",
+                             "Re-dispatches after a transient failure", {},
+                             s.retried);
         emitter->EmitCounter("wsq_reqpump_calls_completed_total",
                              "External calls completed (incl. failures)",
                              {}, s.completed);
@@ -93,28 +102,75 @@ ReqPump::ReqPump(Limits limits)
         emitter->EmitGauge("wsq_reqpump_queued_peak",
                            "Peak wait-queue length", {},
                            static_cast<int64_t>(s.queued_peak));
+        for (const auto& [destination, breaker] : breakers) {
+          MetricLabels labels{{"destination", destination}};
+          const CircuitBreakerStats& b = breaker.stats();
+          emitter->EmitCounter("wsq_circuit_trips_total",
+                               "Circuit-breaker closed/half-open to open "
+                               "transitions",
+                               labels, b.trips);
+          emitter->EmitCounter(
+              "wsq_circuit_fast_failures_total",
+              "Requests rejected while the circuit was open", labels,
+              b.fast_failures);
+          emitter->EmitCounter("wsq_circuit_probes_total",
+                               "Probe requests admitted while half-open",
+                               labels, b.probes);
+          emitter->EmitGauge(
+              "wsq_circuit_open", "1 while the circuit is open, else 0",
+              labels, breaker.state() == CircuitState::kOpen ? 1 : 0);
+        }
+      });
+  if (!core_->limits.breaker) return;
+  statusz_id_ = StatuszRegistry::Global()->AddProvider(
+      [core = core_](std::vector<StatuszSection>* out) {
+        std::map<std::string, CircuitBreaker> breakers;
+        {
+          MutexLock lock(&core->mu);
+          breakers = core->breakers;
+        }
+        for (const auto& [destination, breaker] : breakers) {
+          StatuszSection s;
+          s.name = "breaker/" + destination;
+          s.Add("state", std::string(CircuitStateToString(breaker.state())));
+          s.AddInt("consecutive_failures", breaker.consecutive_failures());
+          s.AddUint("trips", breaker.stats().trips);
+          s.AddUint("fast_failures", breaker.stats().fast_failures);
+          s.AddUint("probes", breaker.stats().probes);
+          out->push_back(std::move(s));
+        }
       });
 }
 
 ReqPump::~ReqPump() {
-  // Unhook the collector before tearing anything down: after this, no
-  // export can observe a half-destroyed pump.
+  // Unhook the collector and provider before tearing anything down:
+  // after this, no export can observe a half-destroyed pump.
+  if (statusz_id_ != 0) StatuszRegistry::Global()->RemoveProvider(statusz_id_);
   MetricsRegistry::Global()->RemoveCollector(collector_id_);
   {
     MutexLock lock(&core_->mu);
-    // Drop never-dispatched queued calls, then wait for in-flight ones.
-    // Abandoned (timed-out) calls already released their slots and do
-    // not delay shutdown; their stragglers hit the shared core later.
-    for (const QueuedCall& q : core_->queue) {
-      core_->results[q.id] =
-          CallResult{Status::Cancelled("ReqPump shut down"), {}};
-      core_->unresolved.erase(q.id);
-      ++core_->stats.cancelled;
-      --core_->outstanding;
-    }
-    core_->queue.clear();
-    while (core_->in_flight_global != 0) core_->cv.Wait(core_->mu);
+    // From here on nothing is dispatched or retried. Calls waiting in
+    // the queue or in a backoff are dropped now; in-flight ones are
+    // waited for, while the timer thread keeps expiring their
+    // deadlines. Abandoned (timed-out) calls already released their
+    // slots and do not delay shutdown; their stragglers hit the shared
+    // core later.
     core_->shutdown = true;
+    std::vector<QueuedCall> none;
+    for (auto it = core_->unresolved.begin();
+         it != core_->unresolved.end();) {
+      auto call = it++;
+      if (call->second.phase == Phase::kInFlight) continue;
+      ++core_->stats.cancelled;
+      FlightRecorder::Global()->Record(
+          FrEventType::kCallCancel, call->second.destination, "shutdown",
+          call->second.query_id, static_cast<int64_t>(call->first));
+      ResolveEarlyLocked(core_.get(), call,
+                         CallResult{Status::Cancelled("ReqPump shut down"), {}},
+                         /*notify=*/false, &none);
+    }
+    core_->cv.NotifyAll();
+    while (core_->in_flight_global != 0) core_->cv.Wait(core_->mu);
   }
   core_->cv.NotifyAll();
   timer_.join();
@@ -144,16 +200,14 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn) {
 CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
                          int64_t timeout_micros, PumpCallback on_result) {
   CallId id;
-  bool dispatch_now;
-  bool has_deadline = timeout_micros > 0;
-  bool earliest_deadline = false;
+  std::optional<QueuedCall> start;
+  bool notify = false;
   const uint64_t query_id = CurrentQueryId();
-  size_t queue_depth = 0;
   {
     MutexLock lock(&core_->mu);
     id = core_->next_id++;
     ++core_->stats.registered;
-    dispatch_now = CanDispatchLocked(*core_, destination);
+    const bool dispatch_now = CanDispatchLocked(*core_, destination);
     if (!dispatch_now && core_->limits.max_queued > 0 &&
         static_cast<int>(core_->queue.size()) >=
             core_->limits.max_queued) {
@@ -175,55 +229,108 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
       return id;
     }
     ++core_->outstanding;
-    int64_t now = NowMicros();
-    core_->unresolved.emplace(id, CallMeta{destination, now,
-                                           dispatch_now ? now : 0, query_id,
-                                           std::move(on_result)});
-    int64_t deadline = has_deadline ? now + timeout_micros : 0;
-    if (has_deadline) {
-      core_->deadlines.push(Deadline{deadline, id, destination, nullptr});
-      earliest_deadline = core_->deadlines.top().when_micros == deadline;
+    const int64_t now = NowMicros();
+    CallMeta meta;
+    meta.destination = destination;
+    meta.registered_micros = now;
+    meta.query_id = query_id;
+    meta.on_result = std::move(on_result);
+    if (timeout_micros > 0) {
+      meta.deadline_micros = now + timeout_micros;
+      core_->deadlines.push(
+          Deadline{meta.deadline_micros, id, destination, nullptr});
+      // Wake the timer only if it must re-arm for an earlier deadline.
+      notify = core_->deadlines.top().when_micros == meta.deadline_micros;
     }
-    if (dispatch_now) {
-      ++core_->stats.dispatched;
-      ++core_->in_flight_global;
-      ++core_->in_flight_by_dest[destination];
-      core_->stats.max_in_flight =
-          std::max(core_->stats.max_in_flight,
-                   static_cast<uint64_t>(core_->in_flight_global));
-    } else {
-      core_->queue.push_back(
-          QueuedCall{id, destination, std::move(fn), deadline, query_id});
+    auto it = core_->unresolved.emplace(id, std::move(meta)).first;
+    QueuedCall call{id, destination, std::move(fn), query_id};
+    if (!dispatch_now) {
+      core_->queue.push_back(std::move(call));
       core_->stats.queued_peak =
           std::max(core_->stats.queued_peak,
                    static_cast<uint64_t>(core_->queue.size()));
-      queue_depth = core_->queue.size();
+    }
+    // Under the lock, so a breaker rejection is logged after it.
+    FlightRecorder::Global()->Record(
+        FrEventType::kCallRegister, destination,
+        dispatch_now ? "" : "queued", query_id, static_cast<int64_t>(id),
+        dispatch_now ? 0 : static_cast<int64_t>(core_->queue.size()));
+    if (dispatch_now) {
+      if (StartLocked(core_.get(), it, &call, now)) {
+        start = std::move(call);
+      } else {
+        notify = true;  // resolved: wake its consumer
+      }
     }
   }
-  FlightRecorder::Global()->Record(FrEventType::kCallRegister, destination,
-                                   dispatch_now ? "" : "queued", query_id,
-                                   static_cast<int64_t>(id),
-                                   static_cast<int64_t>(queue_depth));
-  // Wake the timer only if it must re-arm for an earlier deadline.
-  if (earliest_deadline) core_->cv.NotifyAll();
-  if (dispatch_now) {
-    Dispatch(core_, id, destination, std::move(fn), query_id);
-  }
+  if (notify) core_->cv.NotifyAll();
+  if (start) Dispatch(core_, std::move(*start));
   return id;
 }
 
-void ReqPump::Dispatch(const std::shared_ptr<Core>& core, CallId id,
-                       const std::string& destination, AsyncCallFn fn,
-                       uint64_t query_id) {
-  FlightRecorder::Global()->Record(FrEventType::kCallDispatch, destination,
-                                   "", query_id, static_cast<int64_t>(id));
+bool ReqPump::StartLocked(Core* core,
+                          std::unordered_map<CallId, CallMeta>::iterator meta,
+                          QueuedCall* call, int64_t now) {
+  CallMeta& m = meta->second;
+  call->retry = m.attempts > 0;
+  if (!call->retry) {
+    if (core->limits.breaker) {
+      CircuitBreaker& breaker =
+          core->breakers
+              .try_emplace(m.destination, *core->limits.breaker,
+                           m.destination)
+              .first->second;
+      if (!breaker.Allow(&m.as_probe)) {
+        // Fail fast: never dispatched, so never retried either.
+        ++core->stats.completed;
+        ++core->stats.failed;
+        FlightRecorder::Global()->Record(
+            FrEventType::kCallFailed, m.destination, "circuit_open",
+            m.query_id, static_cast<int64_t>(meta->first));
+        StoreResultLocked(
+            core, meta,
+            CallResult{Status::Unavailable("circuit open for destination: " +
+                                           m.destination),
+                       {}},
+            /*notify=*/true);
+        return false;
+      }
+    }
+    ++core->stats.dispatched;
+    m.dispatched_micros = now;
+  } else {
+    ++core->stats.retried;
+  }
+  m.phase = Phase::kInFlight;
+  // Keep a copy of the fn while another attempt may follow this one.
+  if (++m.attempts < core->limits.retry.max_attempts) m.fn = call->fn;
+  ++core->in_flight_global;
+  ++core->in_flight_by_dest[m.destination];
+  core->stats.max_in_flight =
+      std::max(core->stats.max_in_flight,
+               static_cast<uint64_t>(core->in_flight_global));
+  return true;
+}
+
+void ReqPump::Dispatch(const std::shared_ptr<Core>& core, QueuedCall call) {
+  FlightRecorder::Global()->Record(
+      FrEventType::kCallDispatch, call.destination,
+      call.retry ? "retry" : "", call.query_id,
+      static_cast<int64_t>(call.id));
   // The completion may fire synchronously (e.g. a cache hit) or from a
   // service thread later; both paths go through OnComplete. The lambda
   // keeps the core alive so even a completion arriving after ~ReqPump
   // is safe.
-  fn([core, id, destination](CallResult result) {
+  AsyncCallFn fn = std::move(call.fn);
+  fn([core, id = call.id,
+      destination = std::move(call.destination)](CallResult result) {
     OnComplete(core, id, destination, std::move(result));
   });
+}
+
+void ReqPump::DispatchAll(const std::shared_ptr<Core>& core,
+                          std::vector<QueuedCall>* calls) {
+  for (QueuedCall& call : *calls) Dispatch(core, std::move(call));
 }
 
 void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
@@ -232,15 +339,19 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
   std::vector<QueuedCall> to_dispatch;
   int64_t queue_wait_micros = 0;
   int64_t in_flight_micros = 0;
-  bool record_timing = false;
-  bool failed = false;
+  bool retrying = false;
   std::string failure_code;
   uint64_t query_id = 0;
   {
     MutexLock lock(&core->mu);
-    if (core->abandoned.erase(id) > 0) {
-      // The deadline timer already completed this call and released its
-      // slots; the real result arrives too late and is discarded.
+    if (auto abandoned = core->abandoned.find(id);
+        abandoned != core->abandoned.end()) {
+      // The call was already resolved (deadline or cancel) and released
+      // its slots; its real result arrives too late for the consumer
+      // and only teaches the breaker.
+      LearnLocked(core.get(), destination, result.status,
+                  abandoned->second);
+      core->abandoned.erase(abandoned);
       ++core->stats.late_discarded;
       lock.Unlock();
       FlightRecorder::Global()->Record(FrEventType::kCallLateDiscard,
@@ -248,96 +359,107 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
                                        static_cast<int64_t>(id));
       return;
     }
+    // A dispatched call that was not abandoned is still unresolved.
     auto meta = core->unresolved.find(id);
-    if (meta != core->unresolved.end()) {
-      query_id = meta->second.query_id;
-      if (meta->second.on_result) {
-        core->notifications.push_back(std::move(meta->second.on_result));
-      }
-      if (meta->second.dispatched_micros > 0) {
-        queue_wait_micros =
-            meta->second.dispatched_micros - meta->second.registered_micros;
-        in_flight_micros = NowMicros() - meta->second.dispatched_micros;
-        core->stats.queue_wait_micros_total += queue_wait_micros;
-        core->stats.in_flight_micros_total += in_flight_micros;
-        record_timing = true;
-      }
-    }
-    if (!result.status.ok()) {
-      ++core->stats.failed;
-      failed = true;
-      failure_code = StatusCodeToString(result.status.code());
-    }
-    ++core->stats.completed;
-    result.queue_wait_micros = queue_wait_micros;
-    result.in_flight_micros = in_flight_micros;
-    core->results[id] = std::move(result);
-    core->unresolved.erase(id);
+    assert(meta != core->unresolved.end());
+    CallMeta& m = meta->second;
+    query_id = m.query_id;
     --core->in_flight_global;
     --core->in_flight_by_dest[destination];
-    ++core->completion_seq;
-    --core->outstanding;
+    const int64_t now = NowMicros();
+    if (!result.status.ok() && IsTransient(result.status.code()) &&
+        !core->shutdown && m.attempts < core->limits.retry.max_attempts) {
+      const int64_t floor =
+          std::max<int64_t>(0, core->limits.retry.initial_backoff_micros)
+          << std::min(m.attempts - 1, kMaxBackoffDoublings);
+      // Retry unless even the backoff's floor ends past the deadline: a
+      // retry that cannot start in time would only turn the engine's
+      // answer into a timeout.
+      if (m.deadline_micros == 0 || now + floor < m.deadline_micros) {
+        const int64_t when = now + core->rng.UniformRange(floor, 3 * floor);
+        m.phase = Phase::kBackoff;
+        m.last_failure = std::move(result.status);
+        core->deadlines.push(Deadline{when, id, destination, nullptr,
+                                      /*retry=*/true});
+        retrying = true;
+      }
+    }
+    if (!retrying) {
+      queue_wait_micros = m.dispatched_micros - m.registered_micros;
+      in_flight_micros = now - m.dispatched_micros;
+      core->stats.queue_wait_micros_total += queue_wait_micros;
+      core->stats.in_flight_micros_total += in_flight_micros;
+      if (!result.status.ok()) {
+        ++core->stats.failed;
+        failure_code = StatusCodeToString(result.status.code());
+      }
+      ++core->stats.completed;
+      LearnLocked(core.get(), destination, result.status, m.as_probe);
+      result.queue_wait_micros = queue_wait_micros;
+      result.in_flight_micros = in_flight_micros;
+      StoreResultLocked(core.get(), meta, std::move(result), /*notify=*/true);
+    }
     to_dispatch = TakeDispatchableLocked(core.get());
   }
   core->cv.NotifyAll();
-  // Outside the lock (see RecordCallTiming).
-  FlightRecorder::Global()->Record(
-      failed ? FrEventType::kCallFailed : FrEventType::kCallComplete,
-      destination, failure_code, query_id, static_cast<int64_t>(id),
-      in_flight_micros);
-  if (record_timing) {
+  if (!retrying) {
+    // Outside the lock (see RecordCallTiming).
+    FlightRecorder::Global()->Record(
+        failure_code.empty() ? FrEventType::kCallComplete
+                             : FrEventType::kCallFailed,
+        destination, failure_code, query_id, static_cast<int64_t>(id),
+        in_flight_micros);
     RecordCallTiming(destination, queue_wait_micros, in_flight_micros,
                      query_id);
   }
-  for (QueuedCall& q : to_dispatch) {
-    Dispatch(core, q.id, q.destination, std::move(q.fn), q.query_id);
+  DispatchAll(core, &to_dispatch);
+}
+
+void ReqPump::StoreResultLocked(
+    Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
+    CallResult result, bool notify) {
+  if (notify && meta->second.on_result) {
+    core->notifications.push_back(std::move(meta->second.on_result));
+  }
+  core->results[meta->first] = std::move(result);
+  core->unresolved.erase(meta);
+  ++core->completion_seq;
+  --core->outstanding;
+}
+
+void ReqPump::LearnLocked(Core* core, const std::string& destination,
+                          const Status& status, bool as_probe) {
+  auto it = core->breakers.find(destination);
+  if (it == core->breakers.end()) return;  // breakers are off
+  if (status.ok()) {
+    it->second.RecordSuccess(as_probe);
+  } else {
+    it->second.RecordFailure(status, as_probe);
   }
 }
 
 std::vector<ReqPump::QueuedCall> ReqPump::TakeDispatchableLocked(
     Core* core) {
   std::vector<QueuedCall> out;
-  if (core->shutdown) return out;
+  if (core->shutdown || core->queue.empty()) return out;
+  const int64_t now = NowMicros();
   // FIFO per scan; a blocked head does not starve other destinations.
   for (auto it = core->queue.begin(); it != core->queue.end();) {
-    // Account for calls already chosen in this scan.
-    int pending_global = static_cast<int>(out.size());
     if (core->limits.max_global > 0 &&
-        core->in_flight_global + pending_global >=
-            core->limits.max_global) {
+        core->in_flight_global >= core->limits.max_global) {
       break;
     }
-    int pending_dest = 0;
-    for (const QueuedCall& q : out) {
-      if (q.destination == it->destination) ++pending_dest;
-    }
-    bool dest_ok = true;
-    if (core->limits.max_per_destination > 0) {
-      auto found = core->in_flight_by_dest.find(it->destination);
-      int current =
-          found == core->in_flight_by_dest.end() ? 0 : found->second;
-      dest_ok = current + pending_dest < core->limits.max_per_destination;
-    }
-    if (dest_ok) {
-      out.push_back(std::move(*it));
-      it = core->queue.erase(it);
-    } else {
+    if (!CanDispatchLocked(*core, it->destination)) {
       ++it;
+      continue;
+    }
+    QueuedCall call = std::move(*it);
+    it = core->queue.erase(it);
+    // A queued call is unresolved: resolving one removes it from here.
+    if (StartLocked(core, core->unresolved.find(call.id), &call, now)) {
+      out.push_back(std::move(call));
     }
   }
-  int64_t now = out.empty() ? 0 : NowMicros();
-  for (const QueuedCall& q : out) {
-    ++core->stats.dispatched;
-    ++core->in_flight_global;
-    ++core->in_flight_by_dest[q.destination];
-    auto meta = core->unresolved.find(q.id);
-    if (meta != core->unresolved.end()) {
-      meta->second.dispatched_micros = now;
-    }
-  }
-  core->stats.max_in_flight =
-      std::max(core->stats.max_in_flight,
-               static_cast<uint64_t>(core->in_flight_global));
   return out;
 }
 
@@ -355,9 +477,11 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
       lock.Lock();
       continue;
     }
-    if (core->shutdown) break;
+    // At shutdown the loop keeps expiring deadlines until no call is in
+    // flight, so ~ReqPump's wait for them cannot hang on a dead engine.
+    if (core->shutdown && core->in_flight_global == 0) break;
     // Drop stale heap entries (calls that resolved before their
-    // deadline) so they don't force pointless wakeups.
+    // deadline or backoff end) so they don't force pointless wakeups.
     while (!core->deadlines.empty() && !core->deadlines.top().timer &&
            core->unresolved.count(core->deadlines.top().id) == 0) {
       core->deadlines.pop();
@@ -383,33 +507,47 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
     auto meta = core->unresolved.find(d.id);
     if (meta == core->unresolved.end()) continue;
 
+    std::vector<QueuedCall> to_dispatch;
+    if (d.retry) {
+      // The backoff is over: the call queues for a slot again, unless
+      // its deadline passed meanwhile — its own entry, due now too,
+      // resolves it.
+      CallMeta& m = meta->second;
+      if (m.deadline_micros > 0 && now >= m.deadline_micros) continue;
+      m.phase = Phase::kQueued;
+      core->queue.push_back(
+          QueuedCall{d.id, d.destination, std::move(m.fn), m.query_id});
+      to_dispatch = TakeDispatchableLocked(core.get());
+      lock.Unlock();
+      core->cv.NotifyAll();  // the scan may have resolved rejected calls
+      DispatchAll(core, &to_dispatch);
+      lock.Lock();
+      continue;
+    }
+
     // Time the call out: complete it with kDeadlineExceeded so blocked
     // consumers wake immediately.
     ++core->stats.timed_out;
     ++core->stats.failed;
     ++core->stats.completed;
     const uint64_t query_id = meta->second.query_id;
-    if (meta->second.on_result) {
-      core->notifications.push_back(std::move(meta->second.on_result));
-    }
-    std::vector<QueuedCall> to_dispatch;
-    const bool was_queued = ResolveEarlyLocked(
+    const Phase phase = ResolveEarlyLocked(
         core.get(), meta,
         CallResult{Status::DeadlineExceeded("external call to '" +
                                             d.destination +
                                             "' exceeded its deadline"),
                    {}},
-        &to_dispatch);
+        /*notify=*/true, &to_dispatch);
     const int64_t in_flight_micros = core->results[d.id].in_flight_micros;
     lock.Unlock();
     FlightRecorder::Global()->Record(
         FrEventType::kCallTimeout, d.destination,
-        was_queued ? "expired_in_queue" : "abandoned", query_id,
-        static_cast<int64_t>(d.id), in_flight_micros);
+        phase == Phase::kQueued     ? "expired_in_queue"
+        : phase == Phase::kBackoff ? "expired_in_backoff"
+                                   : "abandoned",
+        query_id, static_cast<int64_t>(d.id), in_flight_micros);
     core->cv.NotifyAll();
-    for (QueuedCall& q : to_dispatch) {
-      Dispatch(core, q.id, q.destination, std::move(q.fn), q.query_id);
-    }
+    DispatchAll(core, &to_dispatch);
     lock.Lock();
   }
 }
@@ -425,36 +563,41 @@ void ReqPump::RunAfter(int64_t delay_micros, PumpCallback fn) {
   if (earliest) core_->cv.NotifyAll();  // the timer must re-arm earlier
 }
 
-bool ReqPump::ResolveEarlyLocked(
+ReqPump::Phase ReqPump::ResolveEarlyLocked(
     Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
-    CallResult result, std::vector<QueuedCall>* to_dispatch) {
+    CallResult result, bool notify, std::vector<QueuedCall>* to_dispatch) {
   const CallId id = meta->first;
   const CallMeta& call = meta->second;
+  const Phase phase = call.phase;
   if (call.dispatched_micros > 0) {
     result.queue_wait_micros = call.dispatched_micros - call.registered_micros;
     result.in_flight_micros = NowMicros() - call.dispatched_micros;
     core->stats.queue_wait_micros_total += result.queue_wait_micros;
     core->stats.in_flight_micros_total += result.in_flight_micros;
   }
-  core->results[id] = std::move(result);
-  ++core->completion_seq;
-  --core->outstanding;
-  auto queued = std::find_if(core->queue.begin(), core->queue.end(),
-                             [id](const QueuedCall& q) { return q.id == id; });
-  const bool was_queued = queued != core->queue.end();
-  if (was_queued) {
-    core->queue.erase(queued);  // never dispatched: no straggler coming
-  } else {
-    // Dispatched: abandon it and free its limit slots now, so the queue
-    // behind a hung destination keeps moving; its real completion, if
-    // one ever arrives, is discarded.
-    core->abandoned.insert(id);
+  if (phase == Phase::kInFlight) {
+    // Abandon it and free its limit slots now, so the queue behind a
+    // hung destination keeps moving; its real completion, if one ever
+    // arrives, only teaches the breaker.
+    core->abandoned.emplace(id, call.as_probe);
     --core->in_flight_global;
     --core->in_flight_by_dest[call.destination];
-    *to_dispatch = TakeDispatchableLocked(core);
+  } else {
+    if (phase == Phase::kQueued) {
+      auto queued =
+          std::find_if(core->queue.begin(), core->queue.end(),
+                       [id](const QueuedCall& q) { return q.id == id; });
+      if (queued != core->queue.end()) core->queue.erase(queued);
+    }
+    // Not in flight, so no straggler is coming. A retried call ends
+    // with its last failed attempt, which the breaker learns now.
+    if (call.attempts > 0) {
+      LearnLocked(core, call.destination, call.last_failure, call.as_probe);
+    }
   }
-  core->unresolved.erase(meta);
-  return was_queued;
+  StoreResultLocked(core, meta, std::move(result), notify);
+  if (phase == Phase::kInFlight) *to_dispatch = TakeDispatchableLocked(core);
+  return phase;
 }
 
 bool ReqPump::CancelCall(CallId id) {
@@ -471,14 +614,12 @@ bool ReqPump::CancelCall(CallId id) {
     ResolveEarlyLocked(
         core_.get(), meta,
         CallResult{Status::Cancelled("external call cancelled"), {}},
-        &to_dispatch);
+        /*notify=*/false, &to_dispatch);
   }
   FlightRecorder::Global()->Record(FrEventType::kCallCancel, destination, "",
                                    query_id, static_cast<int64_t>(id));
   core_->cv.NotifyAll();
-  for (QueuedCall& q : to_dispatch) {
-    Dispatch(core_, q.id, q.destination, std::move(q.fn), q.query_id);
-  }
+  DispatchAll(core_, &to_dispatch);
   return true;
 }
 
@@ -578,6 +719,14 @@ int ReqPump::in_flight() const {
   return core_->in_flight_global;
 }
 
+std::optional<CircuitBreaker> ReqPump::breaker(
+    const std::string& destination) const {
+  MutexLock lock(&core_->mu);
+  auto it = core_->breakers.find(destination);
+  if (it == core_->breakers.end()) return std::nullopt;
+  return it->second;
+}
+
 size_t ReqPump::pending_results() const {
   MutexLock lock(&core_->mu);
   return core_->results.size();
@@ -589,7 +738,7 @@ std::vector<ReqPump::InFlightCall> ReqPump::InFlightCalls() const {
   {
     MutexLock lock(&core_->mu);
     for (const auto& [id, meta] : core_->unresolved) {
-      if (meta.dispatched_micros <= 0) continue;  // still queued
+      if (meta.phase != Phase::kInFlight) continue;
       InFlightCall call;
       call.id = id;
       call.destination = meta.destination;

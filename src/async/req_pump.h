@@ -6,17 +6,19 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "net/circuit_breaker.h"
 #include "types/row.h"
 #include "types/value.h"
 
@@ -56,6 +58,19 @@ using AsyncCallFn = std::function<void(CallCompletion)>;
 /// take locks that the registering thread held around Register.
 using PumpCallback = std::function<void()>;
 
+/// Retries of transient call failures (ReqPump::Limits::retry).
+struct RetryPolicy {
+  /// Attempts per call, including the first; 1 = no retries.
+  int max_attempts = 1;
+  /// Floor of the first retry's backoff; the floor doubles for each
+  /// later retry. Each backoff is drawn uniformly from
+  /// [floor, 3 * floor] (decorrelated jitter), so concurrent retries
+  /// against one destination spread out instead of stampeding.
+  int64_t initial_backoff_micros = 10000;
+  /// Seed for the backoff draws (reproducible runs).
+  uint64_t seed = 1;
+};
+
 /// Observability counters (paper §4.1: resource monitoring).
 struct ReqPumpStats {
   uint64_t registered = 0;
@@ -86,6 +101,9 @@ struct ReqPumpStats {
   /// `dispatched <= registered` and
   /// `registered == completed + cancelled + shed`.
   uint64_t dispatched = 0;
+  /// Re-dispatches of calls whose attempt failed transiently
+  /// (Limits::retry); not counted in `dispatched`.
+  uint64_t retried = 0;
   /// Sums of the per-call timings attached to CallResult, accumulated
   /// when a dispatched call resolves (completion, timeout, or cancel).
   /// `in_flight_micros_total / completed` approximates mean call
@@ -113,6 +131,10 @@ struct ReqPumpStats {
 /// even after the ReqPump itself has been destroyed. The same thread
 /// runs registrants' callbacks: result notifications passed to Register
 /// and one-shot RunAfter timers.
+///
+/// The pump owns each call's whole lifecycle: it also retries transient
+/// failures after a backoff (Limits::retry) and keeps a circuit breaker
+/// per destination (Limits::breaker). Both are off by default.
 class ReqPump {
  public:
   struct Limits {
@@ -133,6 +155,21 @@ class ReqPump {
     /// immediately with kResourceExhausted (stats.shed) instead of
     /// growing the queue without bound. 0 = unbounded.
     int max_queued = 0;
+    /// Retries of transient failures; the default single attempt
+    /// retries nothing. A retry frees the call's slots, waits out its
+    /// backoff on the timer thread, then queues for a slot again, so
+    /// it counts against the limits above. It is not taken when the
+    /// backoff's floor would end past the call's deadline (the call
+    /// resolves with its failure at once), nor once the call was
+    /// cancelled or timed out, nor at shutdown. A deadline that falls
+    /// inside a drawn backoff resolves the call kDeadlineExceeded.
+    RetryPolicy retry;
+    /// Per-destination circuit breaker; unset = none. It gates a
+    /// call's first dispatch — a rejected call resolves kUnavailable at
+    /// once, is never dispatched and never retried — and learns every
+    /// admitted call's final outcome, late completions of abandoned
+    /// calls included.
+    std::optional<CircuitBreakerOptions> breaker;
   };
 
   ReqPump() : ReqPump(Limits{}) {}
@@ -141,10 +178,11 @@ class ReqPump {
   ReqPump(const ReqPump&) = delete;
   ReqPump& operator=(const ReqPump&) = delete;
 
-  /// Blocks until all dispatched, non-abandoned calls complete; queued
-  /// calls that were never dispatched are dropped (kCancelled). Calls
-  /// that timed out do not delay destruction — their late completions
-  /// land harmlessly in the shared core.
+  /// Blocks until all dispatched, non-abandoned calls complete; calls
+  /// waiting in the queue or in a retry backoff are dropped
+  /// (kCancelled) and none is retried. Calls that timed out do not
+  /// delay destruction — their late completions land harmlessly in the
+  /// shared core.
   ~ReqPump();
 
   /// Registers call `fn` against `destination` and returns immediately
@@ -221,6 +259,11 @@ class ReqPump {
   /// Currently dispatched (in-flight) calls, excluding abandoned ones.
   int in_flight() const WSQ_EXCLUDES(core_->mu);
 
+  /// Copy of `destination`'s circuit breaker; nullopt when breakers are
+  /// off or no call to `destination` has been dispatched yet.
+  std::optional<CircuitBreaker> breaker(const std::string& destination)
+      const WSQ_EXCLUDES(core_->mu);
+
   /// One live dispatched call, as reported by InFlightCalls (statusz:
   /// "which calls are out right now, how old are they, for whom").
   struct InFlightCall {
@@ -245,18 +288,24 @@ class ReqPump {
     CallId id;
     std::string destination;
     AsyncCallFn fn;
-    /// Absolute deadline (micros, steady clock); 0 = none. Carried so
-    /// the deadline keeps ticking while the call waits for a slot.
-    int64_t deadline_micros = 0;
     /// Query the registering thread was bound to (flight recorder).
     uint64_t query_id = 0;
+    /// A re-dispatch after a transient failure (Limits::retry).
+    bool retry = false;
+  };
+
+  /// Where an unresolved call is.
+  enum class Phase {
+    kQueued,    ///< waiting in the queue for a limit slot
+    kInFlight,  ///< dispatched, holding its slots
+    kBackoff,   ///< failed transiently, slots freed, retry pending
   };
 
   /// Per-unresolved-call bookkeeping (see Core::unresolved).
   struct CallMeta {
     std::string destination;
     int64_t registered_micros = 0;
-    /// 0 while the call waits in the queue; set when it is dispatched.
+    /// 0 until the call's first dispatch.
     int64_t dispatched_micros = 0;
     /// Query the registering thread was bound to; stamps completion
     /// events and latency exemplars, which resolve on pump/service
@@ -264,14 +313,28 @@ class ReqPump {
     uint64_t query_id = 0;
     /// Register's `on_result`; dropped unrun by CancelCall.
     PumpCallback on_result;
+    /// Absolute deadline (micros, steady clock); 0 = none.
+    int64_t deadline_micros = 0;
+    Phase phase = Phase::kQueued;
+    /// Dispatches so far (the first plus retries).
+    int attempts = 0;
+    /// A copy of the call's fn, kept while it may still be retried.
+    AsyncCallFn fn;
+    /// Whether the breaker admitted the call as its half-open probe.
+    bool as_probe = false;
+    /// Status of the attempt being retried (kBackoff, or kQueued after
+    /// a backoff): the call's outcome if it never runs again.
+    Status last_failure;
   };
 
-  /// A call's deadline, or a RunAfter timer when `timer` is set.
+  /// A call's deadline, the end of its retry backoff when `retry` is
+  /// set, or a RunAfter timer when `timer` is set.
   struct Deadline {
     int64_t when_micros;
     CallId id;
     std::string destination;
     PumpCallback timer;
+    bool retry = false;
 
     bool operator>(const Deadline& o) const {
       if (when_micros != o.when_micros) return when_micros > o.when_micros;
@@ -285,7 +348,7 @@ class ReqPump {
   /// Every mutable field is guarded by `mu` — ReqPump has exactly one
   /// lock, so there is no internal ordering to get wrong.
   struct Core {
-    explicit Core(Limits l) : limits(l) {}
+    explicit Core(Limits l) : limits(std::move(l)), rng(limits.retry.seed) {}
 
     const Limits limits;
 
@@ -305,9 +368,10 @@ class ReqPump {
     /// in-flight timing. Timer entries for ids outside this map are
     /// stale.
     std::unordered_map<CallId, CallMeta> unresolved WSQ_GUARDED_BY(mu);
-    /// Dispatched calls that timed out: their eventual real completion
-    /// must be discarded without touching counters or results.
-    std::unordered_set<CallId> abandoned WSQ_GUARDED_BY(mu);
+    /// Dispatched calls that timed out or were cancelled, mapped to
+    /// whether each was its breaker's probe: their eventual real
+    /// completion only teaches the breaker and is otherwise discarded.
+    std::unordered_map<CallId, bool> abandoned WSQ_GUARDED_BY(mu);
     std::priority_queue<Deadline, std::vector<Deadline>,
                         std::greater<Deadline>>
         deadlines WSQ_GUARDED_BY(mu);
@@ -315,17 +379,25 @@ class ReqPump {
     std::vector<PumpCallback> notifications WSQ_GUARDED_BY(mu);
     /// Registered but not yet resolved/dropped.
     uint64_t outstanding WSQ_GUARDED_BY(mu) = 0;
+    /// Set when ~ReqPump begins: no more retries or dispatches.
     bool shutdown WSQ_GUARDED_BY(mu) = false;
     ReqPumpStats stats WSQ_GUARDED_BY(mu);
+    /// Backoff draws (Limits::retry).
+    Rng rng WSQ_GUARDED_BY(mu);
+    /// Per-destination breakers (Limits::breaker), created at a
+    /// destination's first dispatch.
+    std::map<std::string, CircuitBreaker> breakers WSQ_GUARDED_BY(mu);
   };
 
-  /// Dispatches `fn` for call `id`; caller must NOT hold core->mu (the
-  /// call may complete synchronously and re-enter OnComplete).
+  /// Invokes the call's fn; caller must NOT hold core->mu (the call
+  /// may complete synchronously and re-enter OnComplete). The call's
   /// `query_id` stamps the flight-recorder dispatch event (queued calls
   /// dispatch from pump threads where no binding exists).
-  static void Dispatch(const std::shared_ptr<Core>& core, CallId id,
-                       const std::string& destination, AsyncCallFn fn,
-                       uint64_t query_id) WSQ_EXCLUDES(core->mu);
+  static void Dispatch(const std::shared_ptr<Core>& core, QueuedCall call)
+      WSQ_EXCLUDES(core->mu);
+  static void DispatchAll(const std::shared_ptr<Core>& core,
+                          std::vector<QueuedCall>* calls)
+      WSQ_EXCLUDES(core->mu);
 
   /// Invoked by call completions (possibly after ~ReqPump).
   static void OnComplete(const std::shared_ptr<Core>& core, CallId id,
@@ -333,18 +405,41 @@ class ReqPump {
                          CallResult result) WSQ_EXCLUDES(core->mu);
 
   /// Pops dispatchable queued calls under core->mu and reserves their
-  /// limit slots; returns them for dispatch outside the lock.
+  /// limit slots; returns them for dispatch outside the lock. A first
+  /// dispatch its breaker rejects is resolved instead.
   static std::vector<QueuedCall> TakeDispatchableLocked(Core* core)
       WSQ_REQUIRES(core->mu);
 
-  /// Resolves unresolved call `meta` with `result` ahead of its real
-  /// completion (deadline or cancel): stamps its timings and stores it,
-  /// then drops the call from the queue or, if dispatched, abandons it
-  /// and collects in `to_dispatch` the queued calls its slots free.
-  /// Returns true if the call was still queued.
-  static bool ResolveEarlyLocked(
+  /// Moves call `meta` in flight at `now` for `call`'s attempt,
+  /// reserving its slots (the caller checked they are free). Returns
+  /// false, with the call resolved kUnavailable, if its breaker rejects
+  /// a first dispatch.
+  static bool StartLocked(Core* core,
+                          std::unordered_map<CallId, CallMeta>::iterator meta,
+                          QueuedCall* call, int64_t now)
+      WSQ_REQUIRES(core->mu);
+
+  /// Stores `result` as the call's answer, queues its `on_result` if
+  /// `notify`, and erases its bookkeeping; the caller has updated slots
+  /// and stats.
+  static void StoreResultLocked(
       Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
-      CallResult result, std::vector<QueuedCall>* to_dispatch)
+      CallResult result, bool notify) WSQ_REQUIRES(core->mu);
+
+  /// Teaches `destination`'s breaker an admitted call's final outcome.
+  static void LearnLocked(Core* core, const std::string& destination,
+                          const Status& status, bool as_probe)
+      WSQ_REQUIRES(core->mu);
+
+  /// Resolves unresolved call `meta` with `result` ahead of its real
+  /// completion (deadline, cancel or shutdown): stamps its timings and
+  /// stores it (see StoreResultLocked), then drops the call from the
+  /// queue or its backoff or, if dispatched, abandons it and collects
+  /// in `to_dispatch` the queued calls its slots free. Returns the
+  /// phase the call was in.
+  static Phase ResolveEarlyLocked(
+      Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
+      CallResult result, bool notify, std::vector<QueuedCall>* to_dispatch)
       WSQ_REQUIRES(core->mu);
 
   static bool CanDispatchLocked(const Core& core,
@@ -360,6 +455,8 @@ class ReqPump {
   /// MetricsRegistry collector handle (removed first in ~ReqPump so the
   /// callback never outlives the pump's registration).
   uint64_t collector_id_ = 0;
+  /// \statusz provider of the breaker sections (0 = no breakers).
+  uint64_t statusz_id_ = 0;
 };
 
 }  // namespace wsq

@@ -42,13 +42,16 @@ class [[nodiscard]] Result {
     assert(ok());
     return *value_;
   }
-  T&& value() && {
+  /// By value: a reference into a temporary Result would dangle once
+  /// the full expression ends, e.g. in `for (auto& x : *MakeResult())`.
+  T value() && {
     assert(ok());
     return std::move(*value_);
   }
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

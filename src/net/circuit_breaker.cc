@@ -2,8 +2,6 @@
 
 #include "common/clock.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/statusz.h"
 
 namespace wsq {
 
@@ -19,19 +17,17 @@ std::string_view CircuitStateToString(CircuitState state) {
   return "Unknown";
 }
 
-CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
-    : options_(std::move(options)) {
+CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options,
+                               std::string destination)
+    : options_(std::move(options)), destination_(std::move(destination)) {
   if (options_.failure_threshold < 1) options_.failure_threshold = 1;
-  if (options_.half_open_probes < 1) options_.half_open_probes = 1;
 }
 
 int64_t CircuitBreaker::Now() const {
   return options_.now ? options_.now() : NowMicros();
 }
 
-void CircuitBreaker::TripLocked(int64_t now) {
-  // The recorder append is lock-free (leaf interner mutex at worst), so
-  // recording under mu_ cannot invert any lock order.
+void CircuitBreaker::Trip(int64_t now) {
   FlightRecorder::Global()->Record(
       FrEventType::kBreakerTrip, destination_,
       state_ == CircuitState::kHalfOpen ? "probe_failed"
@@ -39,25 +35,24 @@ void CircuitBreaker::TripLocked(int64_t now) {
       /*query_id=*/0, consecutive_failures_);
   state_ = CircuitState::kOpen;
   open_until_micros_ = now + options_.cooldown_micros;
-  inflight_probes_ = 0;
+  probe_outstanding_ = false;
   consecutive_failures_ = 0;
   ++stats_.trips;
 }
 
 bool CircuitBreaker::Allow(bool* as_probe) {
-  if (as_probe != nullptr) *as_probe = false;
-  MutexLock lock(&mu_);
-  int64_t now = Now();
+  *as_probe = false;
+  const int64_t now = Now();
   if (state_ == CircuitState::kOpen) {
     if (now < open_until_micros_) {
       ++stats_.fast_failures;
       return false;
     }
     state_ = CircuitState::kHalfOpen;
-    inflight_probes_ = 0;
+    probe_outstanding_ = false;
   }
   if (state_ == CircuitState::kHalfOpen) {
-    if (inflight_probes_ >= options_.half_open_probes) {
+    if (probe_outstanding_) {
       // A probe whose outcome never arrives (hung engine, dropped
       // callback) must not wedge the circuit half-open forever: admit a
       // fresh probe once a full cool-down has passed since the last.
@@ -66,158 +61,51 @@ bool CircuitBreaker::Allow(bool* as_probe) {
         return false;
       }
       open_until_micros_ = now;
-      inflight_probes_ = 0;
     }
-    ++inflight_probes_;
+    probe_outstanding_ = true;
     ++stats_.probes;
     FlightRecorder::Global()->Record(FrEventType::kBreakerProbe,
                                      destination_, "cooldown_elapsed");
-    if (as_probe != nullptr) *as_probe = true;
-    return true;
+    *as_probe = true;
   }
   return true;
 }
 
-void CircuitBreaker::RecordSuccess() {
-  MutexLock lock(&mu_);
-  RecordSuccessLocked(state_ == CircuitState::kHalfOpen);
-}
-
 void CircuitBreaker::RecordSuccess(bool was_probe) {
-  MutexLock lock(&mu_);
-  RecordSuccessLocked(was_probe);
-}
-
-void CircuitBreaker::RecordSuccessLocked(bool was_probe) {
   consecutive_failures_ = 0;
   if (state_ == CircuitState::kHalfOpen && was_probe) {
     // The probe succeeded: the engine is back. A non-probe success in
     // half-open (a straggler from before the trip) is NOT evidence the
     // engine recovered and must not close the circuit.
     state_ = CircuitState::kClosed;
-    inflight_probes_ = 0;
+    probe_outstanding_ = false;
     FlightRecorder::Global()->Record(FrEventType::kBreakerClose,
                                      destination_, "probe_ok");
   }
 }
 
-void CircuitBreaker::RecordFailure(const Status& status) {
-  MutexLock lock(&mu_);
-  RecordFailureLocked(status, state_ == CircuitState::kHalfOpen);
-}
-
 void CircuitBreaker::RecordFailure(const Status& status, bool was_probe) {
-  MutexLock lock(&mu_);
-  RecordFailureLocked(status, was_probe);
-}
-
-void CircuitBreaker::RecordFailureLocked(const Status& status,
-                                         bool was_probe) {
   if (!IsTransient(status.code())) {
     // The engine answered (badly): neutral for the failure streak. But
     // if this was the half-open probe, its slot must be released or the
     // gate stays wedged until the stale-probe escape — blocking real
     // probes for a whole extra cool-down.
-    if (was_probe && state_ == CircuitState::kHalfOpen &&
-        inflight_probes_ > 0) {
-      --inflight_probes_;
+    if (was_probe && state_ == CircuitState::kHalfOpen) {
+      probe_outstanding_ = false;
     }
     return;
   }
-  int64_t now = Now();
+  const int64_t now = Now();
   if (state_ == CircuitState::kHalfOpen) {
-    if (was_probe) {
-      TripLocked(now);  // probe failed: back to open, fresh cool-down
-    }
     // A non-probe transient failure in half-open is stale evidence from
     // before the trip; the probe's own outcome decides the state.
+    if (was_probe) Trip(now);  // probe failed: back to open
     return;
   }
-  if (state_ == CircuitState::kClosed) {
-    if (++consecutive_failures_ >= options_.failure_threshold) {
-      TripLocked(now);
-    }
+  if (state_ == CircuitState::kClosed &&
+      ++consecutive_failures_ >= options_.failure_threshold) {
+    Trip(now);
   }
-}
-
-CircuitState CircuitBreaker::state() const {
-  MutexLock lock(&mu_);
-  return state_;
-}
-
-CircuitBreakerStats CircuitBreaker::stats() const {
-  MutexLock lock(&mu_);
-  return stats_;
-}
-
-int CircuitBreaker::consecutive_failures() const {
-  MutexLock lock(&mu_);
-  return consecutive_failures_;
-}
-
-CircuitBreakerSearchService::CircuitBreakerSearchService(
-    SearchService* wrapped, CircuitBreakerOptions options)
-    : wrapped_(wrapped), breaker_(std::move(options)) {
-  breaker_.set_destination(name());
-  collector_id_ = MetricsRegistry::Global()->AddCollector(
-      [this](MetricsEmitter* emitter) {
-        MetricLabels labels{{"destination", name()}};
-        CircuitBreakerStats s = breaker_.stats();
-        emitter->EmitCounter("wsq_circuit_trips_total",
-                             "Circuit-breaker closed/half-open to open "
-                             "transitions",
-                             labels, s.trips);
-        emitter->EmitCounter("wsq_circuit_fast_failures_total",
-                             "Requests rejected while the circuit was open",
-                             labels, s.fast_failures);
-        emitter->EmitCounter("wsq_circuit_probes_total",
-                             "Probe requests admitted while half-open",
-                             labels, s.probes);
-        emitter->EmitGauge("wsq_circuit_open",
-                           "1 while the circuit is open, else 0", labels,
-                           breaker_.state() == CircuitState::kOpen ? 1 : 0);
-      });
-  statusz_id_ = StatuszRegistry::Global()->AddProvider(
-      [this](std::vector<StatuszSection>* out) {
-        StatuszSection s;
-        s.name = "breaker/" + name();
-        s.Add("state", std::string(CircuitStateToString(breaker_.state())));
-        s.AddInt("consecutive_failures", breaker_.consecutive_failures());
-        CircuitBreakerStats stats = breaker_.stats();
-        s.AddUint("trips", stats.trips);
-        s.AddUint("fast_failures", stats.fast_failures);
-        s.AddUint("probes", stats.probes);
-        out->push_back(std::move(s));
-      });
-}
-
-CircuitBreakerSearchService::~CircuitBreakerSearchService() {
-  StatuszRegistry::Global()->RemoveProvider(statusz_id_);
-  MetricsRegistry::Global()->RemoveCollector(collector_id_);
-}
-
-void CircuitBreakerSearchService::Submit(SearchRequest request,
-                                         SearchCallback done) {
-  bool as_probe = false;
-  if (!breaker_.Allow(&as_probe)) {
-    done(SearchResponse{
-        Status::Unavailable("circuit open for engine: " + name()), 0,
-        {}});
-    return;
-  }
-  // Thread the probe flag through to the outcome so only the probe's
-  // own completion releases (or converts) the single half-open slot.
-  CircuitBreaker* breaker = &breaker_;
-  wrapped_->Submit(
-      std::move(request),
-      [breaker, as_probe, done = std::move(done)](SearchResponse resp) {
-        if (resp.status.ok()) {
-          breaker->RecordSuccess(as_probe);
-        } else {
-          breaker->RecordFailure(resp.status, as_probe);
-        }
-        done(std::move(resp));
-      });
 }
 
 }  // namespace wsq

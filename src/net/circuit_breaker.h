@@ -6,8 +6,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
-#include "net/search_service.h"
 
 namespace wsq {
 
@@ -15,7 +13,7 @@ namespace wsq {
 enum class CircuitState {
   kClosed,    ///< healthy: requests flow, consecutive failures counted
   kOpen,      ///< tripped: requests fail fast with kUnavailable
-  kHalfOpen,  ///< cooling down: limited probe requests test recovery
+  kHalfOpen,  ///< cooling down: one probe request tests recovery
 };
 
 std::string_view CircuitStateToString(CircuitState state);
@@ -25,8 +23,6 @@ struct CircuitBreakerOptions {
   int failure_threshold = 5;
   /// Time the circuit stays open before allowing a probe.
   int64_t cooldown_micros = 1000000;
-  /// Probes allowed concurrently while half-open.
-  int half_open_probes = 1;
   /// Clock override for deterministic tests; null = steady clock.
   std::function<int64_t()> now;
 };
@@ -47,89 +43,42 @@ struct CircuitBreakerStats {
 /// it — success closes the circuit, another transient failure re-opens
 /// it for a fresh cool-down. Non-transient errors (the engine answered,
 /// just unhelpfully) neither count toward nor reset the failure streak.
-/// Thread-safe.
+///
+/// A plain state machine, not thread-safe: ReqPump keeps one per
+/// destination (ReqPump::Limits::breaker) and guards it with its lock.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(CircuitBreakerOptions options = {});
+  /// `destination` labels the flight-recorder transition events.
+  explicit CircuitBreaker(CircuitBreakerOptions options = {},
+                          std::string destination = "");
 
-  /// True if a request may be sent now; admitting a request while
-  /// half-open counts it as a probe. False = fail fast.
-  bool Allow() { return Allow(nullptr); }
-
-  /// As above; when non-null, `*as_probe` is set to whether THIS
-  /// admission is the half-open probe. Callers thread that flag back
-  /// into RecordSuccess/RecordFailure so the single probe slot is
-  /// released by the probe's own outcome — not wedged by it (a probe
-  /// answering with a non-transient error) and not stolen by stale
-  /// completions from before the trip.
+  /// True if a request may be sent now; false = fail fast. Sets
+  /// `*as_probe` to whether THIS admission is the half-open probe.
+  /// Callers thread that flag back into RecordSuccess/RecordFailure so
+  /// the single probe slot is released by the probe's own outcome —
+  /// not wedged by it (a probe answering with a non-transient error)
+  /// and not stolen by stale completions from before the trip.
   bool Allow(bool* as_probe);
 
-  /// Record the outcome of an admitted request. The flag-less forms
-  /// infer `was_probe` from the current state (half-open = probe),
-  /// which is right for callers that serialize probe outcomes.
-  void RecordSuccess();
+  /// Record the outcome of an admitted request.
   void RecordSuccess(bool was_probe);
-  void RecordFailure(const Status& status);
   void RecordFailure(const Status& status, bool was_probe);
 
-  CircuitState state() const;
-  CircuitBreakerStats stats() const;
-  int consecutive_failures() const;
-
-  /// Destination label stamped on flight-recorder transition events.
-  /// Set once right after construction (CircuitBreakerSearchService
-  /// passes its engine name), before any concurrent use.
-  void set_destination(std::string destination) {
-    destination_ = std::move(destination);
-  }
-  const std::string& destination() const { return destination_; }
+  CircuitState state() const { return state_; }
+  const CircuitBreakerStats& stats() const { return stats_; }
+  int consecutive_failures() const { return consecutive_failures_; }
 
  private:
   int64_t Now() const;
-  void TripLocked(int64_t now) WSQ_REQUIRES(mu_);
-  void RecordSuccessLocked(bool was_probe) WSQ_REQUIRES(mu_);
-  void RecordFailureLocked(const Status& status, bool was_probe)
-      WSQ_REQUIRES(mu_);
+  void Trip(int64_t now);
 
-  /// Immutable after construction (read without mu_).
   CircuitBreakerOptions options_;
-  /// Immutable after set_destination (read without mu_).
   std::string destination_;
-
-  mutable Mutex mu_;
-  CircuitState state_ WSQ_GUARDED_BY(mu_) = CircuitState::kClosed;
-  int consecutive_failures_ WSQ_GUARDED_BY(mu_) = 0;
-  int inflight_probes_ WSQ_GUARDED_BY(mu_) = 0;
-  int64_t open_until_micros_ WSQ_GUARDED_BY(mu_) = 0;
-  CircuitBreakerStats stats_ WSQ_GUARDED_BY(mu_);
-};
-
-/// SearchService decorator guarding one engine with a CircuitBreaker.
-/// Rejected requests complete immediately with kUnavailable (itself a
-/// transient code, so an outer retry layer backs off rather than
-/// aborting the query). Keyed per engine by construction: wrap each
-/// engine's service with its own instance.
-class CircuitBreakerSearchService : public SearchService {
- public:
-  CircuitBreakerSearchService(SearchService* wrapped,
-                              CircuitBreakerOptions options = {});
-
-  /// Unhooks the per-destination stats collector from the registry.
-  ~CircuitBreakerSearchService() override;
-
-  const std::string& name() const override { return wrapped_->name(); }
-
-  void Submit(SearchRequest request, SearchCallback done) override;
-
-  CircuitBreaker* breaker() { return &breaker_; }
-  const CircuitBreaker* breaker() const { return &breaker_; }
-
- private:
-  SearchService* wrapped_;
-  CircuitBreaker breaker_;
-  uint64_t collector_id_ = 0;
-  /// \statusz section provider handle, removed in the destructor.
-  uint64_t statusz_id_ = 0;
+  CircuitState state_ = CircuitState::kClosed;
+  int consecutive_failures_ = 0;
+  bool probe_outstanding_ = false;
+  int64_t open_until_micros_ = 0;
+  CircuitBreakerStats stats_;
 };
 
 }  // namespace wsq

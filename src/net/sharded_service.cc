@@ -1,8 +1,6 @@
 #include "net/sharded_service.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/clock.h"
@@ -317,7 +315,7 @@ PumpCallback ShardedSearchService::ShardEvent(const Flight& flight, size_t i,
                                    &deliveries);
     }
     // Deliver waiter callbacks outside every lock: they may re-enter
-    // Submit (a retry layer above us) or take arbitrary downstream locks.
+    // Submit or take arbitrary downstream locks.
     for (Delivery& d : deliveries) d.done(std::move(d.response));
   };
 }
@@ -581,19 +579,10 @@ SimulatedShardCluster::SimulatedShardCluster(const Corpus* corpus,
     sim.latency = options_.latency;
     sim.server_capacity = options_.server_capacity;
     sim.seed = options_.seed + i * 1000003u;
+    if (i < options_.shard_faults.size()) sim.faults = options_.shard_faults[i];
     nodes_.push_back(std::make_unique<SimulatedSearchService>(
         engines_[i].get(), sim));
-    FaultPlan plan;
-    if (i < options_.shard_faults.size()) plan = options_.shard_faults[i];
-    faults_.push_back(std::make_unique<FaultInjectingSearchService>(
-        nodes_[i].get(), plan));
-    RetryPolicy retry = options_.retry;
-    retry.seed = options_.seed + i;
-    retries_.push_back(std::make_unique<RetryingSearchService>(
-        faults_[i].get(), retry));
-    breakers_.push_back(std::make_unique<CircuitBreakerSearchService>(
-        retries_[i].get(), options_.breaker));
-    shards[i].primary = breakers_[i].get();
+    shards[i].primary = nodes_[i].get();
     if (options_.with_replicas) {
       SearchEngineConfig replica_cfg = cfg;
       replica_cfg.name = cfg.name + "r";
@@ -601,41 +590,21 @@ SimulatedShardCluster::SimulatedShardCluster(const Corpus* corpus,
           std::make_unique<SearchEngine>(&slices_[i], replica_cfg));
       SimulatedSearchService::Options replica_sim = sim;
       replica_sim.seed = sim.seed ^ 0x5eedful;
+      replica_sim.faults = FaultPlan{};
       replica_nodes_.push_back(std::make_unique<SimulatedSearchService>(
           replica_engines_[i].get(), replica_sim));
       shards[i].replica = replica_nodes_[i].get();
     }
   }
-  pump_ = std::make_unique<ReqPump>(options_.pump_limits);
+  // Offset the pump's backoff draws by the cluster seed, as the nodes'
+  // latency draws are, so one seed reseeds the whole cluster.
+  ReqPump::Limits limits = options_.pump_limits;
+  limits.retry.seed += options_.seed;
+  pump_ = std::make_unique<ReqPump>(std::move(limits));
   ShardedSearchService::Options svc = options_.service;
   if (svc.name == "sharded") svc.name = options_.engine.name;
   sharded_ = std::make_unique<ShardedSearchService>(std::move(shards),
                                                     pump_.get(), svc);
-}
-
-SimulatedShardCluster::~SimulatedShardCluster() {
-  // Tear the front-end down first (fails outstanding waiters, cancels
-  // its legs), then the pump. After that only the service stacks
-  // remain — and the retry layer's destructor blocks until its calls
-  // resolve, which never happens on its own while those calls sit
-  // parked in the fault layer's hang queue below it. Worse, a released
-  // hang completes kUnavailable (transient), which the retry layer may
-  // re-submit — and the resubmission hangs again. So: keep releasing
-  // hung calls until every retry stack reports idle.
-  sharded_.reset();
-  pump_.reset();
-  for (;;) {
-    bool idle = true;
-    for (auto& retry : retries_) {
-      if (retry->outstanding() != 0) {
-        idle = false;
-        break;
-      }
-    }
-    if (idle) break;
-    for (auto& fault : faults_) fault->ReleaseHung();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
 }
 
 void SimulatedShardCluster::Quiesce() {

@@ -9,10 +9,7 @@
 
 #include "async/req_pump.h"
 #include "common/thread_annotations.h"
-#include "net/circuit_breaker.h"
-#include "net/fault_service.h"
 #include "net/latency_model.h"
-#include "net/retry_service.h"
 #include "net/search_service.h"
 #include "net/shard_policy.h"
 #include "net/simulated_service.h"
@@ -234,10 +231,12 @@ class ShardedSearchService : public SearchService {
 /// one index that shows only that range's postings), builds primary
 /// (and optionally replica) engines per shard over that window — all
 /// sharing the base engine's rank_seed so merged results are
-/// byte-identical to an unsharded engine over the full corpus —
-/// wraps each in the fault -> retry -> circuit-breaker stack, and
-/// fronts them with a ShardedSearchService on a private ReqPump.
-/// Used by DemoEnv (`search_shards`), tests/net and bench_shards.
+/// byte-identical to an unsharded engine over the full corpus — each
+/// on its own simulated node (which injects the shard's faults), and
+/// fronts them with a ShardedSearchService on a private ReqPump that
+/// retries transient shard failures and keeps a circuit breaker per
+/// destination. Used by DemoEnv (`search_shards`), tests/net and
+/// bench_shards.
 class SimulatedShardCluster {
  public:
   struct Options {
@@ -248,26 +247,23 @@ class SimulatedShardCluster {
     LatencyModel latency;
     /// Per-shard concurrent capacity of each simulated node.
     size_t server_capacity = 0;
+    /// Seeds the nodes' latency draws and offsets the pump's backoff
+    /// draws (pump_limits.retry.seed).
     uint64_t seed = 1;
     /// Build a replica node per shard (enables hedging/failover).
     bool with_replicas = false;
     /// Fault plans applied per shard (index < num_shards); missing
     /// entries mean no injected faults. Replicas are not faulted.
     std::vector<FaultPlan> shard_faults;
-    RetryPolicy retry;
-    CircuitBreakerOptions breaker;
-    ReqPump::Limits pump_limits;
+    /// Limits of the cluster's pump. By default a shard call gets three
+    /// attempts and each destination a five-failure circuit breaker.
+    ReqPump::Limits pump_limits{.retry = {.max_attempts = 3},
+                                .breaker = CircuitBreakerOptions{}};
     ShardedSearchService::Options service;
   };
 
   /// `corpus` must outlive the cluster.
   SimulatedShardCluster(const Corpus* corpus, Options options);
-
-  /// Orderly teardown even with calls parked in the fault layers'
-  /// hang queues: stops the front-end, then releases hung calls until
-  /// every retry stack drains (a released hang is a transient failure,
-  /// so the retry layer may re-submit — and re-park).
-  ~SimulatedShardCluster();
 
   SimulatedShardCluster(const SimulatedShardCluster&) = delete;
   SimulatedShardCluster& operator=(const SimulatedShardCluster&) = delete;
@@ -275,29 +271,26 @@ class SimulatedShardCluster {
   ShardedSearchService* service() { return sharded_.get(); }
   ReqPump* pump() { return pump_.get(); }
   size_t num_shards() const { return options_.num_shards; }
-  FaultInjectingSearchService* fault(size_t shard) {
-    return faults_[shard].get();
-  }
-  CircuitBreakerSearchService* breaker(size_t shard) {
-    return breakers_[shard].get();
-  }
+  /// Shard `shard`'s primary node; its name() is the shard's pump
+  /// destination.
+  SimulatedSearchService* node(size_t shard) { return nodes_[shard].get(); }
 
   /// Blocks until the front-end and every simulated node are idle.
+  /// Requests parked by an injected hang do not count.
   void Quiesce();
 
  private:
   Options options_;
-  /// Destruction is bottom-up by declaration order reversal: the
+  /// Destruction runs in reverse declaration order: the
   /// ShardedSearchService goes first (cancels its legs and fails
-  /// waiters), then its pump (drops pending hedge timers), then the
-  /// service stacks those legs ran against, then engines and slices.
+  /// waiters), then its pump (drops calls in backoff and pending hedge
+  /// timers), then the nodes, which deliver what they still hold — hung
+  /// requests included — into the pump's shared core, where it is
+  /// discarded; then engines and slices.
   std::vector<Corpus> slices_;
   std::vector<std::unique_ptr<SearchEngine>> engines_;
   std::vector<std::unique_ptr<SimulatedSearchService>> nodes_;
-  std::vector<std::unique_ptr<FaultInjectingSearchService>> faults_;
-  std::vector<std::unique_ptr<RetryingSearchService>> retries_;
-  std::vector<std::unique_ptr<CircuitBreakerSearchService>> breakers_;
-  /// Replica stacks (plain simulated nodes; index parallel to shards).
+  /// Replica nodes (index parallel to shards).
   std::vector<std::unique_ptr<SearchEngine>> replica_engines_;
   std::vector<std::unique_ptr<SimulatedSearchService>> replica_nodes_;
   std::unique_ptr<ReqPump> pump_;

@@ -6,10 +6,32 @@
 
 namespace wsq {
 
+namespace {
+
+/// FNV-1a, then a SplitMix64 finalizer: stable across runs (unlike
+/// std::hash) so fault decisions reproduce from the seed alone.
+uint64_t StableHash(uint64_t seed, const std::string& key) {
+  uint64_t h = 14695981039346656037ull ^ seed;
+  for (unsigned char c : key) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return Mix64(h + kSplitMixGamma);
+}
+
+bool InjectsFaults(const FaultPlan& plan) {
+  return plan.permanent_rate > 0 || plan.hang_rate > 0 ||
+         plan.transient_rate > 0 || plan.delay_rate > 0 ||
+         plan.outage_length > 0;
+}
+
+}  // namespace
+
 SimulatedSearchService::SimulatedSearchService(const SearchEngine* engine,
                                                Options options)
     : engine_(engine),
       options_(options),
+      faulty_(InjectsFaults(options.faults)),
       rng_(options.seed ^ 0xcafe),
       timer_([this] { TimerLoop(); }) {}
 
@@ -20,38 +42,97 @@ SimulatedSearchService::~SimulatedSearchService() {
   }
   cv_.NotifyAll();
   timer_.join();
+  ReleaseHung();
+}
+
+SimulatedSearchService::Fault SimulatedSearchService::InjectLocked(
+    const std::string& key, uint64_t arrival, Status* failure,
+    int64_t* delay_micros) {
+  const FaultPlan& plan = options_.faults;
+  if (plan.outage_length > 0 && arrival >= plan.outage_start &&
+      arrival < plan.outage_start + plan.outage_length) {
+    ++stats_.outage_failures;
+    *failure = Status::Unavailable("injected outage window at " + name());
+    return Fault::kFail;
+  }
+  double u = UnitDouble(StableHash(plan.seed, key));
+  if (u < plan.permanent_rate) {
+    ++stats_.injected_permanent;
+    *failure = Status::ExecutionError("injected permanent fault for: " + key);
+    return Fault::kFail;
+  }
+  u -= plan.permanent_rate;
+  if (u < plan.hang_rate) {
+    ++stats_.injected_hangs;
+    return Fault::kHang;
+  }
+  u -= plan.hang_rate;
+  // Transient faults clear after `transient_tries` sightings so a
+  // retrying caller can succeed.
+  if (u < plan.transient_rate &&
+      transient_seen_[key]++ < plan.transient_tries) {
+    ++stats_.injected_transient;
+    *failure = Status::Unavailable("injected transient fault for: " + key);
+    return Fault::kFail;
+  }
+  // Independent draw: decorate the seed so delay and fault bands don't
+  // correlate.
+  if (plan.delay_rate > 0 &&
+      UnitDouble(StableHash(plan.seed ^ 0xde1a9ull, key)) < plan.delay_rate) {
+    ++stats_.injected_delays;
+    *delay_micros = plan.delay_micros;
+  }
+  return Fault::kNone;
 }
 
 void SimulatedSearchService::Submit(SearchRequest request,
                                     SearchCallback done) {
   int64_t now = NowMicros();
   bool earliest = false;
+  Status failure;
   {
     MutexLock lock(&mu_);
-    int64_t latency = options_.latency.SampleMicros(rng_);
-    int64_t start = now;
-    if (options_.server_capacity > 0) {
-      // All slots busy: the request starts when the earliest slot frees.
-      while (!slot_free_times_.empty() && slot_free_times_.top() <= now) {
-        slot_free_times_.pop();
-      }
-      if (slot_free_times_.size() >= options_.server_capacity) {
-        start = slot_free_times_.top();
-        slot_free_times_.pop();
-      }
-      slot_free_times_.push(start + latency);
+    const uint64_t arrival = ++stats_.total_requests;
+    int64_t delay = 0;
+    const Fault fault =
+        faulty_ ? InjectLocked(request.CacheKey(), arrival, &failure, &delay)
+                : Fault::kNone;
+    if (fault == Fault::kHang) {
+      // Parked: ReleaseHung or the destructor completes it.
+      hung_.push_back(std::move(done));
+      return;
     }
-    Pending p;
-    p.deadline_micros = start + latency;
-    p.seq = next_seq_++;
-    p.request = std::move(request);
-    p.done = std::move(done);
-    uint64_t seq = p.seq;
-    heap_.push(std::move(p));
-    earliest = heap_.top().seq == seq;
-    ++stats_.total_requests;
-    ++in_flight_;
-    stats_.max_concurrent = std::max(stats_.max_concurrent, in_flight_);
+    if (fault == Fault::kNone) {
+      int64_t latency = options_.latency.SampleMicros(rng_) + delay;
+      int64_t start = now;
+      if (options_.server_capacity > 0) {
+        // All slots busy: the request starts when the earliest slot
+        // frees.
+        while (!slot_free_times_.empty() && slot_free_times_.top() <= now) {
+          slot_free_times_.pop();
+        }
+        if (slot_free_times_.size() >= options_.server_capacity) {
+          start = slot_free_times_.top();
+          slot_free_times_.pop();
+        }
+        slot_free_times_.push(start + latency);
+      }
+      Pending p;
+      p.deadline_micros = start + latency;
+      p.seq = next_seq_++;
+      p.request = std::move(request);
+      p.done = std::move(done);
+      uint64_t seq = p.seq;
+      heap_.push(std::move(p));
+      earliest = heap_.top().seq == seq;
+      ++in_flight_;
+      stats_.max_concurrent = std::max(stats_.max_concurrent, in_flight_);
+    }
+  }
+  // Immediate faults complete inline, outside the lock.
+  if (!failure.ok()) {
+    done(SearchResponse{std::move(failure), 0, {}});
+    return;
   }
   // Wake the timer only if it must re-arm for an earlier deadline.
   if (earliest) cv_.NotifyAll();
@@ -60,6 +141,23 @@ void SimulatedSearchService::Submit(SearchRequest request,
 SimulatedServiceStats SimulatedSearchService::stats() const {
   MutexLock lock(&mu_);
   return stats_;
+}
+
+size_t SimulatedSearchService::hung_requests() const {
+  MutexLock lock(&mu_);
+  return hung_.size();
+}
+
+void SimulatedSearchService::ReleaseHung() {
+  std::vector<SearchCallback> held;
+  {
+    MutexLock lock(&mu_);
+    held.swap(hung_);
+  }
+  for (SearchCallback& done : held) {
+    done(SearchResponse{
+        Status::Unavailable("hung request released by " + name()), 0, {}});
+  }
 }
 
 void SimulatedSearchService::Quiesce() {

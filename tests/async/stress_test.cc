@@ -9,8 +9,6 @@
 
 #include "async/req_pump.h"
 #include "common/clock.h"
-#include "net/fault_service.h"
-#include "net/retry_service.h"
 #include "net/simulated_service.h"
 #include "wsq/database.h"
 #include "wsq/demo.h"
@@ -124,8 +122,8 @@ TEST(AsyncStressTest, PumpLimitMeetsServerCapacity) {
 }
 
 TEST(AsyncStressTest, FlakyEngineWithRetriesStillAnswersQueries) {
-  // An engine that fails ~30% of first attempts, fronted by retries:
-  // WSQ queries succeed and results match a healthy run.
+  // An engine that fails ~30% of first attempts, behind a pump that
+  // retries: WSQ queries succeed and results match a healthy run.
   CorpusConfig cfg;
   cfg.num_documents = 1500;
   cfg.seed = 77;
@@ -165,13 +163,11 @@ TEST(AsyncStressTest, FlakyEngineWithRetriesStillAnswersQueries) {
     std::set<std::string> seen_;
   } flaky(&backend);
 
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_backoff_micros = 300;
-  RetryingSearchService retry(&flaky, policy);
-
-  WsqDatabase db;
-  ASSERT_TRUE(db.RegisterSearchEngine("AV", &retry, true).ok());
+  WsqDatabase::Options dbopt;
+  dbopt.pump_limits.retry.max_attempts = 4;
+  dbopt.pump_limits.retry.initial_backoff_micros = 300;
+  WsqDatabase db(dbopt);
+  ASSERT_TRUE(db.RegisterSearchEngine("AV", &flaky, true).ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE Sigs (Name STRING)").ok());
   for (const std::string& sig : AcmSigs()) {
     ASSERT_TRUE(db.Execute("INSERT INTO Sigs VALUES ('" + sig + "')")
@@ -183,7 +179,7 @@ TEST(AsyncStressTest, FlakyEngineWithRetriesStillAnswersQueries) {
       "Order By Name");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->result.rows.size(), 37u);
-  EXPECT_GT(retry.stats().retries, 0u);
+  EXPECT_GT(db.pump()->stats().retried, 0u);
 
   // Cross-check against the unflaky backend.
   WsqDatabase clean;
@@ -262,7 +258,7 @@ struct DegradedRun {
   Status status;
   ResultSet result;
   QueryStats stats;
-  FaultStats faults;
+  SimulatedServiceStats faults;
   size_t pending_results_after = 0;
   int64_t elapsed_micros = 0;
 };
@@ -277,13 +273,10 @@ DegradedRun RunDegradedSigsQuery(OnCallError policy, uint64_t seed) {
   SearchEngine engine(&corpus, ecfg);
   SimulatedSearchService::Options sopt;
   sopt.latency = LatencyModel::Fixed(1000);
-  SimulatedSearchService backend(&engine, sopt);
-
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.hang_rate = 0.10;       // never answers; only the deadline saves us
-  plan.permanent_rate = 0.10;  // hard error on every attempt
-  FaultInjectingSearchService faulty(&backend, plan);
+  sopt.faults.seed = seed;
+  sopt.faults.hang_rate = 0.10;  // never answers; only the deadline saves us
+  sopt.faults.permanent_rate = 0.10;  // hard error on every attempt
+  SimulatedSearchService faulty(&engine, sopt);
 
   DegradedRun out;
   {
@@ -312,8 +305,8 @@ DegradedRun RunDegradedSigsQuery(OnCallError policy, uint64_t seed) {
       out.status = r.status();
     }
     out.pending_results_after = db.pump()->pending_results();
-  }  // db (and its pump) destroyed BEFORE the fault service releases
-  out.faults = faulty.stats();  // its hung callbacks — must be safe
+  }  // db (and its pump) destroyed BEFORE the node releases its hung
+  out.faults = faulty.stats();  // callbacks — must be safe
   return out;
 }
 
@@ -397,7 +390,7 @@ TEST(AsyncStressTest, DegradedQueryIsDeterministicPerSeed) {
 }
 
 TEST(AsyncStressTest, TransientFaultsHealedByRetriesUnderDeadlines) {
-  // Transient faults + retry layer + deadlines together: every call
+  // Transient faults + pump retries + deadlines together: every call
   // eventually succeeds, so even the strict policy answers in full.
   CorpusConfig cfg;
   cfg.num_documents = 1500;
@@ -408,24 +401,18 @@ TEST(AsyncStressTest, TransientFaultsHealedByRetriesUnderDeadlines) {
   SearchEngine engine(&corpus, ecfg);
   SimulatedSearchService::Options sopt;
   sopt.latency = LatencyModel::Fixed(500);
-  SimulatedSearchService backend(&engine, sopt);
-
-  FaultPlan plan;
-  plan.seed = 13;
-  plan.transient_rate = 0.4;
-  plan.transient_tries = 1;
-  FaultInjectingSearchService faulty(&backend, plan);
-
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_micros = 500;
-  policy.seed = 21;
-  RetryingSearchService retry(&faulty, policy);
+  sopt.faults.seed = 13;
+  sopt.faults.transient_rate = 0.4;
+  sopt.faults.transient_tries = 1;
+  SimulatedSearchService faulty(&engine, sopt);
 
   WsqDatabase::Options dbopt;
   dbopt.pump_limits.default_timeout_micros = 2000000;
+  dbopt.pump_limits.retry = {.max_attempts = 3,
+                             .initial_backoff_micros = 500,
+                             .seed = 21};
   WsqDatabase db(dbopt);
-  ASSERT_TRUE(db.RegisterSearchEngine("AV", &retry, true).ok());
+  ASSERT_TRUE(db.RegisterSearchEngine("AV", &faulty, true).ok());
   ASSERT_TRUE(db.Execute("CREATE TABLE Sigs (Name STRING)").ok());
   for (const std::string& sig : AcmSigs()) {
     ASSERT_TRUE(
@@ -438,8 +425,8 @@ TEST(AsyncStressTest, TransientFaultsHealedByRetriesUnderDeadlines) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->result.rows.size(), 37u);
   EXPECT_GT(faulty.stats().injected_transient, 0u);
-  EXPECT_GT(retry.stats().retries, 0u);
-  EXPECT_EQ(retry.stats().gave_up, 0u);
+  EXPECT_GT(db.pump()->stats().retried, 0u);
+  EXPECT_EQ(db.pump()->stats().failed, 0u);  // no call gave up
   EXPECT_EQ(db.pump()->pending_results(), 0u);
 }
 

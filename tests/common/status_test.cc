@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "common/macros.h"
 #include "common/result.h"
 
@@ -97,6 +102,28 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> p = std::move(r).value();
   EXPECT_EQ(*p, 5);
+}
+
+Result<std::vector<std::string>> MakeResult() {
+  return std::vector<std::string>{"alpha", "beta", "gamma"};
+}
+
+// The rvalue accessors return the value itself, so a range-for over a
+// temporary Result iterates a value that lives for the whole loop
+// rather than a reference into the destroyed temporary.
+static_assert(std::is_same_v<decltype(*MakeResult()),
+                             std::vector<std::string>>);
+static_assert(std::is_same_v<decltype(MakeResult().value()),
+                             std::vector<std::string>>);
+static_assert(std::is_same_v<decltype(*std::declval<
+                                 Result<std::vector<std::string>>&>()),
+                             std::vector<std::string>&>);
+
+TEST(ResultTest, RangeForOverTemporaryResult) {
+  std::string joined;
+  for (const std::string& s : *MakeResult()) joined += s;
+  for (const std::string& s : MakeResult().value()) joined += s;
+  EXPECT_EQ(joined, "alphabetagammaalphabetagamma");
 }
 
 Status FailIfNegative(int x) {

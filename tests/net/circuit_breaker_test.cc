@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <mutex>
-#include <string>
-
 namespace wsq {
 namespace {
 
@@ -29,13 +26,15 @@ CircuitBreakerOptions OptionsWithClock(FakeClock* clock,
 TEST(CircuitBreakerTest, TripsAfterConsecutiveTransientFailures) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock));
+  bool probe = true;
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(breaker.Allow());
-    breaker.RecordFailure(Status::Unavailable("down"));
+    ASSERT_TRUE(breaker.Allow(&probe));
+    ASSERT_FALSE(probe);
+    breaker.RecordFailure(Status::Unavailable("down"), probe);
     EXPECT_EQ(breaker.state(), CircuitState::kClosed) << i;
   }
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure(Status::Unavailable("down"));
+  ASSERT_TRUE(breaker.Allow(&probe));
+  breaker.RecordFailure(Status::Unavailable("down"), probe);
   EXPECT_EQ(breaker.state(), CircuitState::kOpen);
   EXPECT_EQ(breaker.stats().trips, 1u);
 }
@@ -44,36 +43,38 @@ TEST(CircuitBreakerTest, OpenCircuitFailsFast) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock));
   for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::DeadlineExceeded("slow"));
+    breaker.RecordFailure(Status::DeadlineExceeded("slow"), false);
   }
   ASSERT_EQ(breaker.state(), CircuitState::kOpen);
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
+  bool probe = true;
+  EXPECT_FALSE(breaker.Allow(&probe));
+  EXPECT_FALSE(probe);
+  EXPECT_FALSE(breaker.Allow(&probe));
   EXPECT_EQ(breaker.stats().fast_failures, 2u);
 }
 
 TEST(CircuitBreakerTest, NonTransientErrorsNeitherCountNorReset) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock));
-  breaker.RecordFailure(Status::Unavailable("down"));
-  breaker.RecordFailure(Status::Unavailable("down"));
+  breaker.RecordFailure(Status::Unavailable("down"), false);
+  breaker.RecordFailure(Status::Unavailable("down"), false);
   // The engine answered (badly): not evidence it is unreachable.
-  breaker.RecordFailure(Status::InvalidArgument("bad query"));
+  breaker.RecordFailure(Status::InvalidArgument("bad query"), false);
   EXPECT_EQ(breaker.consecutive_failures(), 2);
   EXPECT_EQ(breaker.state(), CircuitState::kClosed);
   // The streak survives the non-transient error: one more trips.
-  breaker.RecordFailure(Status::Unavailable("down"));
+  breaker.RecordFailure(Status::Unavailable("down"), false);
   EXPECT_EQ(breaker.state(), CircuitState::kOpen);
 }
 
 TEST(CircuitBreakerTest, SuccessResetsTheStreak) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock));
-  breaker.RecordFailure(Status::Unavailable("down"));
-  breaker.RecordFailure(Status::Unavailable("down"));
-  breaker.RecordSuccess();
-  breaker.RecordFailure(Status::Unavailable("down"));
-  breaker.RecordFailure(Status::Unavailable("down"));
+  breaker.RecordFailure(Status::Unavailable("down"), false);
+  breaker.RecordFailure(Status::Unavailable("down"), false);
+  breaker.RecordSuccess(false);
+  breaker.RecordFailure(Status::Unavailable("down"), false);
+  breaker.RecordFailure(Status::Unavailable("down"), false);
   EXPECT_EQ(breaker.state(), CircuitState::kClosed);
   EXPECT_EQ(breaker.consecutive_failures(), 2);
 }
@@ -82,15 +83,18 @@ TEST(CircuitBreakerTest, CooldownAdmitsOneProbe) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock, 3, 1000));
   for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::Unavailable("down"));
+    breaker.RecordFailure(Status::Unavailable("down"), false);
   }
   ASSERT_EQ(breaker.state(), CircuitState::kOpen);
-  EXPECT_FALSE(breaker.Allow());
+  bool probe = false;
+  EXPECT_FALSE(breaker.Allow(&probe));
 
   clock.now = 1000;  // cool-down elapsed
-  EXPECT_TRUE(breaker.Allow());  // the probe
+  EXPECT_TRUE(breaker.Allow(&probe));  // the probe
+  EXPECT_TRUE(probe);
   EXPECT_EQ(breaker.state(), CircuitState::kHalfOpen);
-  EXPECT_FALSE(breaker.Allow());  // only one probe at a time
+  EXPECT_FALSE(breaker.Allow(&probe));  // only one probe at a time
+  EXPECT_FALSE(probe);
   EXPECT_EQ(breaker.stats().probes, 1u);
 }
 
@@ -98,13 +102,16 @@ TEST(CircuitBreakerTest, ProbeSuccessClosesTheCircuit) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock, 3, 1000));
   for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::Unavailable("down"));
+    breaker.RecordFailure(Status::Unavailable("down"), false);
   }
   clock.now = 1500;
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordSuccess();
+  bool probe = false;
+  ASSERT_TRUE(breaker.Allow(&probe));
+  ASSERT_TRUE(probe);
+  breaker.RecordSuccess(probe);
   EXPECT_EQ(breaker.state(), CircuitState::kClosed);
-  EXPECT_TRUE(breaker.Allow());
+  EXPECT_TRUE(breaker.Allow(&probe));
+  EXPECT_FALSE(probe);  // closed: no more probes
   EXPECT_EQ(breaker.consecutive_failures(), 0);
 }
 
@@ -112,25 +119,28 @@ TEST(CircuitBreakerTest, ProbeFailureReopensWithFreshCooldown) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock, 3, 1000));
   for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::Unavailable("down"));
+    breaker.RecordFailure(Status::Unavailable("down"), false);
   }
   clock.now = 1200;
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure(Status::Unavailable("still down"));
+  bool probe = false;
+  ASSERT_TRUE(breaker.Allow(&probe));
+  ASSERT_TRUE(probe);
+  breaker.RecordFailure(Status::Unavailable("still down"), probe);
   EXPECT_EQ(breaker.state(), CircuitState::kOpen);
   EXPECT_EQ(breaker.stats().trips, 2u);
-  EXPECT_FALSE(breaker.Allow());  // fresh cool-down from 1200
+  EXPECT_FALSE(breaker.Allow(&probe));  // fresh cool-down from 1200
   clock.now = 2199;
-  EXPECT_FALSE(breaker.Allow());
+  EXPECT_FALSE(breaker.Allow(&probe));
   clock.now = 2200;
-  EXPECT_TRUE(breaker.Allow());  // next probe
+  EXPECT_TRUE(breaker.Allow(&probe));  // next probe
+  EXPECT_TRUE(probe);
 }
 
 TEST(CircuitBreakerTest, NonTransientProbeOutcomeReleasesTheGate) {
   FakeClock clock;
   CircuitBreaker breaker(OptionsWithClock(&clock, 3, 1000));
   for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::Unavailable("down"));
+    breaker.RecordFailure(Status::Unavailable("down"), false);
   }
   clock.now = 1000;
   bool as_probe = false;
@@ -156,7 +166,7 @@ TEST(CircuitBreakerTest, StragglerSuccessDoesNotCloseHalfOpen) {
   ASSERT_TRUE(breaker.Allow(&pre_trip_probe));
   ASSERT_FALSE(pre_trip_probe);  // closed: not a probe
   for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::Unavailable("down"));
+    breaker.RecordFailure(Status::Unavailable("down"), false);
   }
   clock.now = 1000;
   bool as_probe = false;
@@ -174,97 +184,10 @@ TEST(CircuitBreakerTest, StragglerSuccessDoesNotCloseHalfOpen) {
   EXPECT_EQ(breaker.state(), CircuitState::kClosed);
 }
 
-TEST(CircuitBreakerTest, FlaglessCallsKeepLegacyInference) {
-  FakeClock clock;
-  CircuitBreaker breaker(OptionsWithClock(&clock, 3, 1000));
-  for (int i = 0; i < 3; ++i) {
-    breaker.RecordFailure(Status::Unavailable("down"));
-  }
-  clock.now = 1000;
-  ASSERT_TRUE(breaker.Allow());
-  ASSERT_EQ(breaker.state(), CircuitState::kHalfOpen);
-  // The flag-less overload infers was_probe from the half-open state,
-  // so pre-existing callers (and tests) behave as before.
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitState::kClosed);
-}
-
 TEST(CircuitBreakerTest, StateNames) {
   EXPECT_EQ(CircuitStateToString(CircuitState::kClosed), "Closed");
   EXPECT_EQ(CircuitStateToString(CircuitState::kOpen), "Open");
   EXPECT_EQ(CircuitStateToString(CircuitState::kHalfOpen), "HalfOpen");
-}
-
-/// Backend whose health is script-controlled.
-class ScriptedService : public SearchService {
- public:
-  const std::string& name() const override { return name_; }
-
-  void Submit(SearchRequest request, SearchCallback done) override {
-    (void)request;
-    bool fail;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++served_;
-      fail = failing_;
-    }
-    if (fail) {
-      done(SearchResponse{Status::Unavailable("scripted outage"), 0, {}});
-    } else {
-      done(SearchResponse{Status::OK(), 7, {}});
-    }
-  }
-
-  void set_failing(bool failing) {
-    std::lock_guard<std::mutex> lock(mu_);
-    failing_ = failing;
-  }
-  uint64_t served() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return served_;
-  }
-
- private:
-  std::string name_ = "AltaVista";
-  mutable std::mutex mu_;
-  bool failing_ = false;
-  uint64_t served_ = 0;
-};
-
-TEST(CircuitBreakerServiceTest, ShieldsBackendWhileOpenThenRecovers) {
-  FakeClock clock;
-  ScriptedService backend;
-  backend.set_failing(true);
-  CircuitBreakerSearchService guarded(&backend,
-                                      OptionsWithClock(&clock, 3, 1000));
-
-  SearchRequest req;
-  req.query = "databases";
-  // Three transient failures reach the backend and trip the circuit.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(guarded.Execute(req).status.code(),
-              StatusCode::kUnavailable);
-  }
-  EXPECT_EQ(guarded.breaker()->state(), CircuitState::kOpen);
-  EXPECT_EQ(backend.served(), 3u);
-
-  // While open, rejections are instant and the backend sees nothing.
-  for (int i = 0; i < 5; ++i) {
-    SearchResponse resp = guarded.Execute(req);
-    EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable);
-    EXPECT_TRUE(IsTransient(resp.status.code()));
-  }
-  EXPECT_EQ(backend.served(), 3u);
-  EXPECT_EQ(guarded.breaker()->stats().fast_failures, 5u);
-
-  // Engine heals; after the cool-down one probe goes through and
-  // closes the circuit for everyone.
-  backend.set_failing(false);
-  clock.now = 1000;
-  EXPECT_TRUE(guarded.Execute(req).status.ok());
-  EXPECT_EQ(guarded.breaker()->state(), CircuitState::kClosed);
-  EXPECT_TRUE(guarded.Execute(req).status.ok());
-  EXPECT_EQ(backend.served(), 5u);
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
-#include "net/fault_service.h"
+// Fault injection on the simulated search node: a FaultPlan set as
+// SimulatedSearchService::Options::faults. "Served" below is what
+// reached the engine: completed_requests once the node is quiesced.
 
 #include <gtest/gtest.h>
 
@@ -8,37 +10,41 @@
 
 #include "common/clock.h"
 #include "common/strings.h"
+#include "net/simulated_service.h"
 
 namespace wsq {
 namespace {
 
-/// Backend that always succeeds with a fixed count.
-class OkService : public SearchService {
- public:
-  explicit OkService(std::string name = "AltaVista")
-      : name_(std::move(name)) {}
-
-  const std::string& name() const override { return name_; }
-
-  void Submit(SearchRequest request, SearchCallback done) override {
-    (void)request;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++served_;
-    }
-    done(SearchResponse{Status::OK(), 42, {}});
+class FaultServiceTest : public ::testing::Test {
+ protected:
+  static const Corpus& TestCorpus() {
+    static const Corpus* const kCorpus = [] {
+      CorpusConfig cfg;
+      cfg.num_documents = 300;
+      cfg.vocab_size = 200;
+      cfg.seed = 5;
+      return new Corpus(Corpus::Generate(
+          cfg, {{"colorado", 3.0}, {"utah", 1.0}}));
+    }();
+    return *kCorpus;
   }
 
-  uint64_t served() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return served_;
+  static const SearchEngine& Engine() {
+    static const SearchEngine* const kEngine = [] {
+      SearchEngineConfig cfg;
+      cfg.name = "AltaVista";
+      return new SearchEngine(&TestCorpus(), cfg);
+    }();
+    return *kEngine;
   }
-
- private:
-  std::string name_;
-  mutable std::mutex mu_;
-  uint64_t served_ = 0;
 };
+
+SimulatedSearchService::Options FaultyOptions(const FaultPlan& plan) {
+  SimulatedSearchService::Options opt;
+  opt.latency = LatencyModel::Instant();
+  opt.faults = plan;
+  return opt;
+}
 
 SearchRequest CountRequest(const std::string& query) {
   SearchRequest req;
@@ -47,85 +53,86 @@ SearchRequest CountRequest(const std::string& query) {
   return req;
 }
 
-TEST(FaultServiceTest, PassThroughWhenPlanIsEmpty) {
-  OkService backend;
-  FaultInjectingSearchService faulty(&backend, FaultPlan{});
-  SearchResponse resp = faulty.Execute(CountRequest("databases"));
+TEST_F(FaultServiceTest, PassThroughWhenPlanIsEmpty) {
+  SimulatedSearchService svc(&Engine(), FaultyOptions(FaultPlan{}));
+  SearchResponse resp = svc.Execute(CountRequest("colorado"));
   ASSERT_TRUE(resp.status.ok());
-  EXPECT_EQ(resp.count, 42);
-  EXPECT_EQ(faulty.stats().passed_through, 1u);
+  EXPECT_EQ(resp.count, *Engine().Count("colorado"));
+  svc.Quiesce();
+  SimulatedServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.total_requests, 1u);
+  EXPECT_EQ(stats.completed_requests, 1u);
 }
 
-TEST(FaultServiceTest, TransientFaultsClearAfterConfiguredTries) {
-  OkService backend;
+TEST_F(FaultServiceTest, TransientFaultsClearAfterConfiguredTries) {
   FaultPlan plan;
   plan.transient_rate = 1.0;  // every query draws a transient fault
   plan.transient_tries = 2;
-  FaultInjectingSearchService faulty(&backend, plan);
+  SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
 
-  SearchRequest req = CountRequest("databases");
+  SearchRequest req = CountRequest("colorado");
   for (int attempt = 0; attempt < 2; ++attempt) {
-    SearchResponse resp = faulty.Execute(req);
+    SearchResponse resp = svc.Execute(req);
     EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable) << attempt;
     EXPECT_TRUE(IsTransient(resp.status.code()));
   }
-  // Third attempt of the SAME query passes through.
-  SearchResponse resp = faulty.Execute(req);
+  // Third attempt of the SAME query is served.
+  SearchResponse resp = svc.Execute(req);
   ASSERT_TRUE(resp.status.ok());
-  EXPECT_EQ(backend.served(), 1u);
-  EXPECT_EQ(faulty.stats().injected_transient, 2u);
+  svc.Quiesce();
+  EXPECT_EQ(svc.stats().completed_requests, 1u);
+  EXPECT_EQ(svc.stats().injected_transient, 2u);
 }
 
-TEST(FaultServiceTest, PermanentFaultsNeverClear) {
-  OkService backend;
+TEST_F(FaultServiceTest, PermanentFaultsNeverClear) {
   FaultPlan plan;
   plan.permanent_rate = 1.0;
-  FaultInjectingSearchService faulty(&backend, plan);
+  SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
 
-  SearchRequest req = CountRequest("databases");
+  SearchRequest req = CountRequest("colorado");
   for (int attempt = 0; attempt < 4; ++attempt) {
-    SearchResponse resp = faulty.Execute(req);
+    SearchResponse resp = svc.Execute(req);
     EXPECT_EQ(resp.status.code(), StatusCode::kExecutionError) << attempt;
     EXPECT_FALSE(IsTransient(resp.status.code()));
   }
-  EXPECT_EQ(backend.served(), 0u);
-  EXPECT_EQ(faulty.stats().injected_permanent, 4u);
+  svc.Quiesce();
+  EXPECT_EQ(svc.stats().completed_requests, 0u);
+  EXPECT_EQ(svc.stats().injected_permanent, 4u);
 }
 
-TEST(FaultServiceTest, HungRequestsHeldUntilReleased) {
-  OkService backend;
+TEST_F(FaultServiceTest, HungRequestsHeldUntilReleased) {
   FaultPlan plan;
   plan.hang_rate = 1.0;
-  FaultInjectingSearchService faulty(&backend, plan);
+  SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
 
   std::mutex mu;
   std::optional<SearchResponse> got;
-  faulty.Submit(CountRequest("databases"), [&](SearchResponse resp) {
+  svc.Submit(CountRequest("colorado"), [&](SearchResponse resp) {
     std::lock_guard<std::mutex> lock(mu);
     got = std::move(resp);
   });
+  svc.Quiesce();  // returns with the hung request still parked
   {
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_FALSE(got.has_value());  // callback parked, not invoked
   }
-  EXPECT_EQ(faulty.hung_requests(), 1u);
+  EXPECT_EQ(svc.hung_requests(), 1u);
 
-  faulty.ReleaseHung();
+  svc.ReleaseHung();
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(faulty.hung_requests(), 0u);
+  EXPECT_EQ(svc.hung_requests(), 0u);
 }
 
-TEST(FaultServiceTest, DestructorReleasesHungRequests) {
-  OkService backend;
+TEST_F(FaultServiceTest, DestructorReleasesHungRequests) {
   std::mutex mu;
   std::optional<SearchResponse> got;
   {
     FaultPlan plan;
     plan.hang_rate = 1.0;
-    FaultInjectingSearchService faulty(&backend, plan);
-    faulty.Submit(CountRequest("databases"), [&](SearchResponse resp) {
+    SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
+    svc.Submit(CountRequest("colorado"), [&](SearchResponse resp) {
       std::lock_guard<std::mutex> lock(mu);
       got = std::move(resp);
     });
@@ -135,30 +142,28 @@ TEST(FaultServiceTest, DestructorReleasesHungRequests) {
   EXPECT_EQ(got->status.code(), StatusCode::kUnavailable);
 }
 
-TEST(FaultServiceTest, DelaysAddLatencyWithoutFailing) {
-  OkService backend;
+TEST_F(FaultServiceTest, DelaysAddLatencyWithoutFailing) {
   FaultPlan plan;
   plan.delay_rate = 1.0;
   plan.delay_micros = 20000;
-  FaultInjectingSearchService faulty(&backend, plan);
+  SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
 
   Stopwatch timer;
-  SearchResponse resp = faulty.Execute(CountRequest("databases"));
+  SearchResponse resp = svc.Execute(CountRequest("colorado"));
   ASSERT_TRUE(resp.status.ok());
   EXPECT_GE(timer.ElapsedMicros(), 20000);
-  EXPECT_EQ(faulty.stats().injected_delays, 1u);
+  EXPECT_EQ(svc.stats().injected_delays, 1u);
 }
 
-TEST(FaultServiceTest, OutageWindowFailsConsecutiveArrivals) {
-  OkService backend;
+TEST_F(FaultServiceTest, OutageWindowFailsConsecutiveArrivals) {
   FaultPlan plan;
   plan.outage_start = 2;
   plan.outage_length = 3;  // arrivals 2, 3, 4 fail
-  FaultInjectingSearchService faulty(&backend, plan);
+  SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
 
   for (int i = 1; i <= 6; ++i) {
     SearchResponse resp =
-        faulty.Execute(CountRequest("query" + std::to_string(i)));
+        svc.Execute(CountRequest("query" + std::to_string(i)));
     bool in_outage = i >= 2 && i <= 4;
     if (in_outage) {
       EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable) << i;
@@ -166,12 +171,12 @@ TEST(FaultServiceTest, OutageWindowFailsConsecutiveArrivals) {
       EXPECT_TRUE(resp.status.ok()) << i;
     }
   }
-  EXPECT_EQ(faulty.stats().outage_failures, 3u);
-  EXPECT_EQ(backend.served(), 3u);
+  svc.Quiesce();
+  EXPECT_EQ(svc.stats().outage_failures, 3u);
+  EXPECT_EQ(svc.stats().completed_requests, 3u);
 }
 
-TEST(FaultServiceTest, FaultDecisionsAreDeterministicPerSeed) {
-  OkService backend;
+TEST_F(FaultServiceTest, FaultDecisionsAreDeterministicPerSeed) {
   FaultPlan plan;
   plan.seed = 123;
   plan.permanent_rate = 0.2;
@@ -179,12 +184,12 @@ TEST(FaultServiceTest, FaultDecisionsAreDeterministicPerSeed) {
   plan.transient_rate = 0.3;
   plan.transient_tries = 1000;  // never clears within this test
 
-  auto outcome_map = [&](FaultPlan p) {
-    FaultInjectingSearchService faulty(&backend, p);
+  auto outcome_map = [&](const FaultPlan& p) {
+    SimulatedSearchService svc(&Engine(), FaultyOptions(p));
     std::string out;
     for (int i = 0; i < 64; ++i) {
       SearchResponse resp =
-          faulty.Execute(CountRequest("term" + std::to_string(i)));
+          svc.Execute(CountRequest("term" + std::to_string(i)));
       if (resp.status.ok()) {
         out += 'o';
       } else if (resp.status.code() == StatusCode::kUnavailable) {
@@ -209,25 +214,23 @@ TEST(FaultServiceTest, FaultDecisionsAreDeterministicPerSeed) {
   EXPECT_NE(outcome_map(other), first);  // different seed → different
 }
 
-TEST(FaultServiceTest, RatesPartitionTheQuerySpace) {
+TEST_F(FaultServiceTest, RatesPartitionTheQuerySpace) {
   // With disjoint bands summing to 1, every query draws exactly one
-  // fault kind and nothing passes through.
-  OkService backend;
+  // fault kind and nothing is served.
   FaultPlan plan;
   plan.permanent_rate = 0.5;
   plan.transient_rate = 0.5;
   plan.transient_tries = 1000;
-  FaultInjectingSearchService faulty(&backend, plan);
+  SimulatedSearchService svc(&Engine(), FaultyOptions(plan));
 
   for (int i = 0; i < 32; ++i) {
-    SearchResponse resp =
-        faulty.Execute(CountRequest(StrFormat("w%d", i)));
+    SearchResponse resp = svc.Execute(CountRequest(StrFormat("w%d", i)));
     EXPECT_FALSE(resp.status.ok()) << i;
   }
-  FaultStats stats = faulty.stats();
+  svc.Quiesce();
+  SimulatedServiceStats stats = svc.stats();
   EXPECT_EQ(stats.injected_permanent + stats.injected_transient, 32u);
-  EXPECT_EQ(stats.passed_through, 0u);
-  EXPECT_EQ(backend.served(), 0u);
+  EXPECT_EQ(stats.completed_requests, 0u);
 }
 
 }  // namespace

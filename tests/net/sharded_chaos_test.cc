@@ -29,7 +29,7 @@ std::vector<ChaosCase> Cases() {
   {
     ChaosCase c{"transient_flaps", FaultPlan{}, false};
     c.plan.transient_rate = 0.4;
-    c.plan.transient_tries = 1;  // retry layer absorbs these
+    c.plan.transient_tries = 1;  // pump retries absorb these
     cases.push_back(c);
   }
   {
@@ -195,13 +195,13 @@ TEST_F(ShardedChaosTest, OutageWindowTripsBreakerAndRecovers) {
   // Shard 0: arrivals 1..5 all fail (kUnavailable) — enough consecutive
   // transient failures to trip the breaker below; later arrivals pass.
   // Keep the window short: once the breaker opens, only half-open
-  // probes reach the fault layer, so each remaining outage arrival
-  // costs a full cooldown.
+  // probes reach the node, so each remaining outage arrival costs a
+  // full cooldown.
   opt.shard_faults[0].outage_start = 1;
   opt.shard_faults[0].outage_length = 5;
-  opt.retry.max_attempts = 1;
-  opt.breaker.failure_threshold = 3;
-  opt.breaker.cooldown_micros = 20000;
+  opt.pump_limits.retry.max_attempts = 1;
+  opt.pump_limits.breaker->failure_threshold = 3;
+  opt.pump_limits.breaker->cooldown_micros = 20000;
   SimulatedShardCluster cluster(&TestCorpus(), opt);
 
   SearchRequest req;

@@ -169,10 +169,10 @@ TEST_F(ShardedServiceTest, MoreShardsThanDocumentsLeavesEmptyShards) {
     if (owns) continue;
     ++empty_shards;
     for (const char* q : kQueries) {
-      SearchResponse count = cluster.breaker(s)->Execute(Count(q));
+      SearchResponse count = cluster.node(s)->Execute(Count(q));
       ASSERT_TRUE(count.status.ok()) << count.status.ToString();
       EXPECT_EQ(count.count, 0) << "shard=" << s << " q=" << q;
-      SearchResponse top = cluster.breaker(s)->Execute(TopK(q));
+      SearchResponse top = cluster.node(s)->Execute(TopK(q));
       ASSERT_TRUE(top.status.ok()) << top.status.ToString();
       EXPECT_TRUE(top.hits.empty()) << "shard=" << s << " q=" << q;
     }
@@ -503,8 +503,8 @@ TEST_F(ShardedServiceTest, DestructionFailsOutstandingWaiters) {
           outcome.status = resp.status;
           outcome.cv.NotifyAll();
         });
-    // Destroying the cluster (service first, then pump, then the fault
-    // layer releasing its hung calls) must complete the waiter.
+    // Destroying the cluster (service first, then pump, then the nodes
+    // releasing their hung calls) must complete the waiter.
   }
   MutexLock lock(&outcome.mu);
   ASSERT_TRUE(outcome.done);

@@ -49,8 +49,9 @@ frontend built the program model (rationale in DESIGN.md §10):
 mutex-guard, raw-std-mutex and manual-lock (lock hygiene in
 ANNOTATED_DIRS), iostream, randomness, include-guard (path-derived
 guard plus a matching `#endif` comment), submit-drops-callback (a
-SearchService::Submit that can return without completing its request)
-and metric-naming (wsq_ snake_case, unit suffix, METRIC_PREFIXES).
+SearchService::Submit that can return without completing its request),
+metric-naming (wsq_ snake_case, unit suffix, METRIC_PREFIXES) and
+detached-thread (a std::thread .detach(): work nothing can join).
 Last, stale-suppression reports every `wsqcheck: allow(...)` comment
 that no longer suppresses a finding, so suppressions cannot rot.
 
@@ -99,6 +100,7 @@ CHECKS = (
     "include-guard",
     "submit-drops-callback",
     "metric-naming",
+    "detached-thread",
     "stale-suppression",
 )
 
@@ -1821,6 +1823,7 @@ METRIC_EXACT = ("wsq_queries_total",)
 RAND_CALL = re.compile(r"(?<![\w:])s?rand\s*\(")
 RANDOM_DEVICE = re.compile(r"std::random_device\b")
 INCLUDE_IOSTREAM = re.compile(r'#\s*include\s*<iostream>')
+DETACH_CALL = re.compile(r"[.>]\s*detach\s*\(\s*\)")
 
 
 COMMENT_OR_LITERAL = re.compile(
@@ -1928,6 +1931,13 @@ def text_findings(rel, raw, sups, want):
                      f"'{cb}' in the preceding lines; complete the "
                      "request on every path or annotate with "
                      "'wsqcheck: allow(submit-drops-callback)'")
+
+    if want("detached-thread"):
+        for m in DETACH_CALL.finditer(code):
+            emit(m.start(), "detached-thread",
+                 "detached thread: nothing can join it or wait for its "
+                 "work at teardown; run delayed work on an owned event "
+                 "loop (ReqPump timers, a node's deadline heap)")
 
     if want("iostream"):
         for m in INCLUDE_IOSTREAM.finditer(code):
