@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   demo.latency = wsq::LatencyModel::Instant();
   // Keep the bench's own bad endings (there are none — but belt and
   // braces) out of stderr.
-  demo.postmortem_sink = [](const wsq::PostmortemRecord&) {};
+  demo.query_log_sink = [](const wsq::QueryRecord&) {};
   wsq::DemoEnv env(demo);
 
   auto created =

@@ -79,7 +79,9 @@ void PrintHelp() {
       "  \\statusz             live status report (breakers, admission,\n"
       "                       memory tree, in-flight calls, shards)\n"
       "  \\statusz json        the same report as JSON\n"
-      "  \\postmortem last     most recent degraded/failed-query record\n"
+      "  \\postmortem last     postmortem of the most recent failed or\n"
+      "                       degraded statement (verdict, cause, stats,\n"
+      "                       flight-recorder events)\n"
       "  \\cancel              cancel the next statement (Ctrl-C\n"
       "                       cancels the one currently running)\n"
       "  \\quit                exit\n"
@@ -289,7 +291,7 @@ int main() {
             wsq::StatuszRegistry::Global()->Render().ToJson().c_str());
       } else if (trimmed == "\\postmortem last" ||
                  trimmed == "\\postmortem") {
-        auto last = env.db().postmortems()->last();
+        auto last = env.db().query_log()->last();
         if (last == nullptr) {
           std::printf("no postmortems recorded\n");
         } else {

@@ -80,7 +80,7 @@ class LimitOperator : public Operator {
 class DistinctOperator : public Operator {
  public:
   DistinctOperator(const DistinctNode* node, OperatorPtr child,
-                   ExecContext* ctx = nullptr)
+                   ExecContext* ctx)
       : Operator(&node->schema()),
         child_(std::move(child)),
         ctx_(ctx) {
@@ -90,7 +90,7 @@ class DistinctOperator : public Operator {
   Status OpenImpl() override {
     seen_.clear();
     mem_.ReleaseAll();
-    if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+    mem_.Bind(ctx_->memory);
     return child_->Open();
   }
   Result<bool> NextImpl(Row* row) override;
@@ -107,7 +107,7 @@ class DistinctOperator : public Operator {
   };
 
   OperatorPtr child_;
-  ExecContext* ctx_ = nullptr;
+  ExecContext* ctx_;
   MemoryReservation mem_;
   std::unordered_set<Row, RowHash> seen_;
 };

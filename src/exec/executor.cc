@@ -23,15 +23,9 @@ Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
           "plan contains an AEVScan but no ReqPump was supplied");
     }
     ctx->issued_calls_charge.Bind(ctx->memory);
-    auto async_scan =
-        std::make_unique<AEVScanOperator>(&node, ctx->pump, ctx);
-    async_scan->SetShardOptions(ctx->shard);
-    scan = std::move(async_scan);
+    scan = std::make_unique<AEVScanOperator>(&node, ctx);
   } else {
-    auto sync_scan = std::make_unique<EVScanOperator>(
-        &node, &ctx->external_calls);
-    sync_scan->SetShardOptions(ctx->shard);
-    scan = std::move(sync_scan);
+    scan = std::make_unique<EVScanOperator>(&node, ctx);
   }
   scan->SetCancelToken(ctx->token);
   scan->SetObservability(ctx->tracer, ctx->profile, node.Label());
@@ -50,7 +44,7 @@ Status CloseTree(Operator* root, ExecContext* ctx) {
   Status closed = root->Close();
   for (auto it = ctx->issued_calls.rbegin(); it != ctx->issued_calls.rend();
        ++it) {
-    if (ctx->pump->CancelCall(*it)) ++ctx->cancelled_calls;
+    if (ctx->pump->CancelCall(*it)) ++ctx->stats.cancelled_calls;
     CallResult discarded;
     ctx->pump->TryTake(*it, &discarded);
   }
@@ -180,8 +174,7 @@ Result<OperatorPtr> BuildOperatorTree(const PlanNode& plan,
       WSQ_ASSIGN_OR_RETURN(OperatorPtr child,
                            BuildOperatorTree(*plan.child(0), ctx));
       op = std::make_unique<ReqSyncOperator>(
-          static_cast<const ReqSyncNode*>(&plan), std::move(child),
-          ctx->pump, ctx);
+          static_cast<const ReqSyncNode*>(&plan), std::move(child), ctx);
       break;
     }
   }

@@ -1,7 +1,6 @@
 #ifndef WSQ_EXEC_EXECUTOR_H_
 #define WSQ_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "exec/operator.h"
 #include "net/shard_policy.h"
 #include "obs/op_profile.h"
+#include "obs/query_stats.h"
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
 
@@ -18,13 +18,11 @@ namespace wsq {
 
 class SpillManager;  // storage/spill.h
 
-/// Shared execution state: the ReqPump for asynchronous calls plus a
-/// counter of the external calls this query's scans issue, so
-/// QueryStats can report call counts for both execution strategies
-/// even while other queries share the pump. The degradation
-/// counters are bumped by ReqSync operators applying an OnCallError
-/// policy (kDropTuple / kNullPad) so QueryStats can report how much of
-/// the answer was affected by failed external calls.
+/// Shared execution state: the ReqPump for asynchronous calls, the
+/// per-query governors, and the query's counters. Operators run on the
+/// executor thread only and bump `stats` directly, so the counts are
+/// this query's under both execution strategies even while other
+/// queries share the pump.
 struct ExecContext {
   ReqPump* pump = nullptr;
   /// Per-query governor state: deadline + cooperative cancellation.
@@ -48,40 +46,15 @@ struct ExecContext {
   /// Spill scratch-file factory; null disables spilling (a failed
   /// reservation then fails the query with kResourceExhausted).
   SpillManager* spill = nullptr;
-  /// External calls issued by EVScan (blocking) and AEVScan (async).
-  std::atomic<uint64_t> external_calls{0};
-  /// External calls that completed with a non-OK status.
-  std::atomic<uint64_t> failed_calls{0};
-  /// Tuples cancelled under OnCallError::kDropTuple.
-  std::atomic<uint64_t> dropped_tuples{0};
-  /// Tuples completed with NULLs under OnCallError::kNullPad.
-  std::atomic<uint64_t> null_padded_tuples{0};
-  /// Outstanding external calls cancelled because no tuple would use
-  /// their answers: calls a ReqSync still awaited at Close (complete
-  /// output, early stop, error or abort), and calls ExecutePlan found
-  /// unconsumed after the root closed.
-  std::atomic<uint64_t> cancelled_calls{0};
+  /// This query's counters. Execute fills in the rest (elapsed time,
+  /// peak memory) and returns them in QueryExecution::stats.
+  QueryStats stats;
   /// Every call this query's AEVScans registered, each id charged to
   /// `memory` through `issued_calls_charge`. After the root closes,
   /// ExecutePlan cancels and takes the ones nothing consumed, then
   /// clears the list and releases the charge. Executor thread only.
   std::vector<CallId> issued_calls;
   MemoryReservation issued_calls_charge;
-  /// Pending tuples shed by a ReqSync buffer budget in shed-oldest mode.
-  std::atomic<uint64_t> shed_tuples{0};
-  /// Peak pending tuples / approximate bytes buffered by any ReqSync
-  /// (max across operators; see ReqSyncNode::max_buffered_rows).
-  std::atomic<uint64_t> reqsync_peak_rows{0};
-  std::atomic<uint64_t> reqsync_peak_bytes{0};
-  /// External calls that completed OK but merged from a strict subset
-  /// of shards (quorum / best-effort degradation), and the total shards
-  /// missing across those calls (CallResult::degraded_shards).
-  std::atomic<uint64_t> partial_results{0};
-  std::atomic<uint64_t> degraded_shards{0};
-  /// Memory governor: bytes written to spill runs / runs written by
-  /// Sort+Aggregate operators degrading under a failed reservation.
-  std::atomic<uint64_t> spilled_bytes{0};
-  std::atomic<uint64_t> spill_runs{0};
 };
 
 /// A fully-materialized query result.

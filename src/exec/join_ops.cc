@@ -9,7 +9,7 @@ Status NestedLoopJoinOperator::OpenImpl() {
   WSQ_RETURN_IF_ERROR(right_->Open());
   right_rows_.clear();
   mem_.ReleaseAll();
-  if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+  mem_.Bind(ctx_->memory);
   Row row;
   while (true) {
     WSQ_RETURN_IF_ERROR(CheckAlive());

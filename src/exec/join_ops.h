@@ -17,7 +17,7 @@ namespace wsq {
 class NestedLoopJoinOperator : public Operator {
  public:
   NestedLoopJoinOperator(const NestedLoopJoinNode* node, OperatorPtr left,
-                         OperatorPtr right, ExecContext* ctx = nullptr)
+                         OperatorPtr right, ExecContext* ctx)
       : Operator(&node->schema()),
         node_(node),
         left_(std::move(left)),
@@ -35,7 +35,7 @@ class NestedLoopJoinOperator : public Operator {
   const NestedLoopJoinNode* node_;  // null for cross product
   OperatorPtr left_;
   OperatorPtr right_;
-  ExecContext* ctx_ = nullptr;
+  ExecContext* ctx_;
   MemoryReservation mem_;
   std::vector<Row> right_rows_;
   Row left_row_;
@@ -59,7 +59,7 @@ class NestedLoopJoinOperator : public Operator {
 class CrossProductOperator : public NestedLoopJoinOperator {
  public:
   CrossProductOperator(const CrossProductNode* node, OperatorPtr left,
-                       OperatorPtr right, ExecContext* ctx = nullptr)
+                       OperatorPtr right, ExecContext* ctx)
       : NestedLoopJoinOperator(&node->schema(), std::move(left),
                                std::move(right), ctx) {}
 };

@@ -8,16 +8,6 @@
 
 namespace wsq {
 
-namespace {
-void UpdateMax(std::atomic<uint64_t>* target, uint64_t value) {
-  uint64_t cur = target->load(std::memory_order_relaxed);
-  while (value > cur &&
-         !target->compare_exchange_weak(cur, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-}  // namespace
-
 void ReqSyncOperator::BlockedWait(uint64_t seq) {
   if (!profiling() && tracer() == nullptr) {
     pump_->WaitForCompletionBeyond(seq, cancel_token());
@@ -54,12 +44,11 @@ void ReqSyncOperator::AddEntry(Row row, std::set<CallId> pending) {
   // Proliferation copies land here too, so shed-oldest keeps its bound
   // even when one completion fans a tuple out into many.
   if (node_->shed_oldest) ShedToBudget();
-  peak_buffered_ = std::max(peak_buffered_, entries_.size());
-  peak_buffered_bytes_ = std::max(peak_buffered_bytes_, buffered_bytes_);
-  if (ctx_ != nullptr) {
-    UpdateMax(&ctx_->reqsync_peak_rows, entries_.size());
-    UpdateMax(&ctx_->reqsync_peak_bytes, buffered_bytes_);
-  }
+  QueryStats& stats = ctx_->stats;
+  stats.peak_buffered_rows =
+      std::max<uint64_t>(stats.peak_buffered_rows, entries_.size());
+  stats.peak_buffered_bytes =
+      std::max<uint64_t>(stats.peak_buffered_bytes, buffered_bytes_);
 }
 
 bool ReqSyncOperator::HasRoom() const {
@@ -100,8 +89,7 @@ void ReqSyncOperator::ShedToBudget() {
     // that kept the charge would leak reservations until Close.
     mem_.Subtract(it->second.bytes);
     entries_.erase(it);
-    ++shed_tuples_;
-    if (ctx_ != nullptr) ++ctx_->shed_tuples;
+    ++ctx_->stats.shed_tuples;
   }
 }
 
@@ -139,12 +127,7 @@ Status ReqSyncOperator::OpenImpl() {
   next_entry_id_ = 1;
   buffered_bytes_ = 0;
   mem_.ReleaseAll();
-  if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
-  peak_buffered_ = 0;
-  peak_buffered_bytes_ = 0;
-  dropped_tuples_ = 0;
-  null_padded_tuples_ = 0;
-  shed_tuples_ = 0;
+  mem_.Bind(ctx_->memory);
   child_drained_ = false;
 
   WSQ_RETURN_IF_ERROR(child_->Open());
@@ -193,7 +176,7 @@ Result<Row> ReqSyncOperator::PatchRow(const Row& row, CallId call,
 
 Status ReqSyncOperator::DegradeFailedCall(CallId call,
                                           const Status& error) {
-  if (ctx_ != nullptr) ++ctx_->failed_calls;
+  ++ctx_->stats.failed_calls;
 
   // Un-register the call first in every policy: its result has already
   // been consumed, so Close has nothing left to cancel or take for it.
@@ -216,8 +199,7 @@ Status ReqSyncOperator::DegradeFailedCall(CallId call,
       buffered_bytes_ -= it->second.bytes;
       mem_.Subtract(it->second.bytes);
       entries_.erase(it);
-      ++dropped_tuples_;
-      if (ctx_ != nullptr) ++ctx_->dropped_tuples;
+      ++ctx_->stats.dropped_tuples;
       continue;
     }
 
@@ -237,8 +219,7 @@ Status ReqSyncOperator::DegradeFailedCall(CallId call,
         padded.Append(v);
       }
     }
-    ++null_padded_tuples_;
-    if (ctx_ != nullptr) ++ctx_->null_padded_tuples;
+    ++ctx_->stats.null_padded_tuples;
     if (entry.pending.empty()) {
       ready_.push_back(std::move(padded));
     } else {
@@ -275,10 +256,8 @@ Status ReqSyncOperator::ProcessCompletion(CallId call,
     // policy already accepted the loss — but the coverage gap is
     // surfaced in QueryStats and EXPLAIN ANALYZE.
     CountPartialResult(result.degraded_shards);
-    if (ctx_ != nullptr) {
-      ++ctx_->partial_results;
-      ctx_->degraded_shards += result.degraded_shards;
-    }
+    ++ctx_->stats.partial_results;
+    ctx_->stats.degraded_shards += result.degraded_shards;
     if (tracer() != nullptr) {
       tracer()->Event("reqsync", "partial",
                       StrFormat("call=%llu degraded_shards=%u",
@@ -334,9 +313,7 @@ Status ReqSyncOperator::CloseImpl() {
   for (const auto& [call, ids] : waiters_) calls.push_back(call);
   std::sort(calls.begin(), calls.end(), std::greater<CallId>());
   for (CallId call : calls) {
-    if (pump_->CancelCall(call) && ctx_ != nullptr) {
-      ++ctx_->cancelled_calls;
-    }
+    if (pump_->CancelCall(call)) ++ctx_->stats.cancelled_calls;
     CallResult discarded;
     pump_->TryTake(call, &discarded);
   }

@@ -34,7 +34,7 @@ namespace wsq {
 /// response to a full buffer is backpressure: stop pulling from the
 /// child and process completions until there is room, so the calls
 /// already in flight drain the buffer. With shed_oldest the oldest
-/// pending tuple is dropped instead (ExecContext::shed_tuples); its
+/// pending tuple is dropped instead (QueryStats::shed_tuples); its
 /// calls are still taken as they complete, and any left at Close are
 /// cancelled there.
 ///
@@ -47,16 +47,17 @@ namespace wsq {
 /// Close) releases the matching charge so the ledger balances to zero.
 ///
 /// Thread model: operators are driven by a single executor thread, so
-/// this class has no lock and no WSQ_GUARDED_BY state of its own; all
-/// cross-thread coordination happens inside the ReqPump it polls.
+/// this class has no lock and no WSQ_GUARDED_BY state of its own, and
+/// it counts failures, degradation and its buffer peaks straight into
+/// ExecContext::stats; all cross-thread coordination happens inside the
+/// ReqPump (ctx->pump) it polls.
 class ReqSyncOperator : public Operator {
  public:
-  ReqSyncOperator(const ReqSyncNode* node, OperatorPtr child,
-                  ReqPump* pump, ExecContext* ctx = nullptr)
+  ReqSyncOperator(const ReqSyncNode* node, OperatorPtr child, ExecContext* ctx)
       : Operator(&node->schema()),
         node_(node),
         child_(std::move(child)),
-        pump_(pump),
+        pump_(ctx->pump),
         ctx_(ctx) {
     AddChild(child_.get());
   }
@@ -69,18 +70,6 @@ class ReqSyncOperator : public Operator {
   /// without blocking, so nothing accumulates in the shared ReqPumpHash
   /// and Close never waits on the network; then closes the child.
   Status CloseImpl() override;
-
-  /// Peak number of tuples buffered while waiting (observability).
-  size_t peak_buffered() const { return peak_buffered_; }
-  /// Peak approximate bytes across buffered pending tuples.
-  size_t peak_buffered_bytes() const { return peak_buffered_bytes_; }
-
-  /// Tuples cancelled by this operator under OnCallError::kDropTuple.
-  uint64_t dropped_tuples() const { return dropped_tuples_; }
-  /// Tuples NULL-completed by this operator under OnCallError::kNullPad.
-  uint64_t null_padded_tuples() const { return null_padded_tuples_; }
-  /// Pending tuples dropped by the shed-oldest buffer budget.
-  uint64_t shed_tuples() const { return shed_tuples_; }
 
  private:
   struct Entry {
@@ -133,7 +122,7 @@ class ReqSyncOperator : public Operator {
   const ReqSyncNode* node_;
   OperatorPtr child_;
   ReqPump* pump_;
-  ExecContext* ctx_ = nullptr;
+  ExecContext* ctx_;
   /// Tracks buffered-tuple bytes against the query budget; mirrors
   /// buffered_bytes_ exactly (one charge per Entry::bytes).
   MemoryReservation mem_;
@@ -146,11 +135,6 @@ class ReqSyncOperator : public Operator {
   std::deque<Row> ready_;
   /// Sum of Entry::bytes across entries_.
   size_t buffered_bytes_ = 0;
-  size_t peak_buffered_ = 0;
-  size_t peak_buffered_bytes_ = 0;
-  uint64_t dropped_tuples_ = 0;
-  uint64_t null_padded_tuples_ = 0;
-  uint64_t shed_tuples_ = 0;
 };
 
 }  // namespace wsq

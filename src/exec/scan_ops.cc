@@ -83,7 +83,7 @@ Result<VTableRequest> VScanBase::BuildRequest() const {
   VTableRequest request;
   request.search_exp = node_->search_exp;
   request.rank_limit = node_->rank_limit;
-  request.shard = shard_;
+  request.shard = ctx_->shard;
   request.terms.resize(node_->num_terms());
 
   std::vector<bool> filled(node_->num_terms(), false);
@@ -122,9 +122,7 @@ Result<std::vector<Value>> VScanBase::InputValues(
 }
 
 void VScanBase::CountExternalCall() {
-  if (call_counter_ != nullptr) {
-    call_counter_->fetch_add(1, std::memory_order_relaxed);
-  }
+  ++ctx_->stats.external_calls;
   CountCallIssued();
 }
 
@@ -159,12 +157,6 @@ Status EVScanOperator::CloseImpl() {
   return Status::OK();
 }
 
-AEVScanOperator::AEVScanOperator(const EVScanNode* node, ReqPump* pump,
-                                 ExecContext* ctx)
-    : VScanBase(node, ctx != nullptr ? &ctx->external_calls : nullptr),
-      pump_(pump),
-      ctx_(ctx) {}
-
 Status AEVScanOperator::OpenImpl() {
   emitted_ = false;
   WSQ_RETURN_IF_ERROR(CheckAlive());
@@ -180,17 +172,15 @@ Status AEVScanOperator::OpenImpl() {
     if (budget <= 0) {
       return Status::DeadlineExceeded("query deadline exceeded");
     }
-    int64_t pump_default = pump_->limits().default_timeout_micros;
+    int64_t pump_default = ctx_->pump->limits().default_timeout_micros;
     if (pump_default > 0 && pump_default < budget) budget = pump_default;
   }
-  call_ = node_->table()->SubmitAsync(request, pump_, budget);
-  if (ctx_ != nullptr) {
-    // One id per issued call (a dependent join re-Opens this scan per
-    // outer row), charged to the query budget until ExecutePlan's
-    // sweep after the root closes.
-    ctx_->issued_calls.push_back(call_);
-    ctx_->issued_calls_charge.ForceAdd(sizeof(CallId));
-  }
+  call_ = node_->table()->SubmitAsync(request, ctx_->pump, budget);
+  // One id per issued call (a dependent join re-Opens this scan per
+  // outer row), charged to the query budget until ExecutePlan's sweep
+  // after the root closes.
+  ctx_->issued_calls.push_back(call_);
+  ctx_->issued_calls_charge.ForceAdd(sizeof(CallId));
   CountExternalCall();
   if (tracer() != nullptr) {
     tracer()->Event("reqpump", "register",

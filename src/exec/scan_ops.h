@@ -1,14 +1,12 @@
 #ifndef WSQ_EXEC_SCAN_OPS_H_
 #define WSQ_EXEC_SCAN_OPS_H_
 
-#include <atomic>
 #include <optional>
 #include <vector>
 
 #include "async/req_pump.h"
 #include "catalog/catalog.h"
 #include "exec/operator.h"
-#include "net/shard_policy.h"
 #include "plan/logical_plan.h"
 
 namespace wsq {
@@ -47,24 +45,18 @@ class IndexScanOperator : public Operator {
 };
 
 /// Shared logic for external virtual table scans: assembling the
-/// VTableRequest from constants plus dependent bindings.
+/// VTableRequest from constants plus dependent bindings (and the
+/// query's shard policy, ExecContext::shard), and counting each issued
+/// call in ExecContext::stats.
 class VScanBase : public VScanOperator {
  public:
-  /// `call_counter` (optional) is bumped once per external call the
-  /// scan issues, for QueryStats.
-  VScanBase(const EVScanNode* node, std::atomic<uint64_t>* call_counter)
-      : VScanOperator(&node->schema()),
-        node_(node),
-        call_counter_(call_counter) {}
+  VScanBase(const EVScanNode* node, ExecContext* ctx)
+      : VScanOperator(&node->schema()), node_(node), ctx_(ctx) {}
 
   void BindTerms(
       std::vector<std::pair<size_t, Value>> bindings) override {
     bound_terms_ = std::move(bindings);
   }
-
-  /// Per-query shard policy stamped onto every request this scan builds
-  /// (ExecContext::shard; see net/shard_policy.h).
-  void SetShardOptions(const ShardOptions& shard) { shard_ = shard; }
 
  protected:
   /// Builds the request; fails if any term is missing or NULL.
@@ -74,25 +66,21 @@ class VScanBase : public VScanOperator {
   Result<std::vector<Value>> InputValues(
       const VTableRequest& request) const;
 
-  /// Counts one issued external call in `call_counter` and the
+  /// Counts one issued external call in the query's stats and the
   /// operator profile.
   void CountExternalCall();
 
   const EVScanNode* node_;
+  ExecContext* ctx_;
   std::vector<std::pair<size_t, Value>> bound_terms_;
-  ShardOptions shard_;
-
- private:
-  std::atomic<uint64_t>* call_counter_;
 };
 
 /// Blocking external scan: one synchronous call per Open (paper's
 /// baseline execution).
 class EVScanOperator : public VScanBase {
  public:
-  EVScanOperator(const EVScanNode* node,
-                 std::atomic<uint64_t>* call_counter = nullptr)
-      : VScanBase(node, call_counter) {}
+  EVScanOperator(const EVScanNode* node, ExecContext* ctx)
+      : VScanBase(node, ctx) {}
 
   Status OpenImpl() override;
   Result<bool> NextImpl(Row* row) override;
@@ -104,23 +92,20 @@ class EVScanOperator : public VScanBase {
 };
 
 /// Asynchronous external scan (paper §4.1): Open registers the call
-/// with ReqPump; Next immediately returns ONE provisional tuple whose
-/// output attributes are placeholders naming the call. A ReqSync
-/// operator above patches, cancels, or proliferates it later.
+/// with ctx->pump and records its id in ExecContext::issued_calls; Next
+/// immediately returns ONE provisional tuple whose output attributes
+/// are placeholders naming the call. A ReqSync operator above patches,
+/// cancels, or proliferates it later.
 class AEVScanOperator : public VScanBase {
  public:
-  /// With `ctx`, Open counts each call in ExecContext::external_calls
-  /// and records its id in ExecContext::issued_calls.
-  AEVScanOperator(const EVScanNode* node, ReqPump* pump,
-                  ExecContext* ctx = nullptr);
+  AEVScanOperator(const EVScanNode* node, ExecContext* ctx)
+      : VScanBase(node, ctx) {}
 
   Status OpenImpl() override;
   Result<bool> NextImpl(Row* row) override;
   Status CloseImpl() override;
 
  private:
-  ReqPump* pump_;
-  ExecContext* ctx_;
   CallId call_ = kInvalidCallId;
   std::vector<Value> inputs_;
   bool emitted_ = false;

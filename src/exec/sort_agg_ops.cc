@@ -80,7 +80,7 @@ void SortOperator::SortBatch(std::vector<Keyed>* batch) const {
 
 Status SortOperator::SpillBatch(std::vector<Keyed>* batch) {
   if (batch->empty()) return Status::OK();
-  if (ctx_ == nullptr || ctx_->spill == nullptr) {
+  if (ctx_->spill == nullptr) {
     return Status::ResourceExhausted(
         "sort: memory budget exhausted and spilling is unavailable");
   }
@@ -101,10 +101,8 @@ Status SortOperator::SpillBatch(std::vector<Keyed>* batch) {
   std::vector<Keyed>().swap(*batch);
   mem_.ReleaseAll();
   CountSpill(run.bytes, 1);
-  if (ctx_ != nullptr) {
-    ctx_->spilled_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    ctx_->spill_runs.fetch_add(1, std::memory_order_relaxed);
-  }
+  ctx_->stats.spilled_bytes += run.bytes;
+  ++ctx_->stats.spill_runs;
   if (tracer() != nullptr) {
     tracer()->Event("op", "spill",
                     StrFormat("%s run=%zu records=%llu bytes=%llu",
@@ -138,7 +136,7 @@ Status SortOperator::OpenImpl() {
   spill_file_.reset();
   next_ = 0;
   mem_.ReleaseAll();
-  if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+  mem_.Bind(ctx_->memory);
   WSQ_RETURN_IF_ERROR(child_->Open());
   child_open_ = true;
 
@@ -318,7 +316,7 @@ Result<Value> AggregateOperator::Finalize(
 // plain Values (Null when the accumulator never saw one).
 Status AggregateOperator::SpillGroups(GroupMap* groups) {
   if (groups->empty()) return Status::OK();
-  if (ctx_ == nullptr || ctx_->spill == nullptr) {
+  if (ctx_->spill == nullptr) {
     return Status::ResourceExhausted(
         "aggregate: memory budget exhausted and spilling is unavailable");
   }
@@ -345,10 +343,8 @@ Status AggregateOperator::SpillGroups(GroupMap* groups) {
   groups->clear();
   mem_.ReleaseAll();
   CountSpill(run.bytes, 1);
-  if (ctx_ != nullptr) {
-    ctx_->spilled_bytes.fetch_add(run.bytes, std::memory_order_relaxed);
-    ctx_->spill_runs.fetch_add(1, std::memory_order_relaxed);
-  }
+  ctx_->stats.spilled_bytes += run.bytes;
+  ++ctx_->stats.spill_runs;
   if (tracer() != nullptr) {
     tracer()->Event("op", "spill",
                     StrFormat("%s run=%zu records=%llu bytes=%llu",
@@ -434,7 +430,7 @@ Status AggregateOperator::OpenImpl() {
   merging_ = false;
   next_ = 0;
   mem_.ReleaseAll();
-  if (ctx_ != nullptr) mem_.Bind(ctx_->memory);
+  mem_.Bind(ctx_->memory);
   WSQ_RETURN_IF_ERROR(child_->Open());
   child_open_ = true;
 

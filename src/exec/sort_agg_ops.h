@@ -29,8 +29,7 @@ namespace wsq {
 /// kResourceExhausted instead.
 class SortOperator : public Operator {
  public:
-  SortOperator(const SortNode* node, OperatorPtr child,
-               ExecContext* ctx = nullptr)
+  SortOperator(const SortNode* node, OperatorPtr child, ExecContext* ctx)
       : Operator(&node->schema()),
         node_(node),
         child_(std::move(child)),
@@ -62,7 +61,7 @@ class SortOperator : public Operator {
 
   const SortNode* node_;
   OperatorPtr child_;
-  ExecContext* ctx_ = nullptr;
+  ExecContext* ctx_;
   MemoryReservation mem_;
   std::vector<Row> rows_;
   size_t next_ = 0;
@@ -97,7 +96,7 @@ class SortOperator : public Operator {
 class AggregateOperator : public Operator {
  public:
   AggregateOperator(const AggregateNode* node, OperatorPtr child,
-                    ExecContext* ctx = nullptr)
+                    ExecContext* ctx)
       : Operator(&node->schema()),
         node_(node),
         child_(std::move(child)),
@@ -143,7 +142,7 @@ class AggregateOperator : public Operator {
 
   const AggregateNode* node_;
   OperatorPtr child_;
-  ExecContext* ctx_ = nullptr;
+  ExecContext* ctx_;
   MemoryReservation mem_;
   std::vector<Row> results_;
   size_t next_ = 0;

@@ -1,8 +1,6 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include "common/clock.h"
@@ -310,109 +308,6 @@ std::vector<FrEvent> FlightRecorder::EventsForQuery(uint64_t query_id) const {
     if (e.query_id == query_id) out.push_back(std::move(e));
   }
   return out;
-}
-
-/// ---------------------------------------------------------------------
-/// Postmortems.
-
-std::string PostmortemRecord::ToText() const {
-  std::string out = StrFormat("postmortem id=%llu verdict=%s",
-                              (unsigned long long)query_id, verdict.c_str());
-  if (!cause.empty()) out += StrFormat(" cause=\"%s\"", cause.c_str());
-  out += StrFormat(" elapsed=%lldus", (long long)elapsed_micros);
-  if (partial_results) out += " partial=1";
-  if (degraded_tuples > 0) {
-    out += StrFormat(" degraded_tuples=%llu",
-                     (unsigned long long)degraded_tuples);
-  }
-  if (external_calls > 0) {
-    out += StrFormat(" external_calls=%llu",
-                     (unsigned long long)external_calls);
-  }
-  if (failed_calls > 0) {
-    out += StrFormat(" failed_calls=%llu", (unsigned long long)failed_calls);
-  }
-  if (spill_runs > 0) {
-    out += StrFormat(" spill_runs=%llu spilled_bytes=%llu",
-                     (unsigned long long)spill_runs,
-                     (unsigned long long)spilled_bytes);
-  }
-  if (peak_memory_bytes > 0) {
-    out += StrFormat(" peak_memory_bytes=%llu",
-                     (unsigned long long)peak_memory_bytes);
-  }
-  std::string one_line_sql = sql;
-  for (char& c : one_line_sql) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  out += StrFormat(" sql=\"%s\"", one_line_sql.c_str());
-  const int64_t base =
-      events.empty() ? 0 : events.front().timestamp_micros;
-  if (events_dropped > 0) {
-    out += StrFormat("\n  ... %zu earlier events elided", events_dropped);
-  }
-  for (const FrEvent& e : events) {
-    out += "\n  ";
-    AppendEventFields(e, base, &out);
-  }
-  return out;
-}
-
-PostmortemLog::PostmortemLog(int64_t min_interval_micros, Sink sink,
-                             Clock clock, size_t max_events)
-    : min_interval_micros_(min_interval_micros),
-      max_events_(max_events),
-      sink_(std::move(sink)),
-      clock_(std::move(clock)) {}
-
-int64_t PostmortemLog::NowMicros() const {
-  return clock_ ? clock_() : wsq::NowMicros();
-}
-
-bool PostmortemLog::Log(PostmortemRecord record) {
-  if (record.events.size() > max_events_) {
-    record.events_dropped += record.events.size() - max_events_;
-    record.events.erase(record.events.begin(),
-                        record.events.end() -
-                            static_cast<ptrdiff_t>(max_events_));
-  }
-  auto shared = std::make_shared<const PostmortemRecord>(std::move(record));
-  bool emit = true;
-  {
-    MutexLock lock(&mu_);
-    last_ = shared;
-    const int64_t now = NowMicros();
-    if (min_interval_micros_ > 0 && last_emit_micros_ != 0 &&
-        now - last_emit_micros_ < min_interval_micros_) {
-      emit = false;
-    } else {
-      last_emit_micros_ = now;
-    }
-  }
-  static Counter* emitted = MetricsRegistry::Global()->GetCounter(
-      "wsq_fr_postmortems_total", "Postmortem records emitted");
-  static Counter* suppressed = MetricsRegistry::Global()->GetCounter(
-      "wsq_fr_postmortems_suppressed_total",
-      "Postmortem records suppressed by rate limiting");
-  if (!emit) {
-    suppressed_total_.fetch_add(1, std::memory_order_relaxed);
-    suppressed->Increment();
-    return false;
-  }
-  emitted_total_.fetch_add(1, std::memory_order_relaxed);
-  emitted->Increment();
-  if (sink_) {
-    sink_(*shared);
-  } else {
-    std::string text = shared->ToText();
-    std::fprintf(stderr, "%s\n", text.c_str());
-  }
-  return true;
-}
-
-std::shared_ptr<const PostmortemRecord> PostmortemLog::last() const {
-  MutexLock lock(&mu_);
-  return last_;
 }
 
 }  // namespace wsq

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -22,10 +21,11 @@ class Gauge;
 /// a query's fate: ReqPump dispatch/complete/cancel/shed, breaker state
 /// transitions, hedge fires and loser reaps, coalesce joins, shard-leg
 /// outcomes, admission waits/sheds, memory pressure hooks, spill runs,
-/// WAL checkpoints. When a query ends badly the executor snapshots the
-/// events stamped with its id into a postmortem record, so "which shard
-/// was dark / which breaker was open / which budget refused" is
-/// answerable after the fact without rerunning the query.
+/// WAL checkpoints. When a query ends badly the query log
+/// (obs/query_log.h) snapshots the events stamped with its id into a
+/// postmortem, so "which shard was dark / which breaker was open /
+/// which budget refused" is answerable after the fact without rerunning
+/// the query.
 ///
 /// Concurrency model: every recording thread appends to its own ring of
 /// plain-old-data slots, so the hot path is a handful of relaxed atomic
@@ -242,88 +242,6 @@ class FlightRecorder {
   /// locks, and the registry's lock order is registry → component.
   Counter* events_counter_ = nullptr;
   Gauge* rings_gauge_ = nullptr;
-};
-
-/// ---------------------------------------------------------------------
-/// Postmortems.
-
-/// Snapshot of one bad query ending: the flight-recorder slice for that
-/// query plus the final QueryStats fields that matter for forensics.
-struct PostmortemRecord {
-  uint64_t query_id = 0;
-  std::string sql;
-  /// Status code name ("DEADLINE_EXCEEDED") or "OK" for degraded-but-ok
-  /// endings (partial results / degraded tuples / spill trouble).
-  std::string verdict;
-  /// Free-form one-line reason ("2 of 3 shards answered", ...).
-  std::string cause;
-  int64_t elapsed_micros = 0;
-  bool ok = false;
-  bool partial_results = false;
-  uint64_t degraded_tuples = 0;
-  uint64_t external_calls = 0;
-  uint64_t failed_calls = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_runs = 0;
-  uint64_t peak_memory_bytes = 0;
-  /// This query's event slice, ordered; bounded by the log's
-  /// max_events.
-  std::vector<FrEvent> events;
-  /// Events elided to honor the bound (from the front — the ending
-  /// matters most).
-  size_t events_dropped = 0;
-
-  /// Multi-line human rendering: a header line followed by one indented
-  /// line per event (timestamps relative to the first event).
-  std::string ToText() const;
-};
-
-/// Sink + rate limiter for postmortem records (the slow-query-log
-/// pattern: pluggable sink, injectable clock, bounded size). The
-/// database owns one; Execute() feeds it every bad ending.
-class PostmortemLog {
- public:
-  using Sink = std::function<void(const PostmortemRecord&)>;
-  using Clock = std::function<int64_t()>;
-
-  /// `min_interval_micros`: at most one emitted record per interval
-  /// (0 = unlimited). Null `sink` = stderr. `max_events` bounds the
-  /// event slice kept per record.
-  explicit PostmortemLog(int64_t min_interval_micros = 0, Sink sink = nullptr,
-                         Clock clock = nullptr, size_t max_events = 128);
-
-  PostmortemLog(const PostmortemLog&) = delete;
-  PostmortemLog& operator=(const PostmortemLog&) = delete;
-
-  int64_t NowMicros() const;
-
-  /// Emits `record` through the sink unless rate-limited. The event
-  /// slice is truncated (front first) to max_events. The most recent
-  /// record — emitted or rate-limited — is retained for last().
-  /// Returns true when the sink ran.
-  bool Log(PostmortemRecord record) WSQ_EXCLUDES(mu_);
-
-  /// Most recent record (emitted or suppressed), if any.
-  std::shared_ptr<const PostmortemRecord> last() const WSQ_EXCLUDES(mu_);
-
-  uint64_t emitted_total() const {
-    return emitted_total_.load(std::memory_order_relaxed);
-  }
-  uint64_t suppressed_total() const {
-    return suppressed_total_.load(std::memory_order_relaxed);
-  }
-  size_t max_events() const { return max_events_; }
-
- private:
-  const int64_t min_interval_micros_;
-  const size_t max_events_;
-  Sink sink_;
-  Clock clock_;
-  mutable Mutex mu_;
-  int64_t last_emit_micros_ WSQ_GUARDED_BY(mu_) = 0;
-  std::shared_ptr<const PostmortemRecord> last_ WSQ_GUARDED_BY(mu_);
-  std::atomic<uint64_t> emitted_total_{0};
-  std::atomic<uint64_t> suppressed_total_{0};
 };
 
 }  // namespace wsq

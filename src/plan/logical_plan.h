@@ -395,7 +395,7 @@ class ReqSyncNode : public PlanNode {
   /// from the child would exceed a budget, ReqSync stops pulling and
   /// processes completions until the buffer drains (backpressure) — or,
   /// with shed_oldest, drops the oldest pending tuple instead
-  /// (ExecContext::shed_tuples) so the query keeps its bound without
+  /// (QueryStats::shed_tuples) so the query keeps its bound without
   /// stalling.
   uint64_t max_buffered_rows = 0;
   uint64_t max_buffered_bytes = 0;

@@ -44,11 +44,9 @@ WsqDatabase::WsqDatabase(const Options& options,
       catalog_(&buffer_pool_),
       pump_(options.pump_limits),
       admission_(options.admission),
-      slow_query_log_(options.slow_query_micros,
-                      options.slow_query_sink),
-      postmortem_log_(options.postmortem_min_interval_micros,
-                      options.postmortem_sink, /*clock=*/nullptr,
-                      options.postmortem_max_events) {
+      query_log_(options.slow_query_micros,
+                 options.postmortem_min_interval_micros,
+                 options.query_log_sink) {
   // Tier 2 wiring: resident pages are charged to the database budget,
   // and a pressure hook sheds clean pages when any reservation fails.
   buffer_pool_.AttachBudget(&memory_budget_);
@@ -161,8 +159,8 @@ WsqDatabase::WsqDatabase(const Options& options,
         {
           StatuszSection s;
           s.name = "postmortems";
-          s.AddUint("emitted", postmortem_log_.emitted_total());
-          s.AddUint("suppressed", postmortem_log_.suppressed_total());
+          s.AddUint("emitted", query_log_.emitted_total());
+          s.AddUint("suppressed", query_log_.suppressed_total());
           out->push_back(std::move(s));
         }
       });
@@ -292,8 +290,9 @@ Result<QueryExecution> WsqDatabase::Execute(const std::string& sql,
                                             const ExecOptions& options) {
   // Per-query observability wrapper around the real dispatch: every
   // statement — success or failure — lands in the registry counters,
-  // the latency histogram, and (past the threshold) the slow-query
-  // log. Instrument handles are fetched once per process.
+  // the latency histogram, and the query log (which reports it only
+  // when slow, failed or degraded). Instrument handles are fetched once
+  // per process.
   MetricsRegistry* registry = MetricsRegistry::Global();
   static Counter* queries = registry->GetCounter(
       "wsq_queries_total", "Statements executed (all kinds)");
@@ -323,80 +322,23 @@ Result<QueryExecution> WsqDatabase::Execute(const std::string& sql,
   if (latency != nullptr) latency->RecordWithExemplar(elapsed, query_id);
   if (!result.ok() && errors != nullptr) errors->Increment();
 
-  // Stats for forensics: the successful execution's, or whatever the
-  // query accumulated before it died.
-  const QueryStats* stats = &failure_stats;
-  if (result.ok()) {
-    result->stats.query_id = query_id;
-    // Prefer the executor's own elapsed time for SELECTs (it excludes
+  // The successful execution's stats, or whatever the query accumulated
+  // before it died.
+  QueryStats* stats = result.ok() ? &result->stats : &failure_stats;
+  stats->query_id = query_id;
+  if (result.ok() && stats->elapsed_micros == 0) {
+    // SELECTs keep the executor's own elapsed time (it excludes
     // parse/admission); the wrapper's timer covers everything else.
-    if (result->stats.elapsed_micros == 0) {
-      result->stats.elapsed_micros = elapsed;
-    }
-    stats = &result->stats;
+    stats->elapsed_micros = elapsed;
   }
-  const uint64_t degraded_tuples = stats->dropped_tuples +
-                                   stats->null_padded_tuples +
-                                   stats->shed_tuples;
-  const bool degraded =
-      stats->partial_results > 0 || degraded_tuples > 0;
   recorder->Record(FrEventType::kQueryEnd, /*destination=*/"",
                    result.ok()
-                       ? (degraded ? "degraded" : "")
+                       ? (stats->degraded() ? "degraded" : "")
                        : StatusCodeToString(result.status().code()),
                    query_id, elapsed);
-
-  SlowQueryRecord record;
-  record.query_id = query_id;
-  record.sql = sql;
-  record.elapsed_micros = elapsed;
-  record.ok = result.ok();
-  if (result.ok()) record.rows = result->result.rows.size();
-  if (!result.ok()) record.error = result.status().ToString();
-  record.external_calls = stats->external_calls;
-  record.failed_calls = stats->failed_calls;
-  record.degraded_tuples = degraded_tuples;
-  record.partial_results = stats->partial_results;
-  record.degraded_shards = stats->degraded_shards;
-  record.spilled_bytes = stats->spilled_bytes;
-  record.spill_runs = stats->spill_runs;
-  record.peak_memory_bytes = stats->peak_memory_bytes;
-  record.async_iteration = stats->async_iteration;
-  slow_query_log_.MaybeLog(std::move(record), options.slow_query_micros);
-
-  // Postmortem trigger: any failed statement, and any OK statement that
-  // returned degraded data (partial shard answers, dropped/NULL-padded/
-  // shed tuples). Steady-state success emits nothing.
-  if (!result.ok() || degraded) {
-    PostmortemRecord pm;
-    pm.query_id = query_id;
-    pm.sql = sql;
-    pm.ok = result.ok();
-    pm.elapsed_micros = elapsed;
-    if (result.ok()) {
-      pm.verdict = "OK";
-      pm.cause = stats->partial_results > 0
-                     ? StrFormat("partial results from %llu call(s), %llu "
-                                 "shard(s) missing",
-                                 (unsigned long long)stats->partial_results,
-                                 (unsigned long long)stats->degraded_shards)
-                     : StrFormat("%llu tuple(s) degraded",
-                                 (unsigned long long)degraded_tuples);
-    } else {
-      pm.verdict = std::string(
-          StatusCodeToString(result.status().code()));
-      pm.cause = result.status().message();
-    }
-    pm.partial_results = stats->partial_results > 0;
-    pm.degraded_tuples = degraded_tuples;
-    pm.external_calls = stats->external_calls;
-    pm.failed_calls = stats->failed_calls;
-    pm.spilled_bytes = stats->spilled_bytes;
-    pm.spill_runs = stats->spill_runs;
-    pm.peak_memory_bytes = stats->peak_memory_bytes;
-    pm.events = recorder->EventsForQuery(query_id);
-    postmortem_log_.Log(std::move(pm));
-  }
+  query_log_.OnQueryEnd(sql, result.status(),
+                        result.ok() ? result->result.rows.size() : 0,
+                        elapsed, *stats, options.slow_query_micros);
   return result;
 }
 
@@ -583,27 +525,13 @@ Result<QueryExecution> WsqDatabase::ExecuteSelect(
     return ExecutePlan(*plan, &ctx,
                        options.analyze ? &profile : nullptr);
   }();
-  auto fill_stats = [&](QueryStats* stats) {
-    stats->elapsed_micros = timer.ElapsedMicros();
-    stats->external_calls = ctx.external_calls.load();
-    stats->async_iteration = options.async_iteration;
-    stats->failed_calls = ctx.failed_calls.load();
-    stats->dropped_tuples = ctx.dropped_tuples.load();
-    stats->null_padded_tuples = ctx.null_padded_tuples.load();
-    stats->cancelled_calls = ctx.cancelled_calls.load();
-    stats->shed_tuples = ctx.shed_tuples.load();
-    stats->peak_buffered_rows = ctx.reqsync_peak_rows.load();
-    stats->peak_buffered_bytes = ctx.reqsync_peak_bytes.load();
-    stats->partial_results = ctx.partial_results.load();
-    stats->degraded_shards = ctx.degraded_shards.load();
-    stats->spilled_bytes = ctx.spilled_bytes.load();
-    stats->spill_runs = ctx.spill_runs.load();
-    stats->peak_memory_bytes = query_budget.peak_used();
-    stats->pressure_released_bytes =
-        query_budget.stats().pressure_released_bytes +
-        (memory_budget_.stats().pressure_released_bytes -
-         db_pressure_before);
-  };
+  QueryStats& stats = ctx.stats;
+  stats.elapsed_micros = timer.ElapsedMicros();
+  stats.async_iteration = options.async_iteration;
+  stats.peak_memory_bytes = query_budget.peak_used();
+  stats.pressure_released_bytes =
+      query_budget.stats().pressure_released_bytes +
+      (memory_budget_.stats().pressure_released_bytes - db_pressure_before);
   if (!executed.ok()) {
     if (tracer != nullptr) {
       tracer->Event("query", "error",
@@ -612,13 +540,13 @@ Result<QueryExecution> WsqDatabase::ExecuteSelect(
     }
     // A dying query still reports what it did (failed external calls,
     // spill activity, peak memory) for the postmortem.
-    if (failure_stats != nullptr) fill_stats(failure_stats);
+    *failure_stats = stats;
     return executed.status();
   }
 
   QueryExecution out;
   out.result = std::move(executed).value();
-  fill_stats(&out.stats);
+  out.stats = stats;
   if (options.analyze) out.profile = std::move(profile);
   if (tracer != nullptr) out.trace = tracer->Finish();
   return out;

@@ -10,9 +10,8 @@
 #include "common/memory.h"
 #include "exec/executor.h"
 #include "net/search_service.h"
-#include "obs/flight_recorder.h"
 #include "obs/op_profile.h"
-#include "obs/slow_query_log.h"
+#include "obs/query_log.h"
 #include "obs/trace.h"
 #include "plan/async_rewriter.h"
 #include "plan/binder.h"
@@ -24,49 +23,6 @@
 #include "wsq/admission.h"
 
 namespace wsq {
-
-/// Observability for one executed query.
-struct QueryStats {
-  /// Process-unique query id (also tags the slow-query log line).
-  uint64_t query_id = 0;
-  int64_t elapsed_micros = 0;
-  /// External (search engine) calls issued by this query.
-  uint64_t external_calls = 0;
-  /// Whether asynchronous iteration was used.
-  bool async_iteration = false;
-  /// External calls that completed with an error (including deadline
-  /// timeouts) and were handled by a ReqSync.
-  uint64_t failed_calls = 0;
-  /// Tuples cancelled under OnCallError::kDropTuple.
-  uint64_t dropped_tuples = 0;
-  /// Tuples completed with NULLs under OnCallError::kNullPad.
-  uint64_t null_padded_tuples = 0;
-  /// Outstanding external calls cancelled because no tuple would use
-  /// their answers: still awaited when a ReqSync closed (its tuples
-  /// already cancelled, an early stop under LIMIT, an error, a deadline
-  /// or an explicit cancel), or whose tuples were dropped below it.
-  uint64_t cancelled_calls = 0;
-  /// Pending tuples dropped by a ReqSync shed-oldest buffer budget.
-  uint64_t shed_tuples = 0;
-  /// Peak pending tuples / approximate bytes buffered by any ReqSync.
-  uint64_t peak_buffered_rows = 0;
-  uint64_t peak_buffered_bytes = 0;
-  /// External calls that answered OK but from a strict subset of their
-  /// backend's shards (quorum / best-effort degradation), and the total
-  /// shards missing across those calls. Nonzero means counts in the
-  /// result are lower bounds.
-  uint64_t partial_results = 0;
-  uint64_t degraded_shards = 0;
-  /// Memory governor: bytes written to spill runs (Sort/Aggregate
-  /// degrading to external algorithms) and the number of runs.
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_runs = 0;
-  /// High-water mark of the query's tracked reservations.
-  uint64_t peak_memory_bytes = 0;
-  /// Bytes freed by pressure callbacks (result cache / buffer pool
-  /// shedding) on behalf of this query's reservations.
-  uint64_t pressure_released_bytes = 0;
-};
 
 struct QueryExecution {
   ResultSet result;
@@ -98,21 +54,18 @@ class WsqDatabase {
     /// crash harness, which wants the last checkpoint — not a clean
     /// shutdown — to be the durable truth.
     bool checkpoint_on_close = true;
-    /// Database-wide slow-query threshold: queries whose wall time
-    /// reaches it are reported to `slow_query_sink`. 0 disables the
-    /// log; ExecOptions::slow_query_micros overrides per query.
+    /// Database-wide slow-query threshold: statements whose wall time
+    /// reaches it are reported to `query_log_sink`. 0 disables slow
+    /// reporting; ExecOptions::slow_query_micros overrides per query.
     int64_t slow_query_micros = 0;
-    /// Destination for slow-query records; null = one line to stderr.
-    SlowQueryLog::Sink slow_query_sink;
-    /// Destination for postmortem records (every bad query ending:
-    /// failure, partial results, degraded tuples); null = stderr.
-    /// Always on — disable by sinking to a no-op lambda.
-    PostmortemLog::Sink postmortem_sink;
+    /// Destination for query records: slow statements, and postmortems
+    /// of every bad ending (failure, partial results, degraded tuples),
+    /// at most one call per statement (see QueryLog). Null = stderr.
+    /// Postmortems are always on; disable by sinking to a no-op lambda.
+    QueryLog::Sink query_log_sink;
     /// At most one emitted postmortem per interval (0 = unlimited);
-    /// suppressed records still update `postmortems()->last()`.
+    /// suppressed records still update `query_log()->last()`.
     int64_t postmortem_min_interval_micros = 0;
-    /// Flight-recorder events retained per postmortem record.
-    size_t postmortem_max_events = 128;
     /// Database-wide memory budget (a child of the process budget),
     /// covering operator state, ReqSync buffers, the buffer pool, and
     /// any attached result cache. 0 = unlimited (everything is still
@@ -206,7 +159,8 @@ class WsqDatabase {
     /// Span budget when `trace` is set; 0 = Tracer::kDefaultMaxSpans.
     size_t trace_max_spans = 0;
     /// Per-query slow-query threshold: -1 inherits the database
-    /// default, 0 disables the log for this query, > 0 overrides.
+    /// default, 0 disables slow reporting for this query (postmortems
+    /// still apply), > 0 overrides.
     int64_t slow_query_micros = -1;
     /// Partial-result policy when a search backend is sharded: fail the
     /// call unless all shards answer (default), accept K-of-N, or take
@@ -240,8 +194,9 @@ class WsqDatabase {
   /// Database-wide memory budget (attach shared caches here).
   MemoryBudget* memory_budget() { return &memory_budget_; }
   SpillManager* spill() { return spill_.get(); }
-  /// Degraded/failed-query forensics (the shell's \postmortem).
-  PostmortemLog* postmortems() { return &postmortem_log_; }
+  /// Slow-query lines and degraded/failed-query postmortems (the
+  /// shell's \postmortem).
+  QueryLog* query_log() { return &query_log_; }
 
  private:
   WsqDatabase(const Options& options, std::unique_ptr<DiskManager> owned_disk,
@@ -256,7 +211,7 @@ class WsqDatabase {
       std::unique_ptr<WsqDatabase> db);
 
   /// Execute minus the per-query observability wrapper (query id,
-  /// registry counters/latency histogram, slow-query log, postmortem).
+  /// registry counters/latency histogram, query log).
   /// On failure, whatever stats the query accumulated before dying are
   /// left in `*failure_stats` (zeroes when it never reached execution)
   /// so the wrapper can still attribute degradation.
@@ -293,8 +248,7 @@ class WsqDatabase {
   VirtualTableRegistry vtables_;
   ReqPump pump_;
   AdmissionController admission_;
-  SlowQueryLog slow_query_log_;
-  PostmortemLog postmortem_log_;
+  QueryLog query_log_;
   /// wsq_mem_* collector handle, removed in the destructor.
   uint64_t mem_collector_id_ = 0;
   /// \statusz section provider handle, removed in the destructor.

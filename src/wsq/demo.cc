@@ -60,7 +60,7 @@ DemoEnv::DemoEnv(const DemoOptions& options) {
   db_options.pump_limits = options.pump_limits;
   db_options.admission = options.admission;
   db_options.memory_budget_bytes = options.memory_budget_bytes;
-  db_options.postmortem_sink = options.postmortem_sink;
+  db_options.query_log_sink = options.query_log_sink;
   db_options.postmortem_min_interval_micros =
       options.postmortem_min_interval_micros;
   db_ = std::make_unique<WsqDatabase>(db_options);

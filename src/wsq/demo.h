@@ -43,9 +43,10 @@ struct DemoOptions {
   /// missing entries mean no injected faults). Only meaningful when
   /// search_shards > 0.
   std::vector<FaultPlan> shard_faults;
-  /// Forwarded to WsqDatabase::Options: capture postmortem records
-  /// instead of the default stderr line (chaos tests do this).
-  PostmortemLog::Sink postmortem_sink;
+  /// Forwarded to WsqDatabase::Options: capture query records (slow
+  /// statements, postmortems) instead of the default stderr output
+  /// (chaos tests do this).
+  QueryLog::Sink query_log_sink;
   int64_t postmortem_min_interval_micros = 0;
   uint64_t seed = 42;
 };

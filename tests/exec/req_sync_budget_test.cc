@@ -95,17 +95,17 @@ TEST(ReqSyncBudgetTest, BackpressureKeepsPeakRowsUnderBudget) {
                    std::vector<size_t>{1});
   node.max_buffered_rows = kBudget;
   ExecContext ctx;
+  ctx.pump = &pump;
   ReqSyncOperator op(&node,
                      std::make_unique<VectorOperator>(&stub.schema(),
                                                       std::move(input)),
-                     &pump, &ctx);
+                     &ctx);
   auto out = Drain(&op);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // Backpressure delays pulls; it never loses tuples.
   EXPECT_EQ(out->size(), static_cast<size_t>(kRows));
-  EXPECT_LE(op.peak_buffered(), kBudget);
-  EXPECT_EQ(op.shed_tuples(), 0u);
-  EXPECT_EQ(ctx.reqsync_peak_rows.load(), op.peak_buffered());
+  EXPECT_LE(ctx.stats.peak_buffered_rows, kBudget);
+  EXPECT_EQ(ctx.stats.shed_tuples, 0u);
   pump.Drain();
   EXPECT_EQ(pump.pending_results(), 0u);
 }
@@ -127,17 +127,17 @@ TEST(ReqSyncBudgetTest, BackpressureKeepsPeakBytesNearBudget) {
   const uint64_t byte_budget = 3 * one_row_bytes;
   node.max_buffered_bytes = byte_budget;
   ExecContext ctx;
+  ctx.pump = &pump;
   ReqSyncOperator op(&node,
                      std::make_unique<VectorOperator>(&stub.schema(),
                                                       std::move(input)),
-                     &pump, &ctx);
+                     &ctx);
   auto out = Drain(&op);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->size(), static_cast<size_t>(kRows));
   // A pull happens only while strictly under the byte budget, so the
   // peak can overshoot by at most one tuple.
-  EXPECT_LT(op.peak_buffered_bytes(), byte_budget + one_row_bytes);
-  EXPECT_EQ(ctx.reqsync_peak_bytes.load(), op.peak_buffered_bytes());
+  EXPECT_LT(ctx.stats.peak_buffered_bytes, byte_budget + one_row_bytes);
   pump.Drain();
 }
 
@@ -160,10 +160,11 @@ TEST(ReqSyncBudgetTest, ShedOldestDropsButCompletes) {
   node.max_buffered_rows = kBudget;
   node.shed_oldest = true;
   ExecContext ctx;
+  ctx.pump = &pump;
   ReqSyncOperator op(&node,
                      std::make_unique<VectorOperator>(&stub.schema(),
                                                       std::move(input)),
-                     &pump, &ctx);
+                     &ctx);
   auto out = Drain(&op);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), static_cast<size_t>(kBudget));
@@ -173,9 +174,8 @@ TEST(ReqSyncBudgetTest, ShedOldestDropsButCompletes) {
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got[0], kRows - 2);
   EXPECT_EQ(got[1], kRows - 1);
-  EXPECT_EQ(op.shed_tuples(), static_cast<uint64_t>(kRows - kBudget));
-  EXPECT_EQ(ctx.shed_tuples.load(), op.shed_tuples());
-  EXPECT_LE(op.peak_buffered(), kBudget);
+  EXPECT_EQ(ctx.stats.shed_tuples, static_cast<uint64_t>(kRows - kBudget));
+  EXPECT_LE(ctx.stats.peak_buffered_rows, kBudget);
   // Shed tuples' calls are still reaped: nothing leaks in the hash.
   pump.Drain();
   EXPECT_EQ(pump.pending_results(), 0u);
@@ -201,10 +201,11 @@ TEST(ReqSyncBudgetTest, ProliferationRespectsShedBudget) {
   node.max_buffered_rows = 2;
   node.shed_oldest = true;
   ExecContext ctx;
+  ctx.pump = &pump;
   ReqSyncOperator op(&node,
                      std::make_unique<VectorOperator>(&stub.schema(),
                                                       std::move(input)),
-                     &pump, &ctx);
+                     &ctx);
   auto out = Drain(&op);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // Three proliferated copies, budget two: the oldest copy is shed.
@@ -212,8 +213,8 @@ TEST(ReqSyncBudgetTest, ProliferationRespectsShedBudget) {
   EXPECT_EQ((*out)[0].value(1).AsInt(), 11);
   EXPECT_EQ((*out)[1].value(1).AsInt(), 12);
   EXPECT_EQ((*out)[0].value(2).AsInt(), 99);
-  EXPECT_EQ(op.shed_tuples(), 1u);
-  EXPECT_LE(op.peak_buffered(), 2u);
+  EXPECT_EQ(ctx.stats.shed_tuples, 1u);
+  EXPECT_LE(ctx.stats.peak_buffered_rows, 2u);
   pump.Drain();
   EXPECT_EQ(pump.pending_results(), 0u);
 }
@@ -231,15 +232,17 @@ TEST(ReqSyncBudgetTest, NoBudgetBuffersEverything) {
   StubNode stub(TwoColumnSchema());
   ReqSyncNode node(std::make_unique<StubNode>(TwoColumnSchema()),
                    std::vector<size_t>{1});
+  ExecContext ctx;
+  ctx.pump = &pump;
   ReqSyncOperator op(&node,
                      std::make_unique<VectorOperator>(&stub.schema(),
                                                       std::move(input)),
-                     &pump);
+                     &ctx);
   auto out = Drain(&op);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), static_cast<size_t>(kRows));
   // Open() drains the child before anything completes: all 12 buffered.
-  EXPECT_EQ(op.peak_buffered(), static_cast<size_t>(kRows));
+  EXPECT_EQ(ctx.stats.peak_buffered_rows, static_cast<uint64_t>(kRows));
   pump.Drain();
 }
 

@@ -57,7 +57,9 @@ class ReqSyncOpTest : public ::testing::Test {
         std::vector<size_t>{1});
     auto child = std::make_unique<VectorOperator>(&stub.schema(),
                                                   std::move(input));
-    ReqSyncOperator op(node.get(), std::move(child), pump);
+    ExecContext ctx;
+    ctx.pump = pump;
+    ReqSyncOperator op(node.get(), std::move(child), &ctx);
     WSQ_RETURN_IF_ERROR(op.Open());
     std::vector<Row> out;
     Row row;
@@ -168,7 +170,9 @@ TEST_F(ReqSyncOpTest, TupleWaitingOnTwoCalls) {
       &node->schema(),
       std::vector<Row>{Row({Value::Pending(a, 0), Value::Pending(b, 0),
                             Value::Str("x")})});
-  ReqSyncOperator op(node.get(), std::move(child), &pump);
+  ExecContext ctx;
+  ctx.pump = &pump;
+  ReqSyncOperator op(node.get(), std::move(child), &ctx);
   ASSERT_TRUE(op.Open().ok());
   std::vector<Row> out;
   Row row;
@@ -209,13 +213,11 @@ CallId Failing(ReqPump* pump, Status error) {
       });
 }
 
-// Like RunReqSync but with a policy and a visible operator for stats.
+// Like RunReqSync but with a policy; the operator counts into
+// `ctx->stats` and takes its pump from `ctx->pump`.
 Result<std::vector<Row>> RunWithPolicy(std::vector<Row> input,
-                                       ReqPump* pump,
                                        OnCallError policy,
-                                       ExecContext* ctx = nullptr,
-                                       uint64_t* dropped = nullptr,
-                                       uint64_t* padded = nullptr) {
+                                       ExecContext* ctx) {
   StubNode stub(TwoColumnSchema());
   auto node = std::make_unique<ReqSyncNode>(
       std::make_unique<StubNode>(TwoColumnSchema()),
@@ -223,7 +225,7 @@ Result<std::vector<Row>> RunWithPolicy(std::vector<Row> input,
   node->on_call_error = policy;
   auto child = std::make_unique<VectorOperator>(&stub.schema(),
                                                 std::move(input));
-  ReqSyncOperator op(node.get(), std::move(child), pump, ctx);
+  ReqSyncOperator op(node.get(), std::move(child), ctx);
   WSQ_RETURN_IF_ERROR(op.Open());
   std::vector<Row> out;
   Row row;
@@ -233,8 +235,6 @@ Result<std::vector<Row>> RunWithPolicy(std::vector<Row> input,
     out.push_back(row);
   }
   WSQ_RETURN_IF_ERROR(op.Close());
-  if (dropped != nullptr) *dropped = op.dropped_tuples();
-  if (padded != nullptr) *padded = op.null_padded_tuples();
   return out;
 }
 
@@ -242,35 +242,34 @@ TEST_F(ReqSyncOpTest, DropTuplePolicyCancelsWaitingTuples) {
   ReqPump pump;
   CallId bad = Failing(&pump, Status::Unavailable("engine down"));
   CallId good = Delayed(&pump, {Row({Value::Int(5)})});
-  uint64_t dropped = 0, padded = 0;
   ExecContext ctx;
+  ctx.pump = &pump;
   auto out = RunWithPolicy(
       {Row({Value::Str("lost"), Value::Pending(bad, 0)}),
        Row({Value::Str("kept"), Value::Pending(good, 0)}),
        Row({Value::Str("plain"), Value::Int(1)})},
-      &pump, OnCallError::kDropTuple, &ctx, &dropped, &padded);
+      OnCallError::kDropTuple, &ctx);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), 2u);
   for (const Row& r : *out) {
     EXPECT_NE(r.value(0).AsString(), "lost");
     EXPECT_FALSE(r.value(1).is_null());
   }
-  EXPECT_EQ(dropped, 1u);
-  EXPECT_EQ(padded, 0u);
-  EXPECT_EQ(ctx.dropped_tuples.load(), 1u);
-  EXPECT_EQ(ctx.failed_calls.load(), 1u);
+  EXPECT_EQ(ctx.stats.dropped_tuples, 1u);
+  EXPECT_EQ(ctx.stats.null_padded_tuples, 0u);
+  EXPECT_EQ(ctx.stats.failed_calls, 1u);
 }
 
 TEST_F(ReqSyncOpTest, NullPadPolicyCompletesTuplesWithNulls) {
   ReqPump pump;
   CallId bad = Failing(&pump, Status::DeadlineExceeded("too slow"));
   CallId good = Delayed(&pump, {Row({Value::Int(5)})});
-  uint64_t dropped = 0, padded = 0;
   ExecContext ctx;
+  ctx.pump = &pump;
   auto out = RunWithPolicy(
       {Row({Value::Str("padded"), Value::Pending(bad, 0)}),
        Row({Value::Str("kept"), Value::Pending(good, 0)})},
-      &pump, OnCallError::kNullPad, &ctx, &dropped, &padded);
+      OnCallError::kNullPad, &ctx);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), 2u);
   for (const Row& r : *out) {
@@ -281,9 +280,8 @@ TEST_F(ReqSyncOpTest, NullPadPolicyCompletesTuplesWithNulls) {
       EXPECT_EQ(r.value(1).AsInt(), 5);
     }
   }
-  EXPECT_EQ(padded, 1u);
-  EXPECT_EQ(dropped, 0u);
-  EXPECT_EQ(ctx.null_padded_tuples.load(), 1u);
+  EXPECT_EQ(ctx.stats.null_padded_tuples, 1u);
+  EXPECT_EQ(ctx.stats.dropped_tuples, 0u);
 }
 
 TEST_F(ReqSyncOpTest, NullPadKeepsOtherPendingCallsAlive) {
@@ -304,7 +302,9 @@ TEST_F(ReqSyncOpTest, NullPadKeepsOtherPendingCallsAlive) {
       &node->schema(),
       std::vector<Row>{Row({Value::Pending(bad, 0), Value::Pending(good, 0),
                             Value::Str("x")})});
-  ReqSyncOperator op(node.get(), std::move(child), &pump);
+  ExecContext ctx;
+  ctx.pump = &pump;
+  ReqSyncOperator op(node.get(), std::move(child), &ctx);
   ASSERT_TRUE(op.Open().ok());
   std::vector<Row> out;
   Row row;
@@ -320,7 +320,7 @@ TEST_F(ReqSyncOpTest, NullPadKeepsOtherPendingCallsAlive) {
   EXPECT_TRUE(out[0].value(0).is_null());
   EXPECT_EQ(out[0].value(1).AsInt(), 10);
   EXPECT_EQ(out[0].value(2).AsString(), "x");
-  EXPECT_EQ(op.null_padded_tuples(), 1u);
+  EXPECT_EQ(ctx.stats.null_padded_tuples, 1u);
 }
 
 TEST_F(ReqSyncOpTest, FailQueryPolicyDoesNotWedgeClose) {
@@ -339,7 +339,9 @@ TEST_F(ReqSyncOpTest, FailQueryPolicyDoesNotWedgeClose) {
       &stub.schema(),
       std::vector<Row>{Row({Value::Str("a"), Value::Pending(bad, 0)}),
                        Row({Value::Str("b"), Value::Pending(slow, 0)})});
-  ReqSyncOperator op(node.get(), std::move(child), &pump);
+  ExecContext ctx;
+  ctx.pump = &pump;
+  ReqSyncOperator op(node.get(), std::move(child), &ctx);
   ASSERT_TRUE(op.Open().ok());
   Row row;
   Status error;
@@ -385,7 +387,9 @@ TEST_F(ReqSyncOpTest, CloseCancelsUnconsumedCallsWithoutWaiting) {
         std::make_unique<StubNode>(three), std::vector<size_t>{0, 1});
     auto child = std::make_unique<VectorOperator>(&node->schema(),
                                                   std::move(input));
-    ReqSyncOperator op(node.get(), std::move(child), &pump);
+    ExecContext ctx;
+    ctx.pump = &pump;
+    ReqSyncOperator op(node.get(), std::move(child), &ctx);
     Stopwatch timer;
     ASSERT_TRUE(op.Open().ok());
     Row row;
@@ -433,7 +437,9 @@ TEST_F(ReqSyncOpTest, CloseDropsQueuedCallsBeforeFreeingSlots) {
       std::make_unique<StubNode>(three), std::vector<size_t>{0, 1});
   auto child =
       std::make_unique<VectorOperator>(&node->schema(), std::move(input));
-  ReqSyncOperator op(node.get(), std::move(child), &pump);
+  ExecContext ctx;
+  ctx.pump = &pump;
+  ReqSyncOperator op(node.get(), std::move(child), &ctx);
   ASSERT_TRUE(op.Open().ok());
   Row row;
   auto more = op.Next(&row);
@@ -526,7 +532,9 @@ TEST_F(ReqSyncOpTest, StreamingEmitsBeforeChildExhausted) {
                        Row({Value::Str("b"), Value::Pending(slow_a, 0)}),
                        Row({Value::Str("c"), Value::Pending(slow_b, 0)})});
   CountingOperator* counter = child.get();
-  ReqSyncOperator op(node.get(), std::move(child), &pump);
+  ExecContext ctx;
+  ctx.pump = &pump;
+  ReqSyncOperator op(node.get(), std::move(child), &ctx);
   ASSERT_TRUE(op.Open().ok());
 
   Row out;
@@ -563,7 +571,9 @@ TEST_F(ReqSyncOpTest, StreamingMatchesBufferedResults) {
     node->streaming = streaming;
     auto child = std::make_unique<VectorOperator>(&stub.schema(),
                                                   std::move(input));
-    ReqSyncOperator op(node.get(), std::move(child), &pump);
+    ExecContext ctx;
+    ctx.pump = &pump;
+    ReqSyncOperator op(node.get(), std::move(child), &ctx);
     ASSERT_TRUE(op.Open().ok());
     std::set<int64_t> seen;
     Row out;

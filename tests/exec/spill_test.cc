@@ -70,8 +70,8 @@ class SpillTest : public ::testing::Test {
 
     RunResult out;
     if (result.ok()) out.result = std::move(result).value();
-    out.spilled_bytes = ctx.spilled_bytes.load();
-    out.spill_runs = ctx.spill_runs.load();
+    out.spilled_bytes = ctx.stats.spilled_bytes;
+    out.spill_runs = ctx.stats.spill_runs;
     return out;
   }
 

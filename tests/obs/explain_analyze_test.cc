@@ -173,13 +173,13 @@ TEST(ExplainAnalyzeTest, PrometheusDumpHasExternalCallLatency) {
   EXPECT_GT(series, 10);
 }
 
-TEST(ExplainAnalyzeTest, SlowQueryLogFiresFromExecute) {
+TEST(ExplainAnalyzeTest, SlowQueriesFireFromExecute) {
   // Threshold 1 us at the database level: every statement is "slow".
   // The sink must see the query id and SQL that Execute stamped.
-  std::vector<SlowQueryRecord> seen;
+  std::vector<QueryRecord> seen;
   WsqDatabase::Options options;
   options.slow_query_micros = 1;
-  options.slow_query_sink = [&seen](const SlowQueryRecord& r) {
+  options.query_log_sink = [&seen](const QueryRecord& r) {
     seen.push_back(r);
   };
   WsqDatabase db(options);
@@ -187,10 +187,11 @@ TEST(ExplainAnalyzeTest, SlowQueryLogFiresFromExecute) {
   auto r = db.Execute("SELECT x FROM t");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[1].query_id, r->stats.query_id);
-  EXPECT_GT(r->stats.query_id, seen[0].query_id);
+  EXPECT_EQ(seen[1].stats.query_id, r->stats.query_id);
+  EXPECT_GT(r->stats.query_id, seen[0].stats.query_id);
   EXPECT_EQ(seen[1].sql, "SELECT x FROM t");
-  EXPECT_TRUE(seen[1].ok);
+  EXPECT_TRUE(seen[1].status.ok());
+  EXPECT_GT(seen[1].slow_threshold_micros, 0);
 
   // Per-query override 0 silences the database default.
   WsqDatabase::ExecOptions quiet;
@@ -198,11 +199,14 @@ TEST(ExplainAnalyzeTest, SlowQueryLogFiresFromExecute) {
   ASSERT_TRUE(db.Execute("SELECT x FROM t", quiet).ok());
   EXPECT_EQ(seen.size(), 2u);
 
-  // Failed statements are logged with their error.
+  // Failed statements are logged with their error, in the same call as
+  // their postmortem.
   WSQ_IGNORE_STATUS(db.Execute("SELECT nope FROM missing").status());
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_FALSE(seen[2].ok);
-  EXPECT_FALSE(seen[2].error.empty());
+  EXPECT_FALSE(seen[2].status.ok());
+  EXPECT_FALSE(seen[2].status.message().empty());
+  EXPECT_GT(seen[2].slow_threshold_micros, 0);
+  EXPECT_TRUE(seen[2].postmortem);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Flight recorder: recording/snapshot semantics, query-id binding,
-// string interning, event rendering, postmortem records, and the
-// seqlock protocol under concurrent writers + snapshots (run under
-// TSan in CI).
+// string interning, event rendering, and the seqlock protocol under
+// concurrent writers + snapshots (run under TSan in CI). Postmortems
+// built from its slices are tested in query_log_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ TEST(FlightRecorderTest, RecordedEventsAreVisibleInSnapshots) {
   recorder->Record(FrEventType::kCallDispatch, "AltaVista", "", qid,
                    /*a=*/3);
   recorder->Record(FrEventType::kCallFailed, "AltaVista",
-                   "DEADLINE_EXCEEDED", qid, /*a=*/3);
+                   "DeadlineExceeded", qid, /*a=*/3);
   EXPECT_EQ(recorder->recorded_total(), before + 2);
 
   std::vector<FrEvent> events = recorder->EventsForQuery(qid);
@@ -37,7 +37,7 @@ TEST(FlightRecorderTest, RecordedEventsAreVisibleInSnapshots) {
   EXPECT_EQ(events[0].destination, "AltaVista");
   EXPECT_EQ(events[0].a, 3);
   EXPECT_EQ(events[1].type, FrEventType::kCallFailed);
-  EXPECT_EQ(events[1].cause, "DEADLINE_EXCEEDED");
+  EXPECT_EQ(events[1].cause, "DeadlineExceeded");
   EXPECT_LT(events[0].sequence, events[1].sequence);
 
   FlightRecorderSnapshot snap = recorder->Snapshot();
@@ -162,119 +162,6 @@ TEST(FlightRecorderTest, ConcurrentWritersVersusSnapshotDuringWrap) {
     EXPECT_EQ(events.back().a, kEventsPerWriter - 1) << "writer " << w;
     EXPECT_LE(events.size(), FlightRing::kSlots);
   }
-}
-
-TEST(PostmortemTest, ToTextRendersHeaderAndIndentedEvents) {
-  PostmortemRecord pm;
-  pm.query_id = 7;
-  pm.sql = "SELECT *\nFROM t";
-  pm.verdict = "DEADLINE_EXCEEDED";
-  pm.cause = "deadline of 50000us exceeded";
-  pm.elapsed_micros = 51000;
-  pm.partial_results = true;
-  pm.degraded_tuples = 2;
-  pm.failed_calls = 1;
-  pm.spill_runs = 1;
-  pm.spilled_bytes = 8192;
-  pm.peak_memory_bytes = 65536;
-  FrEvent e1;
-  e1.timestamp_micros = 1000;
-  e1.type = FrEventType::kCallDispatch;
-  e1.query_id = 7;
-  e1.destination = "AltaVista";
-  FrEvent e2;
-  e2.timestamp_micros = 1400;
-  e2.type = FrEventType::kCallTimeout;
-  e2.query_id = 7;
-  e2.destination = "AltaVista";
-  pm.events = {e1, e2};
-  pm.events_dropped = 3;
-
-  std::string text = pm.ToText();
-  EXPECT_NE(text.find("postmortem id=7 verdict=DEADLINE_EXCEEDED"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("cause=\"deadline of 50000us exceeded\""),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("partial=1"), std::string::npos) << text;
-  EXPECT_NE(text.find("spill_runs=1 spilled_bytes=8192"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("peak_memory_bytes=65536"), std::string::npos) << text;
-  // The multi-line SQL is flattened into the header.
-  EXPECT_NE(text.find("sql=\"SELECT * FROM t\""), std::string::npos) << text;
-  // Elision note + events indented, timestamps relative to the first.
-  EXPECT_NE(text.find("\n  ... 3 earlier events elided"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("\n  t=+0us call_dispatch qid=7 dest=AltaVista"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("\n  t=+400us call_timeout qid=7 dest=AltaVista"),
-            std::string::npos)
-      << text;
-}
-
-PostmortemRecord MakePostmortem(uint64_t qid, size_t num_events = 0) {
-  PostmortemRecord pm;
-  pm.query_id = qid;
-  pm.sql = "SELECT 1";
-  pm.verdict = "OK";
-  pm.cause = "1 tuple(s) degraded";
-  for (size_t i = 0; i < num_events; ++i) {
-    FrEvent e;
-    e.timestamp_micros = static_cast<int64_t>(i);
-    e.type = FrEventType::kShardLegFail;
-    e.query_id = qid;
-    e.a = static_cast<int64_t>(i);
-    pm.events.push_back(e);
-  }
-  return pm;
-}
-
-TEST(PostmortemTest, LogRateLimitsButRetainsLast) {
-  int64_t now = 1'000'000;
-  std::vector<uint64_t> emitted;
-  PostmortemLog log(
-      /*min_interval_micros=*/1000,
-      [&emitted](const PostmortemRecord& r) { emitted.push_back(r.query_id); },
-      /*clock=*/[&now] { return now; });
-
-  EXPECT_TRUE(log.Log(MakePostmortem(1)));
-  now += 500;  // inside the interval: suppressed
-  EXPECT_FALSE(log.Log(MakePostmortem(2)));
-  now += 600;  // 1100us past the first emit: allowed again
-  EXPECT_TRUE(log.Log(MakePostmortem(3)));
-
-  ASSERT_EQ(emitted.size(), 2u);
-  EXPECT_EQ(emitted[0], 1u);
-  EXPECT_EQ(emitted[1], 3u);
-  EXPECT_EQ(log.emitted_total(), 2u);
-  EXPECT_EQ(log.suppressed_total(), 1u);
-
-  // The suppressed record still becomes last() at the moment it is
-  // logged, so \postmortem last always shows the newest bad ending.
-  now += 100;
-  EXPECT_FALSE(log.Log(MakePostmortem(4)));
-  auto last = log.last();
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->query_id, 4u);
-}
-
-TEST(PostmortemTest, LogTruncatesEventSliceFromTheFront) {
-  std::vector<PostmortemRecord> seen;
-  PostmortemLog log(
-      /*min_interval_micros=*/0,
-      [&seen](const PostmortemRecord& r) { seen.push_back(r); },
-      /*clock=*/nullptr, /*max_events=*/4);
-  EXPECT_EQ(log.max_events(), 4u);
-
-  EXPECT_TRUE(log.Log(MakePostmortem(9, /*num_events=*/10)));
-  ASSERT_EQ(seen.size(), 1u);
-  ASSERT_EQ(seen[0].events.size(), 4u);
-  EXPECT_EQ(seen[0].events_dropped, 6u);
-  // The ending is kept: the last 4 of 10 events survive.
-  EXPECT_EQ(seen[0].events[0].a, 6);
-  EXPECT_EQ(seen[0].events[3].a, 9);
 }
 
 }  // namespace

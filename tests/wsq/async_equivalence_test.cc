@@ -130,6 +130,25 @@ TEST_P(AsyncEquivalenceTest, StreamingReqSyncAlsoMatches) {
   }
 }
 
+TEST_P(AsyncEquivalenceTest, ExternalCallsCountWhatWasIssued) {
+  // QueryStats::external_calls is counted by the scans themselves under
+  // both strategies; every call they issue reaches one of the two
+  // engines' services.
+  auto requests = [] {
+    return Env().altavista_service().stats().total_requests +
+           Env().google_service().stats().total_requests;
+  };
+  std::string sql = QueryFor(GetParam());
+  for (bool async : {false, true}) {
+    uint64_t before = requests();
+    auto r = Env().Run(sql, async);
+    ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << sql;
+    EXPECT_GT(r->stats.external_calls, 0u) << sql;
+    EXPECT_EQ(r->stats.external_calls, requests() - before)
+        << (async ? "async: " : "sync: ") << sql;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(QuerySweep, AsyncEquivalenceTest,
                          ::testing::Range(0, 18));
 

@@ -9,6 +9,7 @@
 #include "common/cancellation.h"
 #include "common/clock.h"
 #include "common/strings.h"
+#include "exec/executor.h"
 #include "exec/scan_ops.h"
 #include "plan/logical_plan.h"
 #include "wsq/demo.h"
@@ -269,7 +270,9 @@ class ClampTest : public ::testing::Test {
     EVScanNode node(table, "Fake", 1);
     node.constant_terms[1] = Value::Str("term");
     node.async = true;
-    AEVScanOperator op(&node, &pump);
+    ExecContext ctx;
+    ctx.pump = &pump;
+    AEVScanOperator op(&node, &ctx);
     op.SetCancelToken(token);
     Status s = op.Open();
     EXPECT_TRUE(s.ok()) << s.ToString();
@@ -322,7 +325,9 @@ TEST_F(ClampTest, ExpiredBudgetRefusesToIssueTheCall) {
   EVScanNode node(&table, "Fake", 1);
   node.constant_terms[1] = Value::Str("term");
   node.async = true;
-  AEVScanOperator op(&node, &pump);
+  ExecContext ctx;
+  ctx.pump = &pump;
+  AEVScanOperator op(&node, &ctx);
   op.SetCancelToken(&token);
   Status s = op.Open();
   ASSERT_FALSE(s.ok());

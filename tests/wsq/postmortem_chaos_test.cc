@@ -2,13 +2,16 @@
 // under a seeded fault plan every query that fails or returns degraded
 // data must produce exactly one postmortem record that names the
 // responsible destination, and fault-free steady state must produce
-// zero postmortems with a byte-stable \statusz report.
+// zero postmortems with a byte-stable \statusz report. A statement
+// that is also slow still makes one query-log record, rendered both
+// ways.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "common/thread_annotations.h"
 #include "obs/statusz.h"
 #include "wsq/demo.h"
@@ -18,15 +21,15 @@ namespace {
 
 struct Capture {
   Mutex mu;
-  std::vector<PostmortemRecord> records;
+  std::vector<QueryRecord> records;
 
-  PostmortemLog::Sink sink() {
-    return [this](const PostmortemRecord& r) {
+  QueryLog::Sink sink() {
+    return [this](const QueryRecord& r) {
       MutexLock lock(&mu);
       records.push_back(r);
     };
   }
-  std::vector<PostmortemRecord> take() {
+  std::vector<QueryRecord> take() {
     MutexLock lock(&mu);
     return records;
   }
@@ -47,7 +50,7 @@ DemoOptions BaseOptions() {
 TEST(PostmortemChaosTest, FaultFreeLoadEmitsNothingAndStatuszIsStable) {
   Capture capture;
   DemoOptions opt = BaseOptions();
-  opt.postmortem_sink = capture.sink();
+  opt.query_log_sink = capture.sink();
   DemoEnv env(opt);
 
   const char* queries[] = {
@@ -69,9 +72,9 @@ TEST(PostmortemChaosTest, FaultFreeLoadEmitsNothingAndStatuszIsStable) {
   }
 
   EXPECT_TRUE(capture.take().empty());
-  EXPECT_EQ(env.db().postmortems()->emitted_total(), 0u);
-  EXPECT_EQ(env.db().postmortems()->suppressed_total(), 0u);
-  EXPECT_EQ(env.db().postmortems()->last(), nullptr);
+  EXPECT_EQ(env.db().query_log()->emitted_total(), 0u);
+  EXPECT_EQ(env.db().query_log()->suppressed_total(), 0u);
+  EXPECT_EQ(env.db().query_log()->last(), nullptr);
 
   // Quiesce every async layer, then the introspection surface must be
   // byte-stable: identical state renders identically.
@@ -92,7 +95,7 @@ TEST(PostmortemChaosTest, FaultFreeLoadEmitsNothingAndStatuszIsStable) {
 TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
   Capture capture;
   DemoOptions opt = BaseOptions();
-  opt.postmortem_sink = capture.sink();
+  opt.query_log_sink = capture.sink();
   // Shard 0 hard-fails every request it sees, deterministically.
   opt.shard_faults.resize(1);
   opt.shard_faults[0].permanent_rate = 1.0;
@@ -131,33 +134,34 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
   ASSERT_TRUE(
       env.Run("SELECT Name FROM States ORDER BY Name LIMIT 3").ok());
 
-  std::vector<PostmortemRecord> records = capture.take();
+  std::vector<QueryRecord> records = capture.take();
   ASSERT_EQ(records.size(), expected_bad_ids.size() + failed_queries);
-  EXPECT_EQ(env.db().postmortems()->emitted_total(), records.size());
+  EXPECT_EQ(env.db().query_log()->emitted_total(), records.size());
 
   size_t degraded_seen = 0;
   size_t failed_seen = 0;
-  for (const PostmortemRecord& pm : records) {
-    EXPECT_NE(pm.query_id, 0u);
+  for (const QueryRecord& pm : records) {
+    EXPECT_TRUE(pm.postmortem);
+    EXPECT_NE(pm.stats.query_id, 0u);
     EXPECT_FALSE(pm.sql.empty());
-    EXPECT_FALSE(pm.verdict.empty());
-    EXPECT_FALSE(pm.cause.empty());
-    if (pm.ok) {
+    EXPECT_FALSE(pm.verdict().empty());
+    EXPECT_FALSE(pm.cause().empty());
+    if (pm.status.ok()) {
       ++degraded_seen;
       // Exactly one degraded postmortem per best-effort query, id
       // matched — never two for the same query.
       size_t matches = 0;
       for (uint64_t id : expected_bad_ids) {
-        if (id == pm.query_id) ++matches;
+        if (id == pm.stats.query_id) ++matches;
       }
-      EXPECT_EQ(matches, 1u) << "qid " << pm.query_id;
-      EXPECT_TRUE(pm.partial_results);
-      EXPECT_NE(pm.cause.find("shard(s) missing"), std::string::npos)
-          << pm.cause;
+      EXPECT_EQ(matches, 1u) << "qid " << pm.stats.query_id;
+      EXPECT_GT(pm.stats.partial_results, 0u);
+      EXPECT_NE(pm.cause().find("shard(s) missing"), std::string::npos)
+          << pm.cause();
     } else {
       ++failed_seen;
-      EXPECT_NE(pm.verdict, "OK");
-      EXPECT_GT(pm.failed_calls, 0u);
+      EXPECT_NE(pm.verdict(), "OK");
+      EXPECT_GT(pm.stats.failed_calls, 0u);
     }
     // The flight-recorder slice names the responsible destination: the
     // query's external calls (and for failures, the failing call or
@@ -173,7 +177,7 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
       }
     }
     EXPECT_TRUE(named_destination)
-        << "postmortem for qid " << pm.query_id
+        << "postmortem for qid " << pm.stats.query_id
         << " names no destination:\n"
         << pm.ToText();
   }
@@ -181,15 +185,15 @@ TEST(PostmortemChaosTest, EveryBadEndingYieldsExactlyOnePostmortem) {
   EXPECT_EQ(failed_seen, failed_queries);
 
   // \postmortem last surfaces the most recent bad ending.
-  auto last = env.db().postmortems()->last();
+  auto last = env.db().query_log()->last();
   ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->query_id, records.back().query_id);
+  EXPECT_EQ(last->stats.query_id, records.back().stats.query_id);
 }
 
 TEST(PostmortemChaosTest, RateLimitSuppressesButTracksEveryBadEnding) {
   Capture capture;
   DemoOptions opt = BaseOptions();
-  opt.postmortem_sink = capture.sink();
+  opt.query_log_sink = capture.sink();
   // One emitted postmortem per hour: the sweep below emits exactly one
   // record and suppresses the rest, while last() keeps tracking.
   opt.postmortem_min_interval_micros = 3'600'000'000LL;
@@ -210,11 +214,82 @@ TEST(PostmortemChaosTest, RateLimitSuppressesButTracksEveryBadEnding) {
   }
 
   EXPECT_EQ(capture.take().size(), 1u);
-  EXPECT_EQ(env.db().postmortems()->emitted_total(), 1u);
-  EXPECT_EQ(env.db().postmortems()->suppressed_total(), 2u);
-  auto last = env.db().postmortems()->last();
+  EXPECT_EQ(env.db().query_log()->emitted_total(), 1u);
+  EXPECT_EQ(env.db().query_log()->suppressed_total(), 2u);
+  auto last = env.db().query_log()->last();
   ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->query_id, last_id);
+  EXPECT_EQ(last->stats.query_id, last_id);
+}
+
+DemoOptions DarkShardOptions(Capture* capture) {
+  DemoOptions opt = BaseOptions();
+  opt.query_log_sink = capture->sink();
+  opt.shard_faults.resize(1);
+  opt.shard_faults[0].permanent_rate = 1.0;
+  opt.shard_faults[0].seed = 7;
+  return opt;
+}
+
+TEST(PostmortemChaosTest, SlowFailedStatementIsOneRecordRenderedBothWays) {
+  Capture capture;
+  DemoEnv env(DarkShardOptions(&capture));
+  WsqDatabase::ExecOptions exec;
+  exec.slow_query_micros = 1;  // every statement is slow
+  auto r = env.db().Execute(
+      "SELECT Count FROM WebCount WHERE T1 = 'systems'", exec);
+  ASSERT_FALSE(r.ok());
+
+  std::vector<QueryRecord> records = capture.take();
+  ASSERT_EQ(records.size(), 1u);
+  const QueryRecord& record = records[0];
+  EXPECT_GT(record.slow_threshold_micros, 0);
+  EXPECT_TRUE(record.postmortem);
+  EXPECT_GT(record.stats.external_calls, 0u);
+  EXPECT_GT(record.stats.failed_calls, 0u);
+  EXPECT_EQ(env.db().query_log()->slow_total(), 1u);
+  EXPECT_EQ(env.db().query_log()->emitted_total(), 1u);
+
+  // Both renderings show the same id and call counts.
+  const std::string line = record.ToLine();
+  const std::string text = record.ToText();
+  const std::string header = text.substr(0, text.find('\n'));
+  for (const std::string& field :
+       {StrFormat(" id=%llu ", (unsigned long long)record.stats.query_id),
+        StrFormat(" external_calls=%llu ",
+                  (unsigned long long)record.stats.external_calls),
+        StrFormat(" failed_calls=%llu ",
+                  (unsigned long long)record.stats.failed_calls)}) {
+    EXPECT_NE(line.find(field), std::string::npos) << field << "\n" << line;
+    EXPECT_NE(header.find(field), std::string::npos)
+        << field << "\n" << header;
+  }
+}
+
+TEST(PostmortemChaosTest, FastDegradedIsPostmortemOnlyAndHealthyIsSilent) {
+  Capture capture;
+  DemoEnv env(DarkShardOptions(&capture));
+  WsqDatabase::ExecOptions exec;
+  exec.slow_query_micros = 3'600'000'000LL;  // nothing here is slow
+  exec.shard.policy = ShardPolicy::kBestEffort;
+  auto degraded = env.db().Execute(
+      "SELECT Count FROM WebCount WHERE T1 = 'colorado'", exec);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_GT(degraded->stats.partial_results, 0u);
+
+  std::vector<QueryRecord> records = capture.take();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].postmortem);
+  EXPECT_EQ(records[0].slow_threshold_micros, 0);
+  EXPECT_EQ(records[0].stats.query_id, degraded->stats.query_id);
+
+  // A healthy fast statement reaches no sink at all.
+  auto healthy = env.db().Execute(
+      "SELECT Name FROM States ORDER BY Name LIMIT 3", exec);
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_EQ(capture.take().size(), 1u);
+  EXPECT_EQ(env.db().query_log()->slow_total(), 0u);
+  EXPECT_EQ(env.db().query_log()->last()->stats.query_id,
+            degraded->stats.query_id);
 }
 
 }  // namespace
