@@ -50,22 +50,6 @@ class FetchPageTable : public VirtualTable {
     return "fetch %1";
   }
 
-  Result<std::vector<Row>> Fetch(const VTableRequest& request) override {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(latency_micros_));
-    std::vector<Row> rows;
-    Row outputs = FetchOutputs(request);
-    if (outputs.empty()) return rows;  // unknown URL: no tuple
-    Row row;
-    row.Append(Value::Str(EffectiveSearchExp(request)));
-    for (const std::string& t : request.terms) {
-      row.Append(Value::Str(t));
-    }
-    for (const Value& v : outputs.values()) row.Append(v);
-    rows.push_back(std::move(row));
-    return rows;
-  }
-
   using VirtualTable::SubmitAsync;
   CallId SubmitAsync(const VTableRequest& request, ReqPump* pump,
                      int64_t timeout_micros) override {

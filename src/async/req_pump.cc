@@ -623,6 +623,16 @@ bool ReqPump::CancelCall(CallId id) {
   return true;
 }
 
+size_t ReqPump::CancelAndTake(std::span<const CallId> calls) {
+  size_t cancelled = 0;
+  for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
+    if (CancelCall(*it)) ++cancelled;
+    CallResult discarded;
+    TryTake(*it, &discarded);
+  }
+  return cancelled;
+}
+
 bool ReqPump::IsComplete(CallId id) const {
   MutexLock lock(&core_->mu);
   return core_->results.count(id) > 0;

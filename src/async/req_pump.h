@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -222,7 +223,7 @@ class ReqPump {
   /// As above, observing `token` (may be null): returns the token's
   /// error without consuming the call once the query is cancelled or
   /// past its deadline. The call stays registered — cancel and take it
-  /// via CancelCall + TryTake (ReqSync's Close does this).
+  /// via CancelAndTake (ExecutePlan's sweep does this).
   CallResult TakeBlocking(CallId id, const CancellationToken* token)
       WSQ_EXCLUDES(core_->mu);
 
@@ -234,6 +235,16 @@ class ReqPump {
   /// false (and does nothing) if the call already has a result or is
   /// unknown. Safe from any thread.
   bool CancelCall(CallId id) WSQ_EXCLUDES(core_->mu);
+
+  /// Resolves calls that nothing will consume: cancels each one still
+  /// unresolved and takes its result, which is then always present, so
+  /// it never waits on the network. Newest (last) first: the queue is
+  /// FIFO, so a call still queued is never older than a dispatched one
+  /// to the same destination, and cancelling the dispatched one first
+  /// would free its slot only to send the queued call to the engine and
+  /// abandon it too. Returns how many calls it cancelled.
+  size_t CancelAndTake(std::span<const CallId> calls)
+      WSQ_EXCLUDES(core_->mu);
 
   /// Monotonic count of completions; use with WaitForCompletionBeyond
   /// to sleep until any call finishes.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "common/macros.h"
 #include "common/strings.h"
+#include "wsq/web_tables.h"
 
 namespace wsq {
 
@@ -40,42 +42,28 @@ Result<std::vector<DsqEngine::TermScore>> DsqEngine::CandidateTerms(
 }
 
 Result<std::vector<int64_t>> DsqEngine::CountAll(
-    const std::vector<std::string>& queries) const {
+    const std::vector<VTableRequest>& requests) const {
   ReqPump* pump = db_->pump();
   std::vector<CallId> calls;
-  calls.reserve(queries.size());
-  for (const std::string& q : queries) {
-    SearchRequest req;
-    req.kind = SearchRequest::Kind::kCount;
-    req.query = q;
-    SearchService* service = service_;
-    calls.push_back(pump->Register(
-        service->name(),
-        [service, req = std::move(req)](CallCompletion done) mutable {
-          service->Submit(std::move(req), [done](SearchResponse resp) {
-            CallResult result;
-            result.status = resp.status;
-            if (resp.status.ok()) {
-              result.rows.push_back(Row({Value::Int(resp.count)}));
-            }
-            done(std::move(result));
-          });
-        }));
+  calls.reserve(requests.size());
+  for (const VTableRequest& request : requests) {
+    calls.push_back(SubmitSearchCall(service_, SearchRequest::Kind::kCount,
+                                     request.search_exp, request, pump,
+                                     /*timeout_micros=*/0));
   }
 
   std::vector<int64_t> counts;
   counts.reserve(calls.size());
-  Status first_error;
-  for (CallId id : calls) {
-    CallResult result = pump->TakeBlocking(id);
+  for (size_t i = 0; i < calls.size(); ++i) {
+    CallResult result = pump->TakeBlocking(calls[i]);
     if (!result.status.ok()) {
-      if (first_error.ok()) first_error = result.status;
-      counts.push_back(0);
-      continue;
+      // Nothing will use the other answers: resolve the calls still out
+      // without waiting for them.
+      pump->CancelAndTake(std::span<const CallId>(calls).subspan(i + 1));
+      return result.status;
     }
     counts.push_back(result.rows[0].value(0).AsInt());
   }
-  WSQ_RETURN_IF_ERROR(first_error);
   return counts;
 }
 
@@ -103,14 +91,17 @@ Result<DsqEngine::Explanation> DsqEngine::Explain(
     by_source.push_back(std::move(terms));
   }
 
-  // One concurrent search per candidate: "<term> near <phrase>".
-  std::vector<std::string> queries;
-  queries.reserve(all.size());
+  // One concurrent search per candidate: "<term> near <phrase>". The
+  // terms are substituted verbatim, so a phrase that contains "%1" is
+  // searched as written.
+  std::vector<VTableRequest> requests;
+  requests.reserve(all.size());
   for (const TermScore& t : all) {
-    queries.push_back(t.term + " near " + phrase);
+    requests.push_back(VTableRequest{.search_exp = "%1 near %2",
+                                     .terms = {t.term, phrase}});
   }
-  WSQ_ASSIGN_OR_RETURN(std::vector<int64_t> counts, CountAll(queries));
-  out.external_calls += queries.size();
+  WSQ_ASSIGN_OR_RETURN(std::vector<int64_t> counts, CountAll(requests));
+  out.external_calls += requests.size();
   for (size_t i = 0; i < all.size(); ++i) {
     all[i].count = counts[i];
   }
@@ -146,21 +137,22 @@ Result<DsqEngine::Explanation> DsqEngine::Explain(
     }
 
     std::vector<PairScore> pairs;
-    std::vector<std::string> pair_queries;
+    std::vector<VTableRequest> pair_requests;
     for (size_t i = 0; i < by_source.size(); ++i) {
       for (size_t j = i + 1; j < by_source.size(); ++j) {
         for (const TermScore& a : by_source[i]) {
           for (const TermScore& b : by_source[j]) {
             pairs.push_back(PairScore{a.term, b.term, 0});
-            pair_queries.push_back(a.term + " near " + b.term +
-                                   " near " + phrase);
+            pair_requests.push_back(
+                VTableRequest{.search_exp = "%1 near %2 near %3",
+                              .terms = {a.term, b.term, phrase}});
           }
         }
       }
     }
     WSQ_ASSIGN_OR_RETURN(std::vector<int64_t> pair_counts,
-                         CountAll(pair_queries));
-    out.external_calls += pair_queries.size();
+                         CountAll(pair_requests));
+    out.external_calls += pair_requests.size();
     for (size_t i = 0; i < pairs.size(); ++i) {
       pairs[i].count = pair_counts[i];
     }

@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "net/search_service.h"
+#include "vtab/virtual_table.h"
 #include "wsq/database.h"
 
 namespace wsq {
@@ -79,10 +80,12 @@ class DsqEngine {
   Result<std::vector<TermScore>> CandidateTerms(
       const std::string& source_column) const;
 
-  /// Issues one count call per query string, concurrently; returns the
-  /// counts in input order.
+  /// Issues one count call per request (its search_exp expanded over
+  /// its terms), concurrently; returns the counts in input order. The
+  /// first failed call, in input order, is the result: the calls still
+  /// out are cancelled, not waited for.
   Result<std::vector<int64_t>> CountAll(
-      const std::vector<std::string>& queries) const;
+      const std::vector<VTableRequest>& requests) const;
 
   WsqDatabase* db_;
   SearchService* service_;

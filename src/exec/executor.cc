@@ -16,13 +16,13 @@ namespace {
 
 Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
                                                   ExecContext* ctx) {
+  if (ctx->pump == nullptr) {
+    return Status::InvalidArgument(
+        "plan contains an external scan but no ReqPump was supplied");
+  }
+  ctx->issued_calls_charge.Bind(ctx->memory);
   std::unique_ptr<VScanOperator> scan;
   if (node.async) {
-    if (ctx->pump == nullptr) {
-      return Status::InvalidArgument(
-          "plan contains an AEVScan but no ReqPump was supplied");
-    }
-    ctx->issued_calls_charge.Bind(ctx->memory);
     scan = std::make_unique<AEVScanOperator>(&node, ctx);
   } else {
     scan = std::make_unique<EVScanOperator>(&node, ctx);
@@ -32,21 +32,20 @@ Result<std::unique_ptr<VScanOperator>> BuildVScan(const EVScanNode& node,
   return scan;
 }
 
-// Closes the tree, then resolves every call its AEVScans registered
-// that nothing consumed. Once a scan emits its placeholder tuple the
+// Closes the tree, then resolves every call its scans registered that
+// nothing consumed. Once an AEVScan emits its placeholder tuple the
 // call belongs to that tuple's consumer, so a call whose tuple a join
 // or filter below the ReqSync discarded has no taker, and neither has
-// one registered but never emitted. Cancelling and taking what is left
-// keeps the shared ReqPumpHash clean without waiting on the network.
-// Newest first, as in ReqSync's Close: the pump queue is FIFO, so the
-// calls still queued go before any dispatched one frees its slot.
+// one registered but never emitted, nor one an EVScan stopped waiting
+// for when the query was cancelled or ran out of budget. Cancelling and
+// taking what is left keeps the shared ReqPumpHash clean without
+// waiting on the network. A plan with no external scan has no calls
+// and may have no pump.
 Status CloseTree(Operator* root, ExecContext* ctx) {
   Status closed = root->Close();
-  for (auto it = ctx->issued_calls.rbegin(); it != ctx->issued_calls.rend();
-       ++it) {
-    if (ctx->pump->CancelCall(*it)) ++ctx->stats.cancelled_calls;
-    CallResult discarded;
-    ctx->pump->TryTake(*it, &discarded);
+  if (!ctx->issued_calls.empty()) {
+    ctx->stats.cancelled_calls +=
+        ctx->pump->CancelAndTake(ctx->issued_calls);
   }
   ctx->issued_calls.clear();
   ctx->issued_calls_charge.ReleaseAll();

@@ -18,7 +18,7 @@ namespace wsq {
 
 class SpillManager;  // storage/spill.h
 
-/// Shared execution state: the ReqPump for asynchronous calls, the
+/// Shared execution state: the ReqPump for external calls, the
 /// per-query governors, and the query's counters. Operators run on the
 /// executor thread only and bump `stats` directly, so the counts are
 /// this query's under both execution strategies even while other
@@ -49,10 +49,13 @@ struct ExecContext {
   /// This query's counters. Execute fills in the rest (elapsed time,
   /// peak memory) and returns them in QueryExecution::stats.
   QueryStats stats;
-  /// Every call this query's AEVScans registered, each id charged to
-  /// `memory` through `issued_calls_charge`. After the root closes,
-  /// ExecutePlan cancels and takes the ones nothing consumed, then
-  /// clears the list and releases the charge. Executor thread only.
+  /// The calls this query's scans registered (EVScan and AEVScan issue
+  /// theirs through one path, VScanBase::IssueCall), each id charged to
+  /// `memory` through `issued_calls_charge`. An EVScan that takes its
+  /// own result removes its id and its charge; one the query stopped
+  /// first stays. After the root closes, ExecutePlan cancels and takes
+  /// the ones nothing consumed, then clears the list and releases the
+  /// charge. Executor thread only.
   std::vector<CallId> issued_calls;
   MemoryReservation issued_calls_charge;
 };
@@ -67,7 +70,7 @@ struct ResultSet {
 };
 
 /// Compiles a logical plan into a physical operator tree. `ctx->pump`
-/// is required when the plan contains asynchronous scans or ReqSyncs;
+/// is required when the plan contains external scans or ReqSyncs;
 /// `ctx` must outlive the returned operators. Closing the returned
 /// root does not release calls that nothing consumed (those whose
 /// placeholder tuples were dropped below a ReqSync, or never emitted):

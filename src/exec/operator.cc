@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/strings.h"
+
 namespace wsq {
 
 Status Operator::OpenInstrumented() {
@@ -36,6 +38,19 @@ Status Operator::CloseInstrumented() {
     profile_.close_micros += NowMicros() - start;
   }
   return status;
+}
+
+void Operator::CountPartialResult(QueryStats* stats, const char* layer,
+                                  CallId call, uint32_t degraded_shards) {
+  profile_.partial_results++;
+  profile_.degraded_shards += degraded_shards;
+  ++stats->partial_results;
+  stats->degraded_shards += degraded_shards;
+  if (tracer_ != nullptr) {
+    tracer_->Event(layer, "partial",
+                   StrFormat("call=%llu degraded_shards=%u",
+                             (unsigned long long)call, degraded_shards));
+  }
 }
 
 PlanProfileNode Operator::BuildProfileTree() const {

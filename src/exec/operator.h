@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/op_profile.h"
+#include "obs/query_stats.h"
 #include "obs/trace.h"
 #include "types/row.h"
 #include "types/schema.h"
@@ -110,10 +111,12 @@ class Operator {
   void AddBlockedMicros(int64_t micros) {
     profile_.blocked_on_sync_micros += micros;
   }
-  void CountPartialResult(uint64_t degraded) {
-    profile_.partial_results++;
-    profile_.degraded_shards += degraded;
-  }
+  /// Counts a call that answered OK from a strict subset of its
+  /// backend's shards: the quorum policy accepted the loss, but the
+  /// coverage gap shows in the query's `stats`, EXPLAIN ANALYZE and the
+  /// trace (a `layer`/"partial" event).
+  void CountPartialResult(QueryStats* stats, const char* layer, CallId call,
+                          uint32_t degraded_shards);
   /// Memory-governor hooks: bytes written to a spill run, and the
   /// high-water mark of this operator's tracked reservation. Recorded
   /// unconditionally (not gated on profile_on_) — they are cheap and

@@ -1,7 +1,6 @@
 #include "exec/req_sync_op.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/macros.h"
 #include "common/strings.h"
@@ -251,19 +250,9 @@ Status ReqSyncOperator::ProcessCompletion(CallId call,
     return DegradeFailedCall(call, result.status);
   }
   if (result.degraded_shards > 0) {
-    // OK but degraded: a sharded backend answered from a strict subset
-    // of its shards. The tuples are patched normally — the quorum
-    // policy already accepted the loss — but the coverage gap is
-    // surfaced in QueryStats and EXPLAIN ANALYZE.
-    CountPartialResult(result.degraded_shards);
-    ++ctx_->stats.partial_results;
-    ctx_->stats.degraded_shards += result.degraded_shards;
-    if (tracer() != nullptr) {
-      tracer()->Event("reqsync", "partial",
-                      StrFormat("call=%llu degraded_shards=%u",
-                                (unsigned long long)call,
-                                result.degraded_shards));
-    }
+    // OK but degraded: the tuples are patched normally.
+    CountPartialResult(&ctx_->stats, "reqsync", call,
+                       result.degraded_shards);
   }
 
   auto waiting = waiters_.find(call);
@@ -300,23 +289,13 @@ Status ReqSyncOperator::ProcessCompletion(CallId call,
 Status ReqSyncOperator::CloseImpl() {
   // Nothing will consume the calls still in waiters_: their tuples were
   // cancelled by another call's zero-row answer, the consumer stopped
-  // early (LIMIT), or the query failed or was aborted. Cancel each one
-  // — CancelCall resolves a not-yet-complete call at once, dropping it
-  // from the queue or abandoning its dispatch — and take its result,
-  // which is then always present, so Close never waits on the network.
-  // Newest first: the pump queue is FIFO, so a call still queued is
-  // never older than a dispatched one to the same destination, and
-  // cancelling the dispatched one first would free its slot only to
-  // send the queued call to the engine and abandon it too.
+  // early (LIMIT), or the query failed or was aborted. Sorted by id,
+  // so CancelAndTake cancels the newest first.
   std::vector<CallId> calls;
   calls.reserve(waiters_.size());
   for (const auto& [call, ids] : waiters_) calls.push_back(call);
-  std::sort(calls.begin(), calls.end(), std::greater<CallId>());
-  for (CallId call : calls) {
-    if (pump_->CancelCall(call)) ++ctx_->stats.cancelled_calls;
-    CallResult discarded;
-    pump_->TryTake(call, &discarded);
-  }
+  std::sort(calls.begin(), calls.end());
+  ctx_->stats.cancelled_calls += pump_->CancelAndTake(calls);
   waiters_.clear();
   entries_.clear();
   ready_.clear();

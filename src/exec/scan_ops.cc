@@ -109,59 +109,17 @@ Result<VTableRequest> VScanBase::BuildRequest() const {
   return request;
 }
 
-Result<std::vector<Value>> VScanBase::InputValues(
-    const VTableRequest& request) const {
-  std::vector<Value> inputs;
-  inputs.reserve(1 + request.terms.size());
-  inputs.push_back(
+Result<CallId> VScanBase::IssueCall(Row* inputs) {
+  WSQ_RETURN_IF_ERROR(CheckAlive());
+  WSQ_ASSIGN_OR_RETURN(VTableRequest request, BuildRequest());
+  std::vector<Value> values;
+  values.reserve(1 + request.terms.size());
+  values.push_back(
       Value::Str(node_->table()->EffectiveSearchExp(request)));
   for (const std::string& t : request.terms) {
-    inputs.push_back(Value::Str(t));
+    values.push_back(Value::Str(t));
   }
-  return inputs;
-}
-
-void VScanBase::CountExternalCall() {
-  ++ctx_->stats.external_calls;
-  CountCallIssued();
-}
-
-Status EVScanOperator::OpenImpl() {
-  rows_.clear();
-  next_ = 0;
-  // The synchronous Fetch below blocks uninterruptibly; refuse to start
-  // it for a query that is already cancelled or past its deadline.
-  WSQ_RETURN_IF_ERROR(CheckAlive());
-  WSQ_ASSIGN_OR_RETURN(VTableRequest request, BuildRequest());
-  CountExternalCall();
-  if (tracer() != nullptr) {
-    // The blocking fetch is the whole cost of a synchronous EVScan; one
-    // span per call makes sum-of-latencies visible in the trace.
-    Tracer::Scope span(tracer(), "net", "fetch");
-    span.AppendDetail(node_->effective_name());
-    WSQ_ASSIGN_OR_RETURN(rows_, node_->table()->Fetch(request));
-  } else {
-    WSQ_ASSIGN_OR_RETURN(rows_, node_->table()->Fetch(request));
-  }
-  return Status::OK();
-}
-
-Result<bool> EVScanOperator::NextImpl(Row* row) {
-  if (next_ >= rows_.size()) return false;
-  *row = rows_[next_++];
-  return true;
-}
-
-Status EVScanOperator::CloseImpl() {
-  rows_.clear();
-  return Status::OK();
-}
-
-Status AEVScanOperator::OpenImpl() {
-  emitted_ = false;
-  WSQ_RETURN_IF_ERROR(CheckAlive());
-  WSQ_ASSIGN_OR_RETURN(VTableRequest request, BuildRequest());
-  WSQ_ASSIGN_OR_RETURN(inputs_, InputValues(request));
+  *inputs = Row(std::move(values));
   // Deadline propagation: never issue a call that is allowed to run
   // longer than the query has left. A dependent join re-Opens this scan
   // per left row, so each call is clamped to the budget remaining at
@@ -175,26 +133,76 @@ Status AEVScanOperator::OpenImpl() {
     int64_t pump_default = ctx_->pump->limits().default_timeout_micros;
     if (pump_default > 0 && pump_default < budget) budget = pump_default;
   }
-  call_ = node_->table()->SubmitAsync(request, ctx_->pump, budget);
+  CallId call = node_->table()->SubmitAsync(request, ctx_->pump, budget);
   // One id per issued call (a dependent join re-Opens this scan per
-  // outer row), charged to the query budget until ExecutePlan's sweep
-  // after the root closes.
-  ctx_->issued_calls.push_back(call_);
+  // outer row), charged to the query budget until an EVScan takes the
+  // result or ExecutePlan's sweep after the root closes.
+  ctx_->issued_calls.push_back(call);
   ctx_->issued_calls_charge.ForceAdd(sizeof(CallId));
-  CountExternalCall();
+  ++ctx_->stats.external_calls;
+  CountCallIssued();
   if (tracer() != nullptr) {
     tracer()->Event("reqpump", "register",
-                    StrFormat("call=%llu %s", (unsigned long long)call_,
+                    StrFormat("call=%llu %s", (unsigned long long)call,
                               node_->effective_name().c_str()));
   }
+  return call;
+}
+
+Status EVScanOperator::OpenImpl() {
+  outputs_.clear();
+  next_ = 0;
+  WSQ_ASSIGN_OR_RETURN(CallId call, IssueCall(&inputs_));
+  CallResult result;
+  if (tracer() != nullptr) {
+    // The wait is the whole cost of a sequential EVScan; one span per
+    // call makes sum-of-latencies visible in the trace.
+    Tracer::Scope span(tracer(), "net", "fetch");
+    span.AppendDetail(node_->effective_name());
+    result = ctx_->pump->TakeBlocking(call, cancel_token());
+  } else {
+    result = ctx_->pump->TakeBlocking(call, cancel_token());
+  }
+  // A stopped query leaves its call to ExecutePlan's sweep. Otherwise
+  // TakeBlocking consumed the call, the last one IssueCall pushed, so
+  // the sweep has nothing to resolve for it; a failure is the call's.
+  if (!result.status.ok()) {
+    WSQ_RETURN_IF_ERROR(CheckAlive());
+  }
+  ctx_->issued_calls.pop_back();
+  ctx_->issued_calls_charge.Subtract(sizeof(CallId));
+  if (!result.status.ok()) {
+    ++ctx_->stats.failed_calls;
+    return result.status;
+  }
+  if (result.degraded_shards > 0) {
+    CountPartialResult(&ctx_->stats, "net", call, result.degraded_shards);
+  }
+  outputs_ = std::move(result.rows);
+  return Status::OK();
+}
+
+Result<bool> EVScanOperator::NextImpl(Row* row) {
+  if (next_ >= outputs_.size()) return false;
+  *row = Row::Concat(inputs_, outputs_[next_++]);
+  return true;
+}
+
+Status EVScanOperator::CloseImpl() {
+  outputs_.clear();
+  return Status::OK();
+}
+
+Status AEVScanOperator::OpenImpl() {
+  emitted_ = false;
+  WSQ_ASSIGN_OR_RETURN(call_, IssueCall(&inputs_));
   return Status::OK();
 }
 
 Result<bool> AEVScanOperator::NextImpl(Row* row) {
   if (emitted_) return false;
   emitted_ = true;
-  Row out;
-  for (const Value& v : inputs_) out.Append(v);
+  Row out = inputs_;
   size_t outputs = node_->table()->NumOutputColumns();
   for (size_t field = 0; field < outputs; ++field) {
     out.Append(Value::Pending(call_, static_cast<int32_t>(field)));

@@ -44,10 +44,12 @@ class IndexScanOperator : public Operator {
   size_t next_ = 0;
 };
 
-/// Shared logic for external virtual table scans: assembling the
-/// VTableRequest from constants plus dependent bindings (and the
-/// query's shard policy, ExecContext::shard), and counting each issued
-/// call in ExecContext::stats.
+/// The one call path to an external virtual table, shared by both
+/// scans: IssueCall builds the VTableRequest from constants plus
+/// dependent bindings (and the query's shard policy,
+/// ExecContext::shard), clamps the call's timeout to the query's
+/// remaining budget, registers it on ExecContext::pump, records its id
+/// in ExecContext::issued_calls and counts it in ExecContext::stats.
 class VScanBase : public VScanOperator {
  public:
   VScanBase(const EVScanNode* node, ExecContext* ctx)
@@ -59,24 +61,26 @@ class VScanBase : public VScanOperator {
   }
 
  protected:
-  /// Builds the request; fails if any term is missing or NULL.
-  Result<VTableRequest> BuildRequest() const;
-
-  /// Leading (input-column) values shared by every emitted row.
-  Result<std::vector<Value>> InputValues(
-      const VTableRequest& request) const;
-
-  /// Counts one issued external call in the query's stats and the
-  /// operator profile.
-  void CountExternalCall();
+  /// Issues this Open's call; `*inputs` receives the input-column values
+  /// (SearchExp, T1..Tn) that every row the scan emits starts with.
+  /// Fails without issuing anything once the query is cancelled or out
+  /// of budget, or when a term is missing or NULL.
+  Result<CallId> IssueCall(Row* inputs);
 
   const EVScanNode* node_;
   ExecContext* ctx_;
+
+ private:
+  Result<VTableRequest> BuildRequest() const;
+
   std::vector<std::pair<size_t, Value>> bound_terms_;
 };
 
-/// Blocking external scan: one synchronous call per Open (paper's
-/// baseline execution).
+/// Sequential external scan (the paper's baseline execution): Open
+/// issues one call and waits for it in ReqPump::TakeBlocking under the
+/// query's token, so deadlines, pump limits, retries, the breaker and
+/// the shard policy apply exactly as for AEVScan. A failed call fails
+/// the query.
 class EVScanOperator : public VScanBase {
  public:
   EVScanOperator(const EVScanNode* node, ExecContext* ctx)
@@ -87,12 +91,13 @@ class EVScanOperator : public VScanBase {
   Status CloseImpl() override;
 
  private:
-  std::vector<Row> rows_;
+  Row inputs_;
+  /// The call's output rows; Next prefixes each with `inputs_`.
+  std::vector<Row> outputs_;
   size_t next_ = 0;
 };
 
-/// Asynchronous external scan (paper §4.1): Open registers the call
-/// with ctx->pump and records its id in ExecContext::issued_calls; Next
+/// Asynchronous external scan (paper §4.1): Open issues the call; Next
 /// immediately returns ONE provisional tuple whose output attributes
 /// are placeholders naming the call. A ReqSync operator above patches,
 /// cancels, or proliferates it later.
@@ -107,7 +112,7 @@ class AEVScanOperator : public VScanBase {
 
  private:
   CallId call_ = kInvalidCallId;
-  std::vector<Value> inputs_;
+  Row inputs_;
   bool emitted_ = false;
 };
 

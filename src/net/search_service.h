@@ -64,7 +64,8 @@ class SearchService {
 
   virtual void Submit(SearchRequest request, SearchCallback done) = 0;
 
-  /// Blocking convenience wrapper around Submit.
+  /// Blocking convenience wrapper around Submit for tests and benches;
+  /// the query engine reaches services only through ReqPump calls.
   SearchResponse Execute(SearchRequest request);
 };
 

@@ -251,6 +251,15 @@ void FlightRecorder::Record(FrEventType type, std::string_view destination,
 }
 
 FlightRecorderSnapshot FlightRecorder::Snapshot() const {
+  return Collect(std::nullopt);
+}
+
+std::vector<FrEvent> FlightRecorder::EventsForQuery(uint64_t query_id) const {
+  return Collect(query_id).events;
+}
+
+FlightRecorderSnapshot FlightRecorder::Collect(
+    std::optional<uint64_t> only_query) const {
   FlightRecorderSnapshot snap;
   std::vector<std::shared_ptr<FlightRing>> rings;
   {
@@ -268,10 +277,13 @@ FlightRecorderSnapshot FlightRecorder::Snapshot() const {
       const uint64_t seq = slot.sequence.load(std::memory_order_acquire);
       if (seq == 0) continue;
       FrEvent e;
+      // A query id torn by a concurrent rewrite can only skip an event
+      // that the re-check below would drop.
+      e.query_id = slot.query_id.load(std::memory_order_relaxed);
+      if (only_query.has_value() && e.query_id != *only_query) continue;
       e.sequence = seq;
       e.timestamp_micros =
           slot.timestamp_micros.load(std::memory_order_relaxed);
-      e.query_id = slot.query_id.load(std::memory_order_relaxed);
       const uint32_t dest_id =
           slot.destination_id.load(std::memory_order_relaxed);
       const uint32_t cause_id = slot.cause_id.load(std::memory_order_relaxed);
@@ -299,15 +311,6 @@ FlightRecorderSnapshot FlightRecorder::Snapshot() const {
             });
   snap.recorded_total = recorded_total();
   return snap;
-}
-
-std::vector<FrEvent> FlightRecorder::EventsForQuery(uint64_t query_id) const {
-  FlightRecorderSnapshot snap = Snapshot();
-  std::vector<FrEvent> out;
-  for (auto& e : snap.events) {
-    if (e.query_id == query_id) out.push_back(std::move(e));
-  }
-  return out;
 }
 
 }  // namespace wsq

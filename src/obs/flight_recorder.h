@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -193,8 +194,9 @@ class FlightRecorder {
   /// (timestamp, sequence). Takes the registry mutex only.
   FlightRecorderSnapshot Snapshot() const WSQ_EXCLUDES(mu_);
 
-  /// The visible events stamped with `query_id`, ordered. Convenience
-  /// over Snapshot() for postmortem assembly.
+  /// The visible events stamped with `query_id`, ordered as in
+  /// Snapshot() (postmortem assembly). Other queries' slots are skipped
+  /// before they are decoded.
   std::vector<FrEvent> EventsForQuery(uint64_t query_id) const
       WSQ_EXCLUDES(mu_);
 
@@ -219,6 +221,10 @@ class FlightRecorder {
   std::string ResolveForTest(uint32_t id) const { return Resolve(id); }
 
  private:
+  /// Snapshot() of every event, or of those stamped `only_query`.
+  FlightRecorderSnapshot Collect(std::optional<uint64_t> only_query) const
+      WSQ_EXCLUDES(mu_);
+
   uint32_t Intern(std::string_view s) WSQ_EXCLUDES(intern_mu_);
   std::string Resolve(uint32_t id) const WSQ_EXCLUDES(intern_mu_);
   FlightRing* RingForThisThread() WSQ_EXCLUDES(mu_);

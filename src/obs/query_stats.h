@@ -18,7 +18,7 @@ struct QueryStats {
   /// Whether asynchronous iteration was used.
   bool async_iteration = false;
   /// External calls that completed with an error (including deadline
-  /// timeouts) and were handled by a ReqSync.
+  /// timeouts): handled by a ReqSync, or failing a sequential EVScan.
   uint64_t failed_calls = 0;
   /// Tuples cancelled under OnCallError::kDropTuple.
   uint64_t dropped_tuples = 0;

@@ -16,8 +16,8 @@ namespace wsq {
 struct TraceSpan {
   /// Span taxonomy (DESIGN.md §12): "query" (phases), "op" (operator
   /// Open/Close), "reqpump" (call register/dispatch/complete/cancel),
-  /// "reqsync" (buffer/wait/proliferate), "net" (blocking fetch),
-  /// "storage" (page I/O), "wal" (log append/commit).
+  /// "reqsync" (buffer/wait/proliferate), "net" (EVScan's wait on its
+  /// pump call), "storage" (page I/O), "wal" (log append/commit).
   std::string category;
   std::string name;
   std::string detail;

@@ -26,7 +26,7 @@ struct VTableRequest {
   int64_t rank_limit = 19;
   /// Per-query partial-result policy, forwarded to sharded backends
   /// (ExecOptions::shard → ExecContext → here → SearchRequest::shard).
-  ShardOptions shard;
+  ShardOptions shard = {};
 };
 
 /// A table-valued external source: "a program that looks like a table
@@ -65,24 +65,20 @@ class VirtualTable {
 
   /// The SearchExp actually used for `request` — the explicit expression
   /// or, when empty, this table's default template (paper §3: "%1 near
-  /// %2 near ... near %n"). Scans use this to fill the SearchExp column
-  /// identically on the sync and async paths.
+  /// %2 near ... near %n"). Scans use this to fill the SearchExp column.
   virtual std::string EffectiveSearchExp(
       const VTableRequest& request) const {
     return request.search_exp;
   }
 
-  /// Synchronous access: complete rows (inputs then outputs), blocking
-  /// on the external source. Used by EVScan.
-  virtual Result<std::vector<Row>> Fetch(const VTableRequest& request) = 0;
-
-  /// Asynchronous access: registers an external call with `pump` and
+  /// The one access path: registers an external call with `pump` and
   /// returns its id immediately. The call's CallResult rows carry the
-  /// OUTPUT columns only; AEVScan pairs them with the already-known
-  /// input values via placeholders. `timeout_micros` > 0 sets an
-  /// explicit per-call deadline (the query governor passes the
-  /// remaining query budget here so no call outlives its query);
-  /// <= 0 keeps the pump's default timeout.
+  /// OUTPUT columns only; the scans prefix them with the already-known
+  /// input values (EVScan after waiting for the call, AEVScan via
+  /// placeholders). `timeout_micros` > 0 sets an explicit per-call
+  /// deadline (the query governor passes the remaining query budget
+  /// here so no call outlives its query); <= 0 keeps the pump's
+  /// default timeout.
   virtual CallId SubmitAsync(const VTableRequest& request, ReqPump* pump,
                              int64_t timeout_micros) = 0;
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
+#include "common/clock.h"
 #include "wsq/demo.h"
 
 namespace wsq {
@@ -132,6 +138,91 @@ TEST_F(DsqEngineTest, TopKTruncates) {
   auto r = dsq.Explain("computer", {"States.Name"}, opt);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->terms.size(), 3u);
+}
+
+// Fails the first request at once and holds every later one until
+// Release() (or destruction), answering it with a count of 1.
+class FirstFailsService : public SearchService {
+ public:
+  ~FirstFailsService() override { Release(); }
+
+  const std::string& name() const override { return name_; }
+
+  void Submit(SearchRequest request, SearchCallback done) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queries_.push_back(request.query);
+      if (queries_.size() > 1) {
+        held_.push_back(std::move(done));
+        return;
+      }
+    }
+    SearchResponse failed;
+    failed.status = Status::Unavailable("first request fails");
+    done(std::move(failed));
+  }
+
+  void Release() {
+    std::vector<SearchCallback> held;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held.swap(held_);
+    }
+    for (SearchCallback& done : held) {
+      SearchResponse resp;
+      resp.count = 1;
+      done(std::move(resp));
+    }
+  }
+
+  std::vector<std::string> queries() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queries_;
+  }
+
+ private:
+  const std::string name_ = "FirstFails";
+  std::mutex mu_;
+  std::vector<std::string> queries_;
+  std::vector<SearchCallback> held_;
+};
+
+TEST_F(DsqEngineTest, FirstFailedCallEndsExplainWithoutWaiting) {
+  // The held requests are released once Explain returns, or after 1 s
+  // if it waits for them.
+  FirstFailsService service;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool explained = false;
+  std::thread releaser([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(1), [&] { return explained; });
+    service.Release();
+  });
+  ReqPump* pump = Env().db().pump();
+  size_t pending_before = pump->pending_results();
+  DsqEngine dsq(&Env().db(), &service);
+  Stopwatch timer;
+  auto r = dsq.Explain("scuba diving", {"States.Name"});
+  int64_t elapsed = timer.ElapsedMicros();
+  size_t pending_after = pump->pending_results();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    explained = true;
+  }
+  cv.notify_one();
+  releaser.join();
+
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  EXPECT_LT(elapsed, 500000);
+  EXPECT_EQ(pending_after, pending_before);
+  // One request per state, spelled "<term> near <phrase>".
+  std::vector<std::string> queries = service.queries();
+  EXPECT_EQ(queries.size(), 50u);
+  EXPECT_NE(std::find(queries.begin(), queries.end(),
+                      "Florida near scuba diving"),
+            queries.end());
 }
 
 }  // namespace

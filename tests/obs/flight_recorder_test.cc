@@ -164,5 +164,41 @@ TEST(FlightRecorderTest, ConcurrentWritersVersusSnapshotDuringWrap) {
   }
 }
 
+TEST(FlightRecorderTest, EventsForQueryIsTheFilteredSnapshot) {
+  // Three threads interleave events of two queries (and of none) in
+  // their own rings; EventsForQuery must return exactly the snapshot's
+  // events for one query, decoded and in the same order.
+  FlightRecorder* recorder = FlightRecorder::Global();
+  const uint64_t qids[] = {992001, 992002};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([recorder, &qids, t] {
+      for (int i = 0; i < 40; ++i) {
+        uint64_t qid = qids[(i + t) % 2];
+        recorder->Record(FrEventType::kCallDispatch,
+                         t == 0 ? "AltaVista" : "Google",
+                         i % 3 == 0 ? "retry" : "", qid, /*a=*/t, i);
+        recorder->Record(FrEventType::kCallComplete, "", "", /*qid=*/0);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  FlightRecorderSnapshot snap = recorder->Snapshot();
+  for (uint64_t qid : qids) {
+    std::vector<FrEvent> want;
+    for (const FrEvent& e : snap.events) {
+      if (e.query_id == qid) want.push_back(e);
+    }
+    std::vector<FrEvent> got = recorder->EventsForQuery(qid);
+    ASSERT_EQ(got.size(), 60u) << qid;
+    ASSERT_EQ(got.size(), want.size()) << qid;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].ToLine(), want[i].ToLine()) << qid << " event " << i;
+      EXPECT_EQ(got[i].sequence, want[i].sequence) << qid << " event " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wsq

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "exec/executor.h"
+#include "exec/scan_ops.h"
 
 namespace wsq {
 namespace {
@@ -29,16 +31,6 @@ class FakeTable : public VirtualTable {
 
   size_t NumOutputColumns() const override { return 1; }
   bool SingleRowOutput() const override { return true; }
-
-  Result<std::vector<Row>> Fetch(const VTableRequest& request) override {
-    Row row;
-    row.Append(Value::Str(request.search_exp));
-    for (const std::string& t : request.terms) {
-      row.Append(Value::Str(t));
-    }
-    row.Append(Value::Int(static_cast<int64_t>(request.terms.size())));
-    return std::vector<Row>{row};
-  }
 
   using VirtualTable::SubmitAsync;
   CallId SubmitAsync(const VTableRequest& request, ReqPump* pump,
@@ -106,15 +98,31 @@ TEST(VirtualTableTest, SchemaFamilyGrowsWithTerms) {
   EXPECT_EQ(t.SchemaForTerms(2).column(2).name, "T2");
 }
 
-TEST(VirtualTableTest, SyncFetchReturnsFullRows) {
+TEST(VirtualTableTest, SequentialScanPrefixesInputsToCallRows) {
+  // EVScan takes the OUTPUT rows of its one pump call and prefixes the
+  // input columns, so its tuples are complete: [SearchExp, T1, T2, Out].
   FakeTable t("WebCount");
-  VTableRequest req;
-  req.search_exp = "%1 near %2";
-  req.terms = {"colorado", "knuth"};
-  auto rows = *t.Fetch(req);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].size(), 4u);
-  EXPECT_EQ(rows[0].value(3).AsInt(), 2);
+  ReqPump pump;
+  EVScanNode node(&t, "WebCount", 2);
+  node.search_exp = "%1 near %2";
+  node.constant_terms[1] = Value::Str("colorado");
+  node.constant_terms[2] = Value::Str("knuth");
+  ExecContext ctx;
+  ctx.pump = &pump;
+  EVScanOperator scan(&node, &ctx);
+  ASSERT_TRUE(scan.Open().ok());
+  Row row;
+  ASSERT_TRUE(*scan.Next(&row));
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row.value(0).AsString(), "%1 near %2");
+  EXPECT_EQ(row.value(2).AsString(), "knuth");
+  EXPECT_EQ(row.value(3).AsInt(), 2);
+  EXPECT_FALSE(*scan.Next(&row));
+  ASSERT_TRUE(scan.Close().ok());
+  EXPECT_EQ(ctx.stats.external_calls, 1u);
+  // The scan took its call, so nothing is left for ExecutePlan's sweep.
+  EXPECT_TRUE(ctx.issued_calls.empty());
+  EXPECT_EQ(pump.pending_results(), 0u);
 }
 
 TEST(VirtualTableTest, AsyncSubmitRoutesThroughPump) {

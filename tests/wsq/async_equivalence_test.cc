@@ -132,25 +132,75 @@ TEST_P(AsyncEquivalenceTest, StreamingReqSyncAlsoMatches) {
 
 TEST_P(AsyncEquivalenceTest, ExternalCallsCountWhatWasIssued) {
   // QueryStats::external_calls is counted by the scans themselves under
-  // both strategies; every call they issue reaches one of the two
-  // engines' services.
+  // both strategies; every call they issue is registered on the
+  // database's pump, reaches one of the two engines' services, and
+  // leaves nothing behind in the pump.
   auto requests = [] {
     return Env().altavista_service().stats().total_requests +
            Env().google_service().stats().total_requests;
   };
+  ReqPump* pump = Env().db().pump();
   std::string sql = QueryFor(GetParam());
   for (bool async : {false, true}) {
+    const char* strategy = async ? "async: " : "sync: ";
     uint64_t before = requests();
+    uint64_t registered_before = pump->stats().registered;
+    size_t pending_before = pump->pending_results();
     auto r = Env().Run(sql, async);
     ASSERT_TRUE(r.ok()) << r.status().ToString() << "\n" << sql;
     EXPECT_GT(r->stats.external_calls, 0u) << sql;
     EXPECT_EQ(r->stats.external_calls, requests() - before)
-        << (async ? "async: " : "sync: ") << sql;
+        << strategy << sql;
+    EXPECT_EQ(r->stats.external_calls,
+              pump->stats().registered - registered_before)
+        << strategy << sql;
+    EXPECT_EQ(pump->pending_results(), pending_before) << strategy << sql;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(QuerySweep, AsyncEquivalenceTest,
                          ::testing::Range(0, 18));
+
+std::vector<Row> SortedRows(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.Compare(b) < 0; });
+  return rows;
+}
+
+// The shard policy reaches the sequential plan's calls as it reaches
+// the async plan's: with shard 0 dark and best-effort answers, both
+// strategies return the same lower-bound counts and account for the
+// same partial results.
+TEST(AsyncEquivalenceShardTest, BestEffortPartialsMatchAcrossStrategies) {
+  DemoOptions opt;
+  opt.corpus.num_documents = 1500;
+  opt.corpus.vocab_size = 700;
+  opt.latency = LatencyModel::Fixed(500);
+  opt.search_shards = 4;
+  opt.shard_replicas = false;
+  opt.shard_faults.resize(4);
+  opt.shard_faults[0].permanent_rate = 1.0;
+  opt.query_log_sink = [](const QueryRecord&) {};
+  DemoEnv env(opt);
+  const char* sql =
+      "Select Name, Count From States, WebCount Where Name = T1";
+  WsqDatabase::ExecOptions options;
+  options.shard.policy = ShardPolicy::kBestEffort;
+
+  options.async_iteration = true;
+  auto async = env.db().Execute(sql, options);
+  ASSERT_TRUE(async.ok()) << async.status().ToString();
+  options.async_iteration = false;
+  auto sync = env.db().Execute(sql, options);
+  ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+
+  EXPECT_EQ(async->result.rows.size(), 50u);
+  EXPECT_EQ(SortedRows(sync->result.rows), SortedRows(async->result.rows));
+  EXPECT_EQ(async->stats.partial_results, 50u);
+  EXPECT_EQ(sync->stats.partial_results, async->stats.partial_results);
+  EXPECT_EQ(sync->stats.degraded_shards, async->stats.degraded_shards);
+  EXPECT_EQ(env.db().pump()->pending_results(), 0u);
+}
 
 }  // namespace
 }  // namespace wsq

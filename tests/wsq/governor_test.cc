@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +110,74 @@ TEST(GovernorTest, DeadlineDoesNotPerturbFastQueries) {
     EXPECT_EQ(governed->result.rows[i].ToString(),
               baseline->result.rows[i].ToString());
   }
+}
+
+// A sequential plan waits for its calls on the pump under the query's
+// token, so its deadline holds even when the engine never answers. The
+// helper releases the hung requests once the query returns, or after
+// 2 s if it never does, so a wait that ignores the deadline fails the
+// timing check below instead of hanging the test.
+TEST(GovernorTest, SequentialDeadlineOverHungEngine) {
+  Corpus corpus = MakePaperCorpus(SlowWebOptions(0).corpus);
+  SearchEngineConfig config;
+  config.name = "AltaVista";
+  config.supports_near = true;
+  SearchEngine engine(&corpus, config);
+  SimulatedSearchService::Options svc;
+  svc.latency = LatencyModel::Instant();
+  svc.faults.hang_rate = 1.0;
+  SimulatedSearchService service(&engine, svc);
+  WsqDatabase::Options db_options;
+  db_options.query_log_sink = [](const QueryRecord&) {};
+  WsqDatabase db(db_options);
+  ASSERT_TRUE(db.RegisterSearchEngine("AV", &service, true).ok());
+  ASSERT_TRUE(LoadStatesTable(&db).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool query_done = false;
+  std::thread releaser([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(2), [&] { return query_done; });
+    service.ReleaseHung();
+  });
+  WsqDatabase::ExecOptions options;
+  options.async_iteration = false;
+  options.deadline_micros = 200000;  // 200 ms
+  Stopwatch timer;
+  auto r = db.Execute(kWebSql, options);
+  int64_t elapsed = timer.ElapsedMicros();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    query_done = true;
+  }
+  cv.notify_one();
+  releaser.join();
+
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+      << r.status().ToString();
+  EXPECT_LT(elapsed, 1000000);
+  EXPECT_EQ(db.pump()->pending_results(), 0u);
+}
+
+// A sequential scan takes each call's result itself, so the query drops
+// that call's id, and its charge to the query budget, at once: a
+// dependent join over the 50 states holds one id at a time, not one per
+// outer row, and leaves nothing for the sweep to cancel.
+TEST(GovernorTest, SequentialScanReleasesEachCallItTakes) {
+  DemoOptions opt = SlowWebOptions(0);
+  opt.latency = LatencyModel::Instant();
+  DemoEnv env(opt);
+  WsqDatabase::ExecOptions options;
+  options.async_iteration = false;
+  auto r = env.db().Execute(
+      "SELECT Name, Count FROM States, WebCount WHERE Name = T1", options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->stats.external_calls, 50u);
+  EXPECT_LE(r->stats.peak_memory_bytes, sizeof(CallId));
+  EXPECT_EQ(r->stats.cancelled_calls, 0u);
+  EXPECT_EQ(env.db().pump()->pending_results(), 0u);
 }
 
 // Several queries with private tokens racing a canceller thread: every
@@ -237,10 +307,6 @@ class RecordingTable : public VirtualTable {
 
   size_t NumOutputColumns() const override { return 1; }
   bool SingleRowOutput() const override { return true; }
-
-  Result<std::vector<Row>> Fetch(const VTableRequest&) override {
-    return std::vector<Row>{Row({Value::Int(1)})};
-  }
 
   using VirtualTable::SubmitAsync;
   CallId SubmitAsync(const VTableRequest&, ReqPump* pump,
