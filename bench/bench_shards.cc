@@ -2,8 +2,10 @@
 // (net/sharded_service.h): one synthetic corpus queried through
 // SimulatedShardClusters at N = 1/2/4/8 under a Zipf-skewed
 // multi-threaded query mix. Reports per-N QPS and latency quantiles,
-// the single-flight coalescing hit-rate and the hedge fire-rate, plus
-// a dark-shard section exercising the three quorum policies.
+// the coalesce hit-rate (the share of shard legs that joined an
+// identical leg on the cluster's pump, in flight or answered while its
+// request was unsettled) and the hedge fire-rate, plus a dark-shard
+// section exercising the three quorum policies.
 //
 // Emits BENCH_shards.json (run from the repo root). Gates, checked
 // with --check (non-zero exit on violation):
@@ -61,7 +63,7 @@ wsq::SearchEngineConfig EngineConfig() {
 }
 
 /// Zipf-ranked query vocabulary: the planted entities first (the hot
-/// head, so coalescing has something to coalesce), then background
+/// head, so identical legs have something to join), then background
 /// vocabulary words.
 std::vector<std::string> QueryTerms() {
   std::vector<std::string> terms = {"colorado", "utah", "nevada"};
@@ -151,6 +153,8 @@ struct WorkloadResult {
   uint64_t ok = 0, partial = 0, failed = 0, unavailable = 0;
   bool counts_bounded = true;
   wsq::ShardedServiceStats stats;
+  /// The cluster pump's ledger after the run (leg joins included).
+  wsq::ReqPumpStats pump;
   bool ledger_balanced = false;
 };
 
@@ -224,9 +228,9 @@ WorkloadResult RunWorkload(wsq::SimulatedShardCluster& cluster,
   out.stats = cluster.service()->stats();
 
   cluster.Quiesce();
-  wsq::ReqPumpStats pump = cluster.pump()->stats();
-  out.ledger_balanced =
-      pump.registered == pump.completed + pump.cancelled + pump.shed;
+  out.pump = cluster.pump()->stats();
+  out.ledger_balanced = out.pump.registered ==
+                        out.pump.completed + out.pump.cancelled + out.pump.shed;
   return out;
 }
 
@@ -287,7 +291,7 @@ int main(int argc, char** argv) {
         .Set("p50_micros", static_cast<long long>(r.p50))
         .Set("p95_micros", static_cast<long long>(r.p95))
         .Set("p99_micros", static_cast<long long>(r.p99))
-        .Set("coalesce_hit_rate", Rate(s.coalesced, s.fanouts + s.coalesced))
+        .Set("coalesce_hit_rate", Rate(r.pump.joined, r.pump.registered))
         .Set("hedge_fire_rate", Rate(s.hedges, s.shard_calls - s.hedges))
         .Set("hedge_win_rate", Rate(s.hedge_wins, s.hedges))
         .Set("shard_calls", s.shard_calls)

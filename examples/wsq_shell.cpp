@@ -127,13 +127,16 @@ void PrintShards(wsq::DemoEnv& env, const wsq::ShardOptions& shard) {
                                         : wsq::CircuitState::kClosed))
                     .c_str());
   }
+  // Identical legs join on the cluster's pump: `coalesced` counts the
+  // requests whose every leg joined, `leg_joins` the joined legs.
   wsq::ShardedServiceStats stats = svc->stats();
   std::printf(
-      "  fanouts=%llu coalesced=%llu shard_calls=%llu hedges=%llu "
-      "hedge_wins=%llu\n  complete=%llu partial=%llu "
+      "  fanouts=%llu coalesced=%llu leg_joins=%llu shard_calls=%llu "
+      "hedges=%llu hedge_wins=%llu\n  complete=%llu partial=%llu "
       "quorum_failures=%llu degraded_shards=%llu\n",
       (unsigned long long)stats.fanouts,
       (unsigned long long)stats.coalesced,
+      (unsigned long long)cluster->pump()->stats().joined,
       (unsigned long long)stats.shard_calls,
       (unsigned long long)stats.hedges,
       (unsigned long long)stats.hedge_wins,

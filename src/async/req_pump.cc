@@ -12,27 +12,41 @@ namespace wsq {
 
 namespace {
 
-/// Records one resolved call's timings into the registry histograms.
-/// Callers must NOT hold Core::mu: the registry lock order is
-/// registry → component, so touching the registry under the pump lock
-/// could deadlock against the pump's own collector.
-/// `query_id` feeds the latency exemplars: completions land on pump or
-/// service threads, so the thread-bound id is not available here.
-void RecordCallTiming(const std::string& destination,
-                      int64_t queue_wait_micros, int64_t in_flight_micros,
-                      uint64_t query_id) {
-  MetricsRegistry* registry = MetricsRegistry::Global();
-  Histogram* latency = registry->GetHistogram(
+/// The latency histogram of `destination`'s dispatches. Takes the
+/// registry's lock, so never called under Core::mu: the lock order is
+/// registry → component, and the pump's collector runs under the
+/// registry's lock.
+Histogram* LatencyHistogram(const std::string& destination) {
+  return MetricsRegistry::Global()->GetHistogram(
       "wsq_external_call_latency_micros",
       "Dispatch-to-completion latency of external calls",
       {{"destination", destination}});
+}
+
+/// The queue-wait histogram, looked up on first use, which ReqPump's
+/// constructor makes outside every lock: a first lookup on a call's
+/// completion could run under a caller's lock (a call may complete
+/// inline in Register), and the registry's lock comes first.
+Histogram* QueueWaitHistogram() {
+  static Histogram* const kQueueWait = MetricsRegistry::Global()->GetHistogram(
+      "wsq_reqpump_queue_wait_micros",
+      "Time external calls waited for a ReqPump limit slot");
+  return kQueueWait;
+}
+
+/// Records one resolved dispatch's timings into `latency` (its
+/// destination's histogram) and the queue-wait histogram. Callers must
+/// NOT hold Core::mu. `query_id` feeds the latency exemplars:
+/// completions land on pump or service threads, so the thread-bound id
+/// is not available here.
+void RecordCallTiming(Histogram* latency, int64_t queue_wait_micros,
+                      int64_t in_flight_micros, uint64_t query_id) {
   if (latency != nullptr) {
     latency->RecordWithExemplar(in_flight_micros, query_id);
   }
-  static Histogram* queue_wait = registry->GetHistogram(
-      "wsq_reqpump_queue_wait_micros",
-      "Time external calls waited for a ReqPump limit slot");
-  if (queue_wait != nullptr) queue_wait->Record(queue_wait_micros);
+  if (Histogram* queue_wait = QueueWaitHistogram()) {
+    queue_wait->Record(queue_wait_micros);
+  }
 }
 
 /// A retry's backoff floor doubles per retry, at most this many times.
@@ -43,6 +57,7 @@ constexpr int kMaxBackoffDoublings = 16;
 ReqPump::ReqPump(Limits limits)
     : core_(std::make_shared<Core>(std::move(limits))),
       timer_([core = core_] { TimerLoop(std::move(core)); }) {
+  QueueWaitHistogram();
   // Publish the pump's stats ledger (kept authoritative in Core::stats)
   // via a collector; several pumps merge into process-wide series.
   collector_id_ = MetricsRegistry::Global()->AddCollector(
@@ -58,13 +73,18 @@ ReqPump::ReqPump(Limits limits)
           in_flight = core->in_flight_global;
           queued = core->queue.size();
           pending = core->results.size();
-          breakers = core->breakers;
+          breakers = BreakersLocked(*core);
         }
         emitter->EmitCounter("wsq_reqpump_calls_registered_total",
                              "External calls registered", {}, s.registered);
         emitter->EmitCounter("wsq_reqpump_calls_dispatched_total",
                              "External calls handed to their dispatch fn",
                              {}, s.dispatched);
+        emitter->EmitCounter(
+            "wsq_reqpump_calls_joined_total",
+            "Registrations that joined an unresolved call with the same "
+            "request key",
+            {}, s.joined);
         emitter->EmitCounter("wsq_reqpump_calls_retried_total",
                              "Re-dispatches after a transient failure", {},
                              s.retried);
@@ -127,7 +147,7 @@ ReqPump::ReqPump(Limits limits)
         std::map<std::string, CircuitBreaker> breakers;
         {
           MutexLock lock(&core->mu);
-          breakers = core->breakers;
+          breakers = BreakersLocked(*core);
         }
         for (const auto& [destination, breaker] : breakers) {
           StatuszSection s;
@@ -159,13 +179,14 @@ ReqPump::~ReqPump() {
     std::vector<QueuedCall> none;
     for (auto it = core_->unresolved.begin();
          it != core_->unresolved.end();) {
-      auto call = it++;
-      if (call->second.phase == Phase::kInFlight) continue;
+      auto reg = it++;
+      const CallMeta& call = core_->calls.at(reg->second.call);
+      if (call.phase == Phase::kInFlight) continue;
       ++core_->stats.cancelled;
       FlightRecorder::Global()->Record(
-          FrEventType::kCallCancel, call->second.destination, "shutdown",
-          call->second.query_id, static_cast<int64_t>(call->first));
-      ResolveEarlyLocked(core_.get(), call,
+          FrEventType::kCallCancel, call.destination, "shutdown",
+          reg->second.query_id, static_cast<int64_t>(reg->first));
+      ResolveEarlyLocked(core_.get(), reg,
                          CallResult{Status::Cancelled("ReqPump shut down"), {}},
                          /*notify=*/false, &none);
     }
@@ -176,20 +197,41 @@ ReqPump::~ReqPump() {
   timer_.join();
 }
 
+bool ReqPump::StaleLocked(const Core& core, const Deadline& d) {
+  if (d.timer) return false;
+  return (d.retry ? core.calls.count(d.id) : core.unresolved.count(d.id)) ==
+         0;
+}
+
 bool ReqPump::CanDispatchLocked(const Core& core,
-                                const std::string& destination) {
+                                const Destination& destination) {
   if (core.limits.max_global > 0 &&
       core.in_flight_global >= core.limits.max_global) {
     return false;
   }
-  if (core.limits.max_per_destination > 0) {
-    auto it = core.in_flight_by_dest.find(destination);
-    if (it != core.in_flight_by_dest.end() &&
-        it->second >= core.limits.max_per_destination) {
-      return false;
+  return core.limits.max_per_destination <= 0 ||
+         destination.in_flight < core.limits.max_per_destination;
+}
+
+ReqPump::Destination* ReqPump::AddDestinationLocked(
+    Core* core, const std::string& destination, Histogram* latency) {
+  auto [it, added] = core->destinations.try_emplace(destination);
+  if (added) {
+    it->second.latency = latency;
+    if (core->limits.breaker) {
+      it->second.breaker.emplace(*core->limits.breaker, destination);
     }
   }
-  return true;
+  return &it->second;
+}
+
+std::map<std::string, CircuitBreaker> ReqPump::BreakersLocked(
+    const Core& core) {
+  std::map<std::string, CircuitBreaker> out;
+  for (const auto& [name, destination] : core.destinations) {
+    if (destination.breaker) out.emplace(name, *destination.breaker);
+  }
+  return out;
 }
 
 CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn) {
@@ -198,17 +240,55 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn) {
 }
 
 CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
-                         int64_t timeout_micros, PumpCallback on_result) {
+                         int64_t timeout_micros, PumpCallback on_result,
+                         const std::string& key, bool* joined) {
   CallId id;
   std::optional<QueuedCall> start;
   bool notify = false;
+  bool joins = false;
   const uint64_t query_id = CurrentQueryId();
   {
     MutexLock lock(&core_->mu);
+    auto known = core_->destinations.find(destination);
+    Destination* dest;
+    if (known != core_->destinations.end()) {
+      dest = &known->second;
+    } else {
+      // The destination's first call: its histogram comes from the
+      // registry, whose lock is taken before the pump's.
+      lock.Unlock();
+      Histogram* latency = LatencyHistogram(destination);
+      lock.Lock();
+      dest = AddDestinationLocked(core_.get(), destination, latency);
+    }
     id = core_->next_id++;
     ++core_->stats.registered;
-    const bool dispatch_now = CanDispatchLocked(*core_, destination);
-    if (!dispatch_now && core_->limits.max_queued > 0 &&
+    auto keyed = key.empty() ? dest->keyed.end() : dest->keyed.find(key);
+    joins = keyed != dest->keyed.end();
+    if (joins && !keyed->second.holders.empty()) {
+      // The call has answered and a copy of its answer still waits in
+      // ReqPumpHash: this registration resolves now with its own copy.
+      std::vector<CallId>& holders = keyed->second.holders;
+      CallResult answer = core_->results.at(holders.front());
+      answer.queue_wait_micros = 0;
+      answer.in_flight_micros = 0;
+      ++core_->stats.joined;
+      ++core_->stats.completed;
+      if (!answer.status.ok()) ++core_->stats.failed;
+      holders.push_back(id);
+      core_->held.try_emplace(id, dest, key);
+      core_->results[id] = std::move(answer);
+      if (on_result) core_->notifications.push_back(std::move(on_result));
+      ++core_->completion_seq;
+      FlightRecorder::Global()->Record(
+          FrEventType::kCoalesceJoin, destination, "answered", query_id,
+          static_cast<int64_t>(keyed->second.call), static_cast<int64_t>(id));
+      core_->cv.NotifyAll();
+      if (joined != nullptr) *joined = true;
+      return id;
+    }
+    const bool dispatch_now = !joins && CanDispatchLocked(*core_, *dest);
+    if (!joins && !dispatch_now && core_->limits.max_queued > 0 &&
         static_cast<int>(core_->queue.size()) >=
             core_->limits.max_queued) {
       // Overload shedding: the wait queue is full, so this call is
@@ -226,75 +306,85 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
       FlightRecorder::Global()->Record(FrEventType::kCallShed, destination,
                                        "queue_full", query_id,
                                        static_cast<int64_t>(id));
+      if (joined != nullptr) *joined = false;
       return id;
     }
     ++core_->outstanding;
     const int64_t now = NowMicros();
-    CallMeta meta;
-    meta.destination = destination;
-    meta.registered_micros = now;
-    meta.query_id = query_id;
-    meta.on_result = std::move(on_result);
+    Registration reg;
+    reg.call = joins ? keyed->second.call : id;
+    reg.registered_micros = now;
+    reg.query_id = query_id;
+    reg.on_result = std::move(on_result);
     if (timeout_micros > 0) {
-      meta.deadline_micros = now + timeout_micros;
+      reg.deadline_micros = now + timeout_micros;
       core_->deadlines.push(
-          Deadline{meta.deadline_micros, id, destination, nullptr});
+          Deadline{reg.deadline_micros, id, destination, nullptr});
       // Wake the timer only if it must re-arm for an earlier deadline.
-      notify = core_->deadlines.top().when_micros == meta.deadline_micros;
+      notify = core_->deadlines.top().when_micros == reg.deadline_micros;
     }
-    auto it = core_->unresolved.emplace(id, std::move(meta)).first;
-    QueuedCall call{id, destination, std::move(fn), query_id};
-    if (!dispatch_now) {
-      core_->queue.push_back(std::move(call));
-      core_->stats.queued_peak =
-          std::max(core_->stats.queued_peak,
-                   static_cast<uint64_t>(core_->queue.size()));
-    }
-    // Under the lock, so a breaker rejection is logged after it.
-    FlightRecorder::Global()->Record(
-        FrEventType::kCallRegister, destination,
-        dispatch_now ? "" : "queued", query_id, static_cast<int64_t>(id),
-        dispatch_now ? 0 : static_cast<int64_t>(core_->queue.size()));
-    if (dispatch_now) {
-      if (StartLocked(core_.get(), it, &call, now)) {
-        start = std::move(call);
-      } else {
-        notify = true;  // resolved: wake its consumer
+    core_->unresolved.emplace(id, std::move(reg));
+    if (joins) {
+      // Same request as an unresolved call: wait on it instead.
+      ++core_->stats.joined;
+      core_->calls.at(keyed->second.call).joiners.push_back(id);
+      FlightRecorder::Global()->Record(
+          FrEventType::kCoalesceJoin, destination, "", query_id,
+          static_cast<int64_t>(keyed->second.call), static_cast<int64_t>(id));
+    } else {
+      auto call = core_->calls.try_emplace(id).first;
+      CallMeta& meta = call->second;
+      meta.destination = destination;
+      meta.dest = dest;
+      meta.key = key;
+      meta.registered_micros = now;
+      meta.query_id = query_id;
+      meta.joiners.push_back(id);
+      if (!key.empty()) dest->keyed.emplace(key, KeyedCall{id, {}});
+      QueuedCall queued{id, destination, std::move(fn), query_id};
+      if (!dispatch_now) {
+        core_->queue.push_back(std::move(queued));
+        core_->stats.queued_peak =
+            std::max(core_->stats.queued_peak,
+                     static_cast<uint64_t>(core_->queue.size()));
+      }
+      // Under the lock, so a breaker rejection is logged after it.
+      FlightRecorder::Global()->Record(
+          FrEventType::kCallRegister, destination,
+          dispatch_now ? "" : "queued", query_id, static_cast<int64_t>(id),
+          dispatch_now ? 0 : static_cast<int64_t>(core_->queue.size()));
+      if (dispatch_now) {
+        if (StartLocked(core_.get(), call, &queued, now)) {
+          start = std::move(queued);
+        } else {
+          notify = true;  // resolved: wake its consumer
+        }
       }
     }
   }
+  if (joined != nullptr) *joined = joins;
   if (notify) core_->cv.NotifyAll();
   if (start) Dispatch(core_, std::move(*start));
   return id;
 }
 
-bool ReqPump::StartLocked(Core* core,
-                          std::unordered_map<CallId, CallMeta>::iterator meta,
-                          QueuedCall* call, int64_t now) {
-  CallMeta& m = meta->second;
-  call->retry = m.attempts > 0;
-  if (!call->retry) {
-    if (core->limits.breaker) {
-      CircuitBreaker& breaker =
-          core->breakers
-              .try_emplace(m.destination, *core->limits.breaker,
-                           m.destination)
-              .first->second;
-      if (!breaker.Allow(&m.as_probe)) {
-        // Fail fast: never dispatched, so never retried either.
-        ++core->stats.completed;
-        ++core->stats.failed;
-        FlightRecorder::Global()->Record(
-            FrEventType::kCallFailed, m.destination, "circuit_open",
-            m.query_id, static_cast<int64_t>(meta->first));
-        StoreResultLocked(
-            core, meta,
-            CallResult{Status::Unavailable("circuit open for destination: " +
-                                           m.destination),
-                       {}},
-            /*notify=*/true);
-        return false;
-      }
+bool ReqPump::StartLocked(Core* core, CallIt call, QueuedCall* queued,
+                          int64_t now) {
+  CallMeta& m = call->second;
+  queued->retry = m.attempts > 0;
+  if (!queued->retry) {
+    if (m.dest->breaker && !m.dest->breaker->Allow(&m.as_probe)) {
+      // Fail fast: never dispatched, so never retried either.
+      FlightRecorder::Global()->Record(
+          FrEventType::kCallFailed, m.destination, "circuit_open",
+          m.query_id, static_cast<int64_t>(call->first));
+      ResolveCallLocked(
+          core, call,
+          CallResult{Status::Unavailable("circuit open for destination: " +
+                                         m.destination),
+                     {}},
+          /*answer=*/false, now);
+      return false;
     }
     ++core->stats.dispatched;
     m.dispatched_micros = now;
@@ -303,9 +393,9 @@ bool ReqPump::StartLocked(Core* core,
   }
   m.phase = Phase::kInFlight;
   // Keep a copy of the fn while another attempt may follow this one.
-  if (++m.attempts < core->limits.retry.max_attempts) m.fn = call->fn;
+  if (++m.attempts < core->limits.retry.max_attempts) m.fn = queued->fn;
   ++core->in_flight_global;
-  ++core->in_flight_by_dest[m.destination];
+  ++m.dest->in_flight;
   core->stats.max_in_flight =
       std::max(core->stats.max_in_flight,
                static_cast<uint64_t>(core->in_flight_global));
@@ -339,6 +429,7 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
   std::vector<QueuedCall> to_dispatch;
   int64_t queue_wait_micros = 0;
   int64_t in_flight_micros = 0;
+  Histogram* latency = nullptr;
   bool retrying = false;
   std::string failure_code;
   uint64_t query_id = 0;
@@ -349,7 +440,7 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
       // The call was already resolved (deadline or cancel) and released
       // its slots; its real result arrives too late for the consumer
       // and only teaches the breaker.
-      LearnLocked(core.get(), destination, result.status,
+      LearnLocked(&core->destinations.at(destination), result.status,
                   abandoned->second);
       core->abandoned.erase(abandoned);
       ++core->stats.late_discarded;
@@ -360,22 +451,23 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
       return;
     }
     // A dispatched call that was not abandoned is still unresolved.
-    auto meta = core->unresolved.find(id);
-    assert(meta != core->unresolved.end());
-    CallMeta& m = meta->second;
+    auto call = core->calls.find(id);
+    assert(call != core->calls.end());
+    CallMeta& m = call->second;
     query_id = m.query_id;
     --core->in_flight_global;
-    --core->in_flight_by_dest[destination];
+    --m.dest->in_flight;
     const int64_t now = NowMicros();
     if (!result.status.ok() && IsTransient(result.status.code()) &&
         !core->shutdown && m.attempts < core->limits.retry.max_attempts) {
       const int64_t floor =
           std::max<int64_t>(0, core->limits.retry.initial_backoff_micros)
           << std::min(m.attempts - 1, kMaxBackoffDoublings);
-      // Retry unless even the backoff's floor ends past the deadline: a
-      // retry that cannot start in time would only turn the engine's
-      // answer into a timeout.
-      if (m.deadline_micros == 0 || now + floor < m.deadline_micros) {
+      // Retry unless even the backoff's floor ends past the latest
+      // deadline of its registrations: a retry that cannot start in time
+      // would only turn the engine's answer into a timeout.
+      const int64_t deadline = LatestDeadlineLocked(*core, m);
+      if (deadline == 0 || now + floor < deadline) {
         const int64_t when = now + core->rng.UniformRange(floor, 3 * floor);
         m.phase = Phase::kBackoff;
         m.last_failure = std::move(result.status);
@@ -387,17 +479,13 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
     if (!retrying) {
       queue_wait_micros = m.dispatched_micros - m.registered_micros;
       in_flight_micros = now - m.dispatched_micros;
-      core->stats.queue_wait_micros_total += queue_wait_micros;
-      core->stats.in_flight_micros_total += in_flight_micros;
+      latency = m.dest->latency;
       if (!result.status.ok()) {
-        ++core->stats.failed;
         failure_code = StatusCodeToString(result.status.code());
       }
-      ++core->stats.completed;
-      LearnLocked(core.get(), destination, result.status, m.as_probe);
-      result.queue_wait_micros = queue_wait_micros;
-      result.in_flight_micros = in_flight_micros;
-      StoreResultLocked(core.get(), meta, std::move(result), /*notify=*/true);
+      LearnLocked(m.dest, result.status, m.as_probe);
+      ResolveCallLocked(core.get(), call, std::move(result), /*answer=*/true,
+                        now);
     }
     to_dispatch = TakeDispatchableLocked(core.get());
   }
@@ -409,32 +497,97 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
                              : FrEventType::kCallFailed,
         destination, failure_code, query_id, static_cast<int64_t>(id),
         in_flight_micros);
-    RecordCallTiming(destination, queue_wait_micros, in_flight_micros,
-                     query_id);
+    RecordCallTiming(latency, queue_wait_micros, in_flight_micros, query_id);
   }
   DispatchAll(core, &to_dispatch);
 }
 
-void ReqPump::StoreResultLocked(
-    Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
-    CallResult result, bool notify) {
-  if (notify && meta->second.on_result) {
-    core->notifications.push_back(std::move(meta->second.on_result));
+void ReqPump::ResolveCallLocked(Core* core, CallIt call, CallResult result,
+                                bool answer, int64_t now) {
+  const std::vector<CallId>& joiners = call->second.joiners;
+  core->stats.completed += joiners.size();
+  if (!result.status.ok()) core->stats.failed += joiners.size();
+  // Each registration gets its own copy; the last one takes the result.
+  for (size_t i = 0; i + 1 < joiners.size(); ++i) {
+    StoreResultLocked(core, core->unresolved.find(joiners[i]), call->second,
+                      result, /*notify=*/true, now);
   }
-  core->results[meta->first] = std::move(result);
-  core->unresolved.erase(meta);
+  StoreResultLocked(core, core->unresolved.find(joiners.back()),
+                    call->second, std::move(result), /*notify=*/true, now);
+  EndCallLocked(core, call, answer);
+}
+
+void ReqPump::StoreResultLocked(Core* core, RegistrationIt reg,
+                                const CallMeta& call, CallResult result,
+                                bool notify, int64_t now) {
+  Registration& r = reg->second;
+  if (call.dispatched_micros > 0) {
+    // A registration that joined a dispatched call waited on it only
+    // from its own registration on.
+    const int64_t start = std::max(call.dispatched_micros, r.registered_micros);
+    result.queue_wait_micros = start - r.registered_micros;
+    result.in_flight_micros = now - start;
+    core->stats.queue_wait_micros_total += result.queue_wait_micros;
+    core->stats.in_flight_micros_total += result.in_flight_micros;
+  }
+  if (notify && r.on_result) {
+    core->notifications.push_back(std::move(r.on_result));
+  }
+  core->results[reg->first] = std::move(result);
+  core->unresolved.erase(reg);
   ++core->completion_seq;
   --core->outstanding;
 }
 
-void ReqPump::LearnLocked(Core* core, const std::string& destination,
-                          const Status& status, bool as_probe) {
-  auto it = core->breakers.find(destination);
-  if (it == core->breakers.end()) return;  // breakers are off
+void ReqPump::EndCallLocked(Core* core, CallIt call, bool answer) {
+  CallMeta& m = call->second;
+  if (!m.key.empty()) {
+    if (answer) {
+      // Registrations with its key join the answer from now on, until
+      // the last copy of it is taken (TakeLocked).
+      m.dest->keyed.at(m.key).holders = m.joiners;
+      for (CallId joiner : m.joiners) {
+        core->held.try_emplace(joiner, m.dest, m.key);
+      }
+    } else {
+      m.dest->keyed.erase(m.key);
+    }
+  }
+  core->calls.erase(call);
+}
+
+CallResult ReqPump::TakeLocked(Core* core, ResultIt it) {
+  CallResult out = std::move(it->second);
+  if (auto held = core->held.find(it->first); held != core->held.end()) {
+    auto& [dest, key] = held->second;
+    auto keyed = dest->keyed.find(key);
+    std::vector<CallId>& holders = keyed->second.holders;
+    holders.erase(std::find(holders.begin(), holders.end(), it->first));
+    if (holders.empty()) dest->keyed.erase(keyed);
+    core->held.erase(held);
+  }
+  core->results.erase(it);
+  return out;
+}
+
+int64_t ReqPump::LatestDeadlineLocked(const Core& core,
+                                      const CallMeta& call) {
+  int64_t latest = 0;
+  for (CallId joiner : call.joiners) {
+    const int64_t deadline = core.unresolved.at(joiner).deadline_micros;
+    if (deadline == 0) return 0;
+    latest = std::max(latest, deadline);
+  }
+  return latest;
+}
+
+void ReqPump::LearnLocked(Destination* destination, const Status& status,
+                          bool as_probe) {
+  if (!destination->breaker) return;  // breakers are off
   if (status.ok()) {
-    it->second.RecordSuccess(as_probe);
+    destination->breaker->RecordSuccess(as_probe);
   } else {
-    it->second.RecordFailure(status, as_probe);
+    destination->breaker->RecordFailure(status, as_probe);
   }
 }
 
@@ -449,15 +602,16 @@ std::vector<ReqPump::QueuedCall> ReqPump::TakeDispatchableLocked(
         core->in_flight_global >= core->limits.max_global) {
       break;
     }
-    if (!CanDispatchLocked(*core, it->destination)) {
+    // A queued call is unresolved: resolving it removes it from here.
+    auto call = core->calls.find(it->id);
+    if (!CanDispatchLocked(*core, *call->second.dest)) {
       ++it;
       continue;
     }
-    QueuedCall call = std::move(*it);
+    QueuedCall queued = std::move(*it);
     it = core->queue.erase(it);
-    // A queued call is unresolved: resolving one removes it from here.
-    if (StartLocked(core, core->unresolved.find(call.id), &call, now)) {
-      out.push_back(std::move(call));
+    if (StartLocked(core, call, &queued, now)) {
+      out.push_back(std::move(queued));
     }
   }
   return out;
@@ -480,10 +634,9 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
     // At shutdown the loop keeps expiring deadlines until no call is in
     // flight, so ~ReqPump's wait for them cannot hang on a dead engine.
     if (core->shutdown && core->in_flight_global == 0) break;
-    // Drop stale heap entries (calls that resolved before their
-    // deadline or backoff end) so they don't force pointless wakeups.
-    while (!core->deadlines.empty() && !core->deadlines.top().timer &&
-           core->unresolved.count(core->deadlines.top().id) == 0) {
+    // Drop stale heap entries so they don't force pointless wakeups.
+    while (!core->deadlines.empty() &&
+           StaleLocked(*core, core->deadlines.top())) {
       core->deadlines.pop();
     }
     if (core->deadlines.empty()) {
@@ -504,16 +657,16 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
       lock.Lock();
       continue;
     }
-    auto meta = core->unresolved.find(d.id);
-    if (meta == core->unresolved.end()) continue;
+    if (StaleLocked(*core, d)) continue;
 
     std::vector<QueuedCall> to_dispatch;
     if (d.retry) {
       // The backoff is over: the call queues for a slot again, unless
-      // its deadline passed meanwhile — its own entry, due now too,
-      // resolves it.
-      CallMeta& m = meta->second;
-      if (m.deadline_micros > 0 && now >= m.deadline_micros) continue;
+      // every registration's deadline passed meanwhile — their own
+      // entries, due now too, resolve them.
+      CallMeta& m = core->calls.at(d.id);
+      const int64_t deadline = LatestDeadlineLocked(*core, m);
+      if (deadline > 0 && now >= deadline) continue;
       m.phase = Phase::kQueued;
       core->queue.push_back(
           QueuedCall{d.id, d.destination, std::move(m.fn), m.query_id});
@@ -530,21 +683,26 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
     ++core->stats.timed_out;
     ++core->stats.failed;
     ++core->stats.completed;
-    const uint64_t query_id = meta->second.query_id;
+    auto reg = core->unresolved.find(d.id);
+    const uint64_t query_id = reg->second.query_id;
+    const CallId call = reg->second.call;
     const Phase phase = ResolveEarlyLocked(
-        core.get(), meta,
+        core.get(), reg,
         CallResult{Status::DeadlineExceeded("external call to '" +
                                             d.destination +
                                             "' exceeded its deadline"),
                    {}},
         /*notify=*/true, &to_dispatch);
     const int64_t in_flight_micros = core->results[d.id].in_flight_micros;
+    // A dispatch that other registrations still wait on goes on.
+    const bool abandoned = core->calls.count(call) == 0;
     lock.Unlock();
     FlightRecorder::Global()->Record(
         FrEventType::kCallTimeout, d.destination,
         phase == Phase::kQueued     ? "expired_in_queue"
         : phase == Phase::kBackoff ? "expired_in_backoff"
-                                   : "abandoned",
+        : abandoned                ? "abandoned"
+                                   : "joiner_expired",
         query_id, static_cast<int64_t>(d.id), in_flight_micros);
     core->cv.NotifyAll();
     DispatchAll(core, &to_dispatch);
@@ -564,60 +722,61 @@ void ReqPump::RunAfter(int64_t delay_micros, PumpCallback fn) {
 }
 
 ReqPump::Phase ReqPump::ResolveEarlyLocked(
-    Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
-    CallResult result, bool notify, std::vector<QueuedCall>* to_dispatch) {
-  const CallId id = meta->first;
-  const CallMeta& call = meta->second;
-  const Phase phase = call.phase;
-  if (call.dispatched_micros > 0) {
-    result.queue_wait_micros = call.dispatched_micros - call.registered_micros;
-    result.in_flight_micros = NowMicros() - call.dispatched_micros;
-    core->stats.queue_wait_micros_total += result.queue_wait_micros;
-    core->stats.in_flight_micros_total += result.in_flight_micros;
-  }
+    Core* core, RegistrationIt reg, CallResult result, bool notify,
+    std::vector<QueuedCall>* to_dispatch) {
+  const CallId id = reg->first;
+  auto call = core->calls.find(reg->second.call);
+  CallMeta& m = call->second;
+  const Phase phase = m.phase;
+  StoreResultLocked(core, reg, m, std::move(result), notify, NowMicros());
+  m.joiners.erase(std::find(m.joiners.begin(), m.joiners.end(), id));
+  if (!m.joiners.empty()) return phase;  // the others still wait on it
   if (phase == Phase::kInFlight) {
     // Abandon it and free its limit slots now, so the queue behind a
     // hung destination keeps moving; its real completion, if one ever
     // arrives, only teaches the breaker.
-    core->abandoned.emplace(id, call.as_probe);
+    core->abandoned.emplace(call->first, m.as_probe);
     --core->in_flight_global;
-    --core->in_flight_by_dest[call.destination];
+    --m.dest->in_flight;
   } else {
     if (phase == Phase::kQueued) {
-      auto queued =
-          std::find_if(core->queue.begin(), core->queue.end(),
-                       [id](const QueuedCall& q) { return q.id == id; });
+      auto queued = std::find_if(
+          core->queue.begin(), core->queue.end(),
+          [&call](const QueuedCall& q) { return q.id == call->first; });
       if (queued != core->queue.end()) core->queue.erase(queued);
     }
     // Not in flight, so no straggler is coming. A retried call ends
     // with its last failed attempt, which the breaker learns now.
-    if (call.attempts > 0) {
-      LearnLocked(core, call.destination, call.last_failure, call.as_probe);
+    if (m.attempts > 0) LearnLocked(m.dest, m.last_failure, m.as_probe);
+  }
+  EndCallLocked(core, call, /*answer=*/false);
+  if (phase == Phase::kInFlight) {
+    for (QueuedCall& queued : TakeDispatchableLocked(core)) {
+      to_dispatch->push_back(std::move(queued));
     }
   }
-  StoreResultLocked(core, meta, std::move(result), notify);
-  if (phase == Phase::kInFlight) *to_dispatch = TakeDispatchableLocked(core);
   return phase;
+}
+
+void ReqPump::CancelLocked(Core* core, RegistrationIt reg,
+                           std::vector<QueuedCall>* to_dispatch) {
+  ++core->stats.cancelled;
+  FlightRecorder::Global()->Record(
+      FrEventType::kCallCancel, core->calls.at(reg->second.call).destination,
+      "", reg->second.query_id, static_cast<int64_t>(reg->first));
+  ResolveEarlyLocked(
+      core, reg, CallResult{Status::Cancelled("external call cancelled"), {}},
+      /*notify=*/false, to_dispatch);
 }
 
 bool ReqPump::CancelCall(CallId id) {
   std::vector<QueuedCall> to_dispatch;
-  std::string destination;
-  uint64_t query_id = 0;
   {
     MutexLock lock(&core_->mu);
-    auto meta = core_->unresolved.find(id);
-    if (meta == core_->unresolved.end()) return false;
-    destination = meta->second.destination;
-    query_id = meta->second.query_id;
-    ++core_->stats.cancelled;
-    ResolveEarlyLocked(
-        core_.get(), meta,
-        CallResult{Status::Cancelled("external call cancelled"), {}},
-        /*notify=*/false, &to_dispatch);
+    auto reg = core_->unresolved.find(id);
+    if (reg == core_->unresolved.end()) return false;
+    CancelLocked(core_.get(), reg, &to_dispatch);
   }
-  FlightRecorder::Global()->Record(FrEventType::kCallCancel, destination, "",
-                                   query_id, static_cast<int64_t>(id));
   core_->cv.NotifyAll();
   DispatchAll(core_, &to_dispatch);
   return true;
@@ -625,11 +784,23 @@ bool ReqPump::CancelCall(CallId id) {
 
 size_t ReqPump::CancelAndTake(std::span<const CallId> calls) {
   size_t cancelled = 0;
-  for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
-    if (CancelCall(*it)) ++cancelled;
-    CallResult discarded;
-    TryTake(*it, &discarded);
+  std::vector<QueuedCall> to_dispatch;
+  {
+    MutexLock lock(&core_->mu);
+    for (auto it = calls.rbegin(); it != calls.rend(); ++it) {
+      if (auto reg = core_->unresolved.find(*it);
+          reg != core_->unresolved.end()) {
+        CancelLocked(core_.get(), reg, &to_dispatch);
+        ++cancelled;
+      }
+      if (auto result = core_->results.find(*it);
+          result != core_->results.end()) {
+        TakeLocked(core_.get(), result);
+      }
+    }
   }
+  if (cancelled > 0) core_->cv.NotifyAll();
+  DispatchAll(core_, &to_dispatch);
   return cancelled;
 }
 
@@ -638,12 +809,26 @@ bool ReqPump::IsComplete(CallId id) const {
   return core_->results.count(id) > 0;
 }
 
+int64_t ReqPump::CallAgeMicros(CallId id) const {
+  MutexLock lock(&core_->mu);
+  auto reg = core_->unresolved.find(id);
+  if (reg == core_->unresolved.end()) return 0;
+  return NowMicros() - core_->calls.at(reg->second.call).registered_micros;
+}
+
 bool ReqPump::TryTake(CallId id, CallResult* out) {
   MutexLock lock(&core_->mu);
   auto it = core_->results.find(id);
   if (it == core_->results.end()) return false;
-  *out = std::move(it->second);
-  core_->results.erase(it);
+  *out = TakeLocked(core_.get(), it);
+  return true;
+}
+
+bool ReqPump::Peek(CallId id, CallResult* out) const {
+  MutexLock lock(&core_->mu);
+  auto it = core_->results.find(id);
+  if (it == core_->results.end()) return false;
+  *out = it->second;
   return true;
 }
 
@@ -666,11 +851,7 @@ CallResult ReqPump::TakeBlocking(CallId id,
   MutexLock lock(&core->mu);
   while (true) {
     auto it = core->results.find(id);
-    if (it != core->results.end()) {
-      CallResult out = std::move(it->second);
-      core->results.erase(it);
-      return out;
-    }
+    if (it != core->results.end()) return TakeLocked(core.get(), it);
     // No result and no longer pending: the call is unknown or was
     // already taken — it will never complete, so waiting would hang.
     if (core->unresolved.count(id) == 0) {
@@ -732,9 +913,16 @@ int ReqPump::in_flight() const {
 std::optional<CircuitBreaker> ReqPump::breaker(
     const std::string& destination) const {
   MutexLock lock(&core_->mu);
-  auto it = core_->breakers.find(destination);
-  if (it == core_->breakers.end()) return std::nullopt;
-  return it->second;
+  auto it = core_->destinations.find(destination);
+  if (it == core_->destinations.end()) return std::nullopt;
+  return it->second.breaker;
+}
+
+const Histogram* ReqPump::latency_histogram(
+    const std::string& destination) {
+  Histogram* latency = LatencyHistogram(destination);
+  MutexLock lock(&core_->mu);
+  return AddDestinationLocked(core_.get(), destination, latency)->latency;
 }
 
 size_t ReqPump::pending_results() const {
@@ -747,7 +935,7 @@ std::vector<ReqPump::InFlightCall> ReqPump::InFlightCalls() const {
   int64_t now = NowMicros();
   {
     MutexLock lock(&core_->mu);
-    for (const auto& [id, meta] : core_->unresolved) {
+    for (const auto& [id, meta] : core_->calls) {
       if (meta.phase != Phase::kInFlight) continue;
       InFlightCall call;
       call.id = id;

@@ -25,6 +25,8 @@
 
 namespace wsq {
 
+class Histogram;
+
 /// Outcome of one asynchronous external call: zero or more result rows
 /// (a WebCount call yields exactly one; a WebPages call yields 0..k).
 struct CallResult {
@@ -97,18 +99,23 @@ struct ReqPumpStats {
   /// counted in `completed`/`failed`.
   uint64_t shed = 0;
   /// Calls actually handed to their dispatch function (immediately at
-  /// Register or later from the wait queue). Every dispatched call is
-  /// eventually resolved exactly once, so at quiescence
-  /// `dispatched <= registered` and
-  /// `registered == completed + cancelled + shed`.
+  /// Register or later from the wait queue), once per call however many
+  /// registrations joined it. Every registration is eventually resolved
+  /// exactly once, so at quiescence `dispatched + joined <= registered`
+  /// and `registered == completed + cancelled + shed`.
   uint64_t dispatched = 0;
+  /// Registrations that joined a call with the same (destination, key)
+  /// instead of dispatching one: an unresolved call, or one whose
+  /// answer still waits untaken in ReqPumpHash (see Register).
+  uint64_t joined = 0;
   /// Re-dispatches of calls whose attempt failed transiently
   /// (Limits::retry); not counted in `dispatched`.
   uint64_t retried = 0;
-  /// Sums of the per-call timings attached to CallResult, accumulated
-  /// when a dispatched call resolves (completion, timeout, or cancel).
+  /// Sums of the per-registration timings attached to CallResult,
+  /// accumulated when a registration of a dispatched call resolves
+  /// (completion, timeout, or cancel); one that joined an answer adds 0.
   /// `in_flight_micros_total / completed` approximates mean call
-  /// latency; the full distribution lives in the
+  /// latency; the distribution of dispatches lives in the
   /// `wsq_external_call_latency_micros` histogram.
   int64_t queue_wait_micros_total = 0;
   int64_t in_flight_micros_total = 0;
@@ -136,13 +143,29 @@ struct ReqPumpStats {
 /// The pump owns each call's whole lifecycle: it also retries transient
 /// failures after a backoff (Limits::retry) and keeps a circuit breaker
 /// per destination (Limits::breaker). Both are off by default.
+///
+/// It is also the one place that decides which requests share work. A
+/// registration may carry a request key; one whose (destination, key)
+/// matches an unresolved call (queued, in flight or in a retry backoff)
+/// joins that call instead of dispatching its own. The call holds one
+/// slot, one breaker admission and one retry sequence, which may retry
+/// while any joiner remains, up to the latest remaining deadline. Each
+/// joiner keeps its own id, deadline, cancel, notification and copy of
+/// the result; resolving one early never disturbs the others, and the
+/// call is abandoned only when its last joiner leaves. Once the call
+/// has answered, a registration with its key joins the answer instead,
+/// resolving at once with a copy, for as long as a copy of that answer
+/// waits untaken in ReqPumpHash: a consumer that reads a result with
+/// Peek and takes it later holds the answer open for identical
+/// requests meanwhile. A registration without a key never joins.
 class ReqPump {
  public:
   struct Limits {
     /// Max concurrently-dispatched calls overall; 0 = unbounded. Only
     /// calls whose answers are still wanted count: an abandoned call
-    /// (timed out, or cancelled through CancelCall) frees its slot at
-    /// once, though its destination may still be serving it.
+    /// (every registration on it timed out or was cancelled through
+    /// CancelCall) frees its slot at once, though its destination may
+    /// still be serving it.
     int max_global = 0;
     /// Max concurrently-dispatched calls per destination; 0 = unbounded.
     /// Abandoned calls do not count, as for max_global, so a
@@ -195,9 +218,17 @@ class ReqPump {
   /// means no deadline (overriding any default). `on_result`, if set,
   /// runs once on the timer thread after the call's result lands by
   /// completion, deadline or shedding; never after CancelCall, and not
-  /// again for a late completion of a timed-out call.
+  /// again for a late completion of a timed-out call. A non-empty `key`
+  /// lets the registration join a call to `destination` registered with
+  /// the same key that is unresolved, or that has answered while a copy
+  /// of its answer is still untaken; `fn` is then never run. A
+  /// registration that would be shed joins instead. `*joined`, if
+  /// given, is set to whether it joined. A destination's first
+  /// registration takes the metrics registry's lock (see
+  /// latency_histogram).
   CallId Register(const std::string& destination, AsyncCallFn fn,
-                  int64_t timeout_micros, PumpCallback on_result = nullptr)
+                  int64_t timeout_micros, PumpCallback on_result = nullptr,
+                  const std::string& key = {}, bool* joined = nullptr)
       WSQ_EXCLUDES(core_->mu);
 
   /// Runs `fn` once on the timer thread, `delay_micros` from now.
@@ -208,8 +239,18 @@ class ReqPump {
   /// True once the call's result is available in ReqPumpHash.
   bool IsComplete(CallId id) const WSQ_EXCLUDES(core_->mu);
 
+  /// How long ago the call that registration `id` waits on was
+  /// registered: earlier than `id` itself if it joined an older call. 0
+  /// once `id` has resolved.
+  int64_t CallAgeMicros(CallId id) const WSQ_EXCLUDES(core_->mu);
+
   /// Removes and returns the result if complete; nullopt otherwise.
   bool TryTake(CallId id, CallResult* out) WSQ_EXCLUDES(core_->mu);
+
+  /// Copies the result into `out` if complete, leaving it in
+  /// ReqPumpHash to be taken later; false otherwise. While it is left
+  /// there, a keyed call's answer stays joinable (see Register).
+  bool Peek(CallId id, CallResult* out) const WSQ_EXCLUDES(core_->mu);
 
   /// Blocks until call `id` completes, then removes and returns it.
   /// With a deadline set, returns at most ~timeout after registration.
@@ -227,22 +268,24 @@ class ReqPump {
   CallResult TakeBlocking(CallId id, const CancellationToken* token)
       WSQ_EXCLUDES(core_->mu);
 
-  /// Resolves a not-yet-completed call with kCancelled: a queued call
-  /// is dropped (its fn never runs), a dispatched call is abandoned —
-  /// its limit slots are released now and its real completion, if one
-  /// ever arrives, is discarded (stats.late_discarded). The kCancelled
-  /// result is left in ReqPumpHash for the consumer to take. Returns
-  /// false (and does nothing) if the call already has a result or is
-  /// unknown. Safe from any thread.
+  /// Resolves a not-yet-completed call with kCancelled. Once no other
+  /// registration is joined to it, a queued call is dropped (its fn
+  /// never runs) and a dispatched call is abandoned — its limit slots
+  /// are released now and its real completion, if one ever arrives, is
+  /// discarded (stats.late_discarded). The kCancelled result is left in
+  /// ReqPumpHash for the consumer to take. Returns false (and does
+  /// nothing) if the call already has a result or is unknown. Safe from
+  /// any thread.
   bool CancelCall(CallId id) WSQ_EXCLUDES(core_->mu);
 
   /// Resolves calls that nothing will consume: cancels each one still
   /// unresolved and takes its result, which is then always present, so
-  /// it never waits on the network. Newest (last) first: the queue is
-  /// FIFO, so a call still queued is never older than a dispatched one
-  /// to the same destination, and cancelling the dispatched one first
-  /// would free its slot only to send the queued call to the engine and
-  /// abandon it too. Returns how many calls it cancelled.
+  /// it never waits on the network. One pass under the pump's lock,
+  /// newest (last) first: the queue is FIFO, so a call still queued is
+  /// never older than a dispatched one to the same destination, and
+  /// cancelling the dispatched one first would free its slot only to
+  /// send the queued call to the engine and abandon it too. Returns how
+  /// many calls it cancelled.
   size_t CancelAndTake(std::span<const CallId> calls)
       WSQ_EXCLUDES(core_->mu);
 
@@ -271,9 +314,20 @@ class ReqPump {
   int in_flight() const WSQ_EXCLUDES(core_->mu);
 
   /// Copy of `destination`'s circuit breaker; nullopt when breakers are
-  /// off or no call to `destination` has been dispatched yet.
+  /// off or the pump has no record of `destination` yet.
   std::optional<CircuitBreaker> breaker(const std::string& destination)
       const WSQ_EXCLUDES(core_->mu);
+
+  /// `destination`'s dispatch-to-completion latency histogram
+  /// (`wsq_external_call_latency_micros{destination}`), which the pump
+  /// feeds with one observation per dispatch; null if the registry is
+  /// full. Creates the destination's record if it has none, which looks
+  /// the histogram up in the metrics registry. Register does that for a
+  /// destination's first call too, so a caller that registers calls
+  /// while holding a lock its metrics collector takes (the registry's
+  /// lock comes first) calls this for each destination beforehand.
+  const Histogram* latency_histogram(const std::string& destination)
+      WSQ_EXCLUDES(core_->mu);
 
   /// One live dispatched call, as reported by InFlightCalls (statusz:
   /// "which calls are out right now, how old are they, for whom").
@@ -296,6 +350,7 @@ class ReqPump {
 
  private:
   struct QueuedCall {
+    /// The call's id: that of the registration that started it.
     CallId id;
     std::string destination;
     AsyncCallFn fn;
@@ -312,20 +367,61 @@ class ReqPump {
     kBackoff,   ///< failed transiently, slots freed, retry pending
   };
 
-  /// Per-unresolved-call bookkeeping (see Core::unresolved).
-  struct CallMeta {
-    std::string destination;
+  /// One registration with no result yet (see Core::unresolved).
+  struct Registration {
+    /// The call it waits on (Core::calls): its own id unless it joined
+    /// another registration's call.
+    CallId call = kInvalidCallId;
     int64_t registered_micros = 0;
-    /// 0 until the call's first dispatch.
-    int64_t dispatched_micros = 0;
-    /// Query the registering thread was bound to; stamps completion
-    /// events and latency exemplars, which resolve on pump/service
-    /// threads with no binding of their own.
+    /// Query the registering thread was bound to; stamps its events.
     uint64_t query_id = 0;
     /// Register's `on_result`; dropped unrun by CancelCall.
     PumpCallback on_result;
     /// Absolute deadline (micros, steady clock); 0 = none.
     int64_t deadline_micros = 0;
+  };
+
+  /// Where registrations with one request key join (Destination::keyed).
+  struct KeyedCall {
+    /// The call, unresolved until it answers.
+    CallId call = kInvalidCallId;
+    /// Once it has answered: the registrations whose copy of its answer
+    /// is still in ReqPumpHash, in resolution order. A registration
+    /// joining then copies the first one's; the entry goes when the
+    /// last copy is taken. Empty while the call is unresolved.
+    std::vector<CallId> holders;
+  };
+
+  /// One destination's record, created at its first registration.
+  struct Destination {
+    /// Dispatched calls holding a slot (abandoned ones do not).
+    int in_flight = 0;
+    /// Its circuit breaker when Limits::breaker is set.
+    std::optional<CircuitBreaker> breaker;
+    /// `wsq_external_call_latency_micros{destination}`, looked up once
+    /// (outside Core::mu); null if the registry is full.
+    Histogram* latency = nullptr;
+    /// Its keyed calls by request key, unresolved or with an answer
+    /// still held: where Register joins.
+    std::unordered_map<std::string, KeyedCall> keyed;
+  };
+
+  /// One unresolved call and the registrations waiting on it (see
+  /// Core::calls).
+  struct CallMeta {
+    std::string destination;
+    /// Its record in Core::destinations (never erased, so stable).
+    Destination* dest = nullptr;
+    /// Register's request key; empty = nothing joins the call.
+    std::string key;
+    /// When the registration that started it was made.
+    int64_t registered_micros = 0;
+    /// 0 until the call's first dispatch.
+    int64_t dispatched_micros = 0;
+    /// Query of the registration that started it; stamps dispatch and
+    /// completion events and latency exemplars, which resolve on
+    /// pump/service threads with no binding of their own.
+    uint64_t query_id = 0;
     Phase phase = Phase::kQueued;
     /// Dispatches so far (the first plus retries).
     int attempts = 0;
@@ -336,12 +432,15 @@ class ReqPump {
     /// Status of the attempt being retried (kBackoff, or kQueued after
     /// a backoff): the call's outcome if it never runs again.
     Status last_failure;
+    /// Its unresolved registrations, in registration order; never empty.
+    std::vector<CallId> joiners;
   };
 
-  /// A call's deadline, the end of its retry backoff when `retry` is
-  /// set, or a RunAfter timer when `timer` is set.
+  /// A registration's deadline, the end of a call's retry backoff when
+  /// `retry` is set, or a RunAfter timer when `timer` is set.
   struct Deadline {
     int64_t when_micros;
+    /// The registration's id, or the call's for a backoff.
     CallId id;
     std::string destination;
     PumpCallback timer;
@@ -368,20 +467,26 @@ class ReqPump {
     CallId next_id WSQ_GUARDED_BY(mu) = 1;
     uint64_t completion_seq WSQ_GUARDED_BY(mu) = 0;
     int in_flight_global WSQ_GUARDED_BY(mu) = 0;
-    std::map<std::string, int> in_flight_by_dest WSQ_GUARDED_BY(mu);
+    std::map<std::string, Destination> destinations WSQ_GUARDED_BY(mu);
     std::deque<QueuedCall> queue WSQ_GUARDED_BY(mu);
     /// "ReqPumpHash"
     std::unordered_map<CallId, CallResult> results WSQ_GUARDED_BY(mu);
-    /// Registered calls with no result yet (not completed, timed out,
-    /// or cancelled), with the metadata needed to resolve them: the
-    /// destination (so CancelCall releases the right per-destination
-    /// slot) and registration/dispatch timestamps for queue-wait and
-    /// in-flight timing. Timer entries for ids outside this map are
-    /// stale.
-    std::unordered_map<CallId, CallMeta> unresolved WSQ_GUARDED_BY(mu);
-    /// Dispatched calls that timed out or were cancelled, mapped to
-    /// whether each was its breaker's probe: their eventual real
-    /// completion only teaches the breaker and is otherwise discarded.
+    /// Registrations with no result yet (not completed, timed out, or
+    /// cancelled). Deadline entries for ids outside this map are stale.
+    std::unordered_map<CallId, Registration> unresolved WSQ_GUARDED_BY(mu);
+    /// Calls with at least one unresolved registration, keyed by the id
+    /// of the registration that started each. Backoff entries for ids
+    /// outside this map are stale.
+    std::unordered_map<CallId, CallMeta> calls WSQ_GUARDED_BY(mu);
+    /// Holders of keyed answers (KeyedCall::holders), mapped to the
+    /// answer's destination record and key, so taking a result can
+    /// release the answer.
+    std::unordered_map<CallId, std::pair<Destination*, std::string>> held
+        WSQ_GUARDED_BY(mu);
+    /// Dispatched calls whose registrations all timed out or were
+    /// cancelled, mapped to whether each was its breaker's probe: their
+    /// eventual real completion only teaches the breaker and is
+    /// otherwise discarded.
     std::unordered_map<CallId, bool> abandoned WSQ_GUARDED_BY(mu);
     std::priority_queue<Deadline, std::vector<Deadline>,
                         std::greater<Deadline>>
@@ -395,10 +500,11 @@ class ReqPump {
     ReqPumpStats stats WSQ_GUARDED_BY(mu);
     /// Backoff draws (Limits::retry).
     Rng rng WSQ_GUARDED_BY(mu);
-    /// Per-destination breakers (Limits::breaker), created at a
-    /// destination's first dispatch.
-    std::map<std::string, CircuitBreaker> breakers WSQ_GUARDED_BY(mu);
   };
+
+  using CallIt = std::unordered_map<CallId, CallMeta>::iterator;
+  using RegistrationIt = std::unordered_map<CallId, Registration>::iterator;
+  using ResultIt = std::unordered_map<CallId, CallResult>::iterator;
 
   /// Invokes the call's fn; caller must NOT hold core->mu (the call
   /// may complete synchronously and re-enter OnComplete). The call's
@@ -421,41 +527,84 @@ class ReqPump {
   static std::vector<QueuedCall> TakeDispatchableLocked(Core* core)
       WSQ_REQUIRES(core->mu);
 
-  /// Moves call `meta` in flight at `now` for `call`'s attempt,
-  /// reserving its slots (the caller checked they are free). Returns
-  /// false, with the call resolved kUnavailable, if its breaker rejects
-  /// a first dispatch.
-  static bool StartLocked(Core* core,
-                          std::unordered_map<CallId, CallMeta>::iterator meta,
-                          QueuedCall* call, int64_t now)
+  /// Moves `call` in flight at `now` for `queued`'s attempt, reserving
+  /// its slots (the caller checked they are free). Returns false, with
+  /// the call resolved kUnavailable, if its breaker rejects a first
+  /// dispatch.
+  static bool StartLocked(Core* core, CallIt call, QueuedCall* queued,
+                          int64_t now) WSQ_REQUIRES(core->mu);
+
+  /// Resolves every registration waiting on `call` with `result` (each
+  /// counted completed, and failed unless OK) and ends the call, holding
+  /// a keyed call's result for later joiners if it is the destination's
+  /// `answer`.
+  static void ResolveCallLocked(Core* core, CallIt call, CallResult result,
+                                bool answer, int64_t now)
       WSQ_REQUIRES(core->mu);
 
-  /// Stores `result` as the call's answer, queues its `on_result` if
-  /// `notify`, and erases its bookkeeping; the caller has updated slots
-  /// and stats.
-  static void StoreResultLocked(
-      Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
-      CallResult result, bool notify) WSQ_REQUIRES(core->mu);
-
-  /// Teaches `destination`'s breaker an admitted call's final outcome.
-  static void LearnLocked(Core* core, const std::string& destination,
-                          const Status& status, bool as_probe)
+  /// Stores `result` as registration `reg`'s answer, with its timings on
+  /// `call` as of `now`, queues its `on_result` if `notify`, and erases
+  /// it; the caller updates slots, stats and the call's joiners.
+  static void StoreResultLocked(Core* core, RegistrationIt reg,
+                                const CallMeta& call, CallResult result,
+                                bool notify, int64_t now)
       WSQ_REQUIRES(core->mu);
 
-  /// Resolves unresolved call `meta` with `result` ahead of its real
-  /// completion (deadline, cancel or shutdown): stamps its timings and
-  /// stores it (see StoreResultLocked), then drops the call from the
-  /// queue or its backoff or, if dispatched, abandons it and collects
-  /// in `to_dispatch` the queued calls its slots free. Returns the
-  /// phase the call was in.
-  static Phase ResolveEarlyLocked(
-      Core* core, std::unordered_map<CallId, CallMeta>::iterator meta,
-      CallResult result, bool notify, std::vector<QueuedCall>* to_dispatch)
+  /// Forgets `call`, which no registration waits on any more. Its key,
+  /// if any, then goes too, unless the call resolved with an `answer`
+  /// that its registrations now hold.
+  static void EndCallLocked(Core* core, CallIt call, bool answer)
+      WSQ_REQUIRES(core->mu);
+
+  /// Removes result `it` from ReqPumpHash and returns it, releasing the
+  /// keyed answer it held, if any.
+  static CallResult TakeLocked(Core* core, ResultIt it)
+      WSQ_REQUIRES(core->mu);
+
+  /// The latest deadline of `call`'s registrations; 0 if one has none.
+  static int64_t LatestDeadlineLocked(const Core& core, const CallMeta& call)
+      WSQ_REQUIRES(core.mu);
+
+  /// Teaches `destination`'s breaker an admitted call's final outcome;
+  /// the caller holds Core::mu.
+  static void LearnLocked(Destination* destination, const Status& status,
+                          bool as_probe);
+
+  /// Resolves registration `reg` with `result` ahead of its call's
+  /// completion (deadline, cancel or shutdown; see StoreResultLocked).
+  /// If no other registration waits on the call, drops it from the
+  /// queue or its backoff or, if dispatched, abandons it and appends to
+  /// `to_dispatch` the queued calls its slots free. Returns the phase
+  /// the call was in.
+  static Phase ResolveEarlyLocked(Core* core, RegistrationIt reg,
+                                  CallResult result, bool notify,
+                                  std::vector<QueuedCall>* to_dispatch)
+      WSQ_REQUIRES(core->mu);
+
+  /// Resolves registration `reg` kCancelled (CancelCall), appending to
+  /// `to_dispatch` the queued calls that frees.
+  static void CancelLocked(Core* core, RegistrationIt reg,
+                           std::vector<QueuedCall>* to_dispatch)
       WSQ_REQUIRES(core->mu);
 
   static bool CanDispatchLocked(const Core& core,
-                                const std::string& destination)
+                                const Destination& destination)
       WSQ_REQUIRES(core.mu);
+
+  /// Whether `d` is a deadline of a registration that has resolved, or
+  /// the backoff end of a call that has ended.
+  static bool StaleLocked(const Core& core, const Deadline& d)
+      WSQ_REQUIRES(core.mu);
+
+  /// `destination`'s record, created with `latency` if it has none.
+  static Destination* AddDestinationLocked(Core* core,
+                                           const std::string& destination,
+                                           Histogram* latency)
+      WSQ_REQUIRES(core->mu);
+
+  /// Copies of the destinations' breakers, for the exporters.
+  static std::map<std::string, CircuitBreaker> BreakersLocked(
+      const Core& core) WSQ_REQUIRES(core.mu);
 
   /// Timer thread body: expires deadlines, runs timers and
   /// notifications.

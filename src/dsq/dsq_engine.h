@@ -20,7 +20,9 @@ namespace wsq {
 /// Every candidate term from the named database columns triggers one
 /// WebCount-style search ("<term> near <phrase>"); all searches are
 /// issued concurrently through the database's ReqPump, so DSQ gets the
-/// same asynchronous-iteration speedup as WSQ queries.
+/// same asynchronous-iteration speedup as WSQ queries. Explain may run
+/// concurrently with other statements on the same database (see
+/// WsqDatabase's thread contract).
 class DsqEngine {
  public:
   struct Options {

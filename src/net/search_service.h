@@ -23,8 +23,10 @@ struct SearchRequest {
   size_t k = 20;
 
   /// Partial-result policy for sharded backends; ignored (harmlessly)
-  /// by single-node services. Not part of CacheKey: the coalescing key
-  /// identifies the *work* (kind, k, query) — policy is per waiter.
+  /// by single-node services. Not part of CacheKey, which identifies
+  /// the *work* (kind, k, query): a sharded service keys its shard legs
+  /// by it, so requests with different policies share those legs, and
+  /// each judges the merged answer by its own policy.
   ShardOptions shard;
 
   /// Cache key: kind + k + query.

@@ -74,7 +74,7 @@ SearchResponse ShuttingDown(const std::string& name) {
       Status::Unavailable("sharded service shutting down: " + name), 0, {}};
 }
 
-/// Shards that must answer OK for this waiter's policy to succeed.
+/// Shards that must answer OK for this request's policy to succeed.
 int NeededShards(const ShardOptions& options, int num_shards) {
   switch (options.policy) {
     case ShardPolicy::kFail:
@@ -101,13 +101,14 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
   latency_hists_.reserve(shards_.size());
   for (const Shard& shard : shards_) {
     destinations_.push_back(shard.primary->name());
-    // Same (name, help, labels) as ReqPump::RecordCallTiming, so this
-    // resolves to the very instrument the pump feeds: observed shard
-    // latency seeds the hedge delay with no extra plumbing.
-    latency_hists_.push_back(MetricsRegistry::Global()->GetHistogram(
-        "wsq_external_call_latency_micros",
-        "Dispatch-to-completion latency of external calls",
-        {{"destination", shard.primary->name()}}));
+    // Observed shard latency seeds the hedge delay. Asking for it also
+    // introduces the shard's destinations to the pump here, outside mu_:
+    // a first Register there would take the registry's lock under mu_,
+    // which the collector below takes under the registry's.
+    latency_hists_.push_back(pump_->latency_histogram(destinations_.back()));
+    if (shard.replica != nullptr) {
+      pump_->latency_histogram(shard.replica->name());
+    }
   }
   shard_ok_.assign(shards_.size(), true);
   shard_decided_ok_.assign(shards_.size(), 0);
@@ -131,7 +132,7 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
                              labels, s.fanouts);
         emitter->EmitCounter(
             "wsq_shard_coalesced_total",
-            "Logical requests answered by joining an in-flight fan-out",
+            "Logical requests whose every shard leg joined an in-flight one",
             labels, s.coalesced);
         emitter->EmitCounter("wsq_shard_hedges_total",
                              "Hedge calls issued against shard replicas",
@@ -207,13 +208,9 @@ ShardedSearchService::~ShardedSearchService() {
     stopping_ = true;
     for (auto& entry : flights_) {
       Flight& flight = entry.second;
-      for (size_t i = 0; i < flight.calls.size(); ++i) {
-        ReapShardLocked(&flight, i, /*record=*/false);
-      }
-      for (Waiter& waiter : flight.waiters) {
-        deliveries.push_back(
-            Delivery{std::move(waiter.done), ShuttingDown(options_.name)});
-      }
+      ReleaseLegsLocked(flight);
+      deliveries.push_back(
+          Delivery{std::move(flight.done), ShuttingDown(options_.name)});
     }
     flights_.clear();
     idle_cv_.NotifyAll();
@@ -223,51 +220,46 @@ ShardedSearchService::~ShardedSearchService() {
 
 void ShardedSearchService::Submit(SearchRequest request,
                                   SearchCallback done) {
-  const std::string key = request.CacheKey();
   const uint64_t query_id = CurrentQueryId();
-  std::vector<Delivery> deliveries;
-  {
-    MutexLock lock(&mu_);
-    if (stopping_) {
-      deliveries.push_back(
-          Delivery{std::move(done), ShuttingDown(options_.name)});
-    } else if (auto it = flights_.find(key); it != flights_.end()) {
-      // Single-flight coalescing: same (kind, k, query) already in
-      // flight — join it as one more waiter. The waiter keeps its own
-      // quorum policy; the shard calls are shared.
-      ++stats_.coalesced;
-      it->second.waiters.push_back(
-          Waiter{request.shard, std::move(done), query_id});
-      FlightRecorder::Global()->Record(
-          FrEventType::kCoalesceJoin, options_.name, "", query_id,
-          static_cast<int64_t>(it->second.flight_id));
-      // A joiner whose quorum is already lost fails now.
-      SettleLocked(it, &deliveries);
-    } else {
-      ++stats_.fanouts;
-      Flight& flight = flights_[key];
-      flight.key = key;
-      flight.request = request;
-      flight.flight_id = next_flight_id_++;
-      flight.calls.resize(shards_.size());
-      flight.waiters.push_back(
-          Waiter{request.shard, std::move(done), query_id});
-      FlightRecorder::Global()->Record(
-          FrEventType::kFanout, options_.name, "", query_id,
-          static_cast<int64_t>(flight.flight_id),
-          static_cast<int64_t>(shards_.size()));
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        flight.calls[i].primary =
-            RegisterLeg(flight, i, shards_[i].primary, destinations_[i]);
-        ++stats_.shard_calls;
-        if (shards_[i].replica != nullptr) {
-          pump_->RunAfter(HedgeDelayMicros(i),
-                          ShardEvent(flight, i, /*hedge_timer=*/true));
-        }
-      }
+  MutexLock lock(&mu_);
+  if (stopping_) {
+    lock.Unlock();
+    done(ShuttingDown(options_.name));
+    return;
+  }
+  const uint64_t flight_id = next_flight_id_++;
+  Flight& flight = flights_[flight_id];
+  flight.flight_id = flight_id;
+  flight.request = std::move(request);
+  flight.leg_key = flight.request.CacheKey();
+  flight.calls.resize(shards_.size());
+  flight.done = std::move(done);
+  flight.query_id = query_id;
+  FlightRecorder::Global()->Record(FrEventType::kFanout, options_.name, "",
+                                   query_id, static_cast<int64_t>(flight_id),
+                                   static_cast<int64_t>(shards_.size()));
+  // The pump notifies each leg on its timer thread, never inside
+  // Register, so the flight stays in place while its legs register.
+  bool all_joined = true;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    bool joined;
+    flight.calls[i].primary = RegisterLeg(flight, i, shards_[i].primary,
+                                          destinations_[i], &joined);
+    all_joined = all_joined && joined;
+    if (shards_[i].replica != nullptr) {
+      // Hedge once the primary dispatch, which the leg may have joined
+      // earlier, has been out for the delay.
+      const int64_t delay =
+          HedgeDelayMicros(i) - pump_->CallAgeMicros(flight.calls[i].primary);
+      pump_->RunAfter(std::max<int64_t>(delay, 0),
+                      ShardEvent(flight, i, /*hedge_timer=*/true));
     }
   }
-  for (Delivery& d : deliveries) d.done(std::move(d.response));
+  if (all_joined) {
+    ++stats_.coalesced;
+  } else {
+    ++stats_.fanouts;
+  }
 }
 
 void ShardedSearchService::Quiesce() {
@@ -289,7 +281,8 @@ std::vector<bool> ShardedSearchService::shard_health() const {
 
 CallId ShardedSearchService::RegisterLeg(const Flight& flight, size_t i,
                                          SearchService* service,
-                                         const std::string& destination) {
+                                         const std::string& destination,
+                                         bool* joined) {
   const SearchRequest& request = flight.request;
   SearchRequest::Kind kind = request.kind;
   AsyncCallFn fn = [service, request, kind](CallCompletion pump_done) {
@@ -298,35 +291,35 @@ CallId ShardedSearchService::RegisterLeg(const Flight& flight, size_t i,
       pump_done(EncodeResponse(kind, resp));
     });
   };
-  return pump_->Register(destination, std::move(fn),
-                         options_.call_timeout_micros,
-                         ShardEvent(flight, i, /*hedge_timer=*/false));
+  CallId id = pump_->Register(destination, std::move(fn),
+                              options_.call_timeout_micros,
+                              ShardEvent(flight, i, /*hedge_timer=*/false),
+                              flight.leg_key, joined);
+  if (!*joined) ++stats_.shard_calls;
+  return id;
 }
 
 PumpCallback ShardedSearchService::ShardEvent(const Flight& flight, size_t i,
                                               bool hedge_timer) {
-  return [guard = guard_, key = flight.key, flight_id = flight.flight_id, i,
-          hedge_timer] {
+  return [guard = guard_, flight_id = flight.flight_id, i, hedge_timer] {
     std::vector<Delivery> deliveries;
     {
       MutexLock lock(&guard->mu);
       if (guard->service == nullptr) return;
-      guard->service->OnShardEvent(key, flight_id, i, hedge_timer,
-                                   &deliveries);
+      guard->service->OnShardEvent(flight_id, i, hedge_timer, &deliveries);
     }
-    // Deliver waiter callbacks outside every lock: they may re-enter
-    // Submit or take arbitrary downstream locks.
+    // Deliver callbacks outside every lock: they may re-enter Submit or
+    // take arbitrary downstream locks.
     for (Delivery& d : deliveries) d.done(std::move(d.response));
   };
 }
 
-void ShardedSearchService::OnShardEvent(const std::string& key,
-                                        uint64_t flight_id, size_t i,
+void ShardedSearchService::OnShardEvent(uint64_t flight_id, size_t i,
                                         bool hedge_timer,
                                         std::vector<Delivery>* out) {
   MutexLock lock(&mu_);
-  auto it = flights_.find(key);
-  if (it == flights_.end() || it->second.flight_id != flight_id) return;
+  auto it = flights_.find(flight_id);
+  if (it == flights_.end()) return;
   Flight& flight = it->second;
   // A hedge timer first takes results that have already landed, so a
   // primary that has just answered is not hedged.
@@ -354,39 +347,48 @@ int64_t ShardedSearchService::HedgeDelayMicros(size_t i) const {
 
 void ShardedSearchService::FireHedgeLocked(Flight* flight, size_t i) {
   ShardCall& call = flight->calls[i];
+  bool joined;
   call.hedge = RegisterLeg(*flight, i, shards_[i].replica,
-                           shards_[i].replica->name());
-  ++stats_.hedges;
-  ++stats_.shard_calls;
+                           shards_[i].replica->name(), &joined);
+  call.hedge_dispatched = !joined;
+  if (!joined) ++stats_.hedges;
   FlightRecorder::Global()->Record(
       FrEventType::kHedgeFire, shards_[i].replica->name(),
-      call.primary_taken ? "primary_failed" : "latency_quantile",
+      call.primary_done ? "primary_failed" : "latency_quantile",
       /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
       static_cast<int64_t>(i));
 }
 
-void ShardedSearchService::ReapShardLocked(Flight* flight, size_t i,
-                                           bool record) {
+void ShardedSearchService::ReapLosersLocked(Flight* flight, size_t i) {
   ShardCall& call = flight->calls[i];
+  std::vector<CallId> losers;
   for (bool hedge : {false, true}) {
     CallId id = hedge ? call.hedge : call.primary;
-    bool& taken = hedge ? call.hedge_taken : call.primary_taken;
-    if (id == kInvalidCallId || taken) continue;
-    if (record) {
-      FlightRecorder::Global()->Record(
-          FrEventType::kHedgeReap, destinations_[i],
-          hedge ? "hedge_lost" : "primary_lost", /*query_id=*/0,
-          static_cast<int64_t>(flight->flight_id), static_cast<int64_t>(i));
-    }
-    // Either the cancel lands (queued call dropped / dispatched call
-    // abandoned) or a result was already present; both leave a result
-    // in ReqPumpHash, so the TryTake always reaps it and the ledger
-    // stays balanced.
-    pump_->CancelCall(id);
-    CallResult discard;
-    pump_->TryTake(id, &discard);
-    taken = true;
+    bool& done = hedge ? call.hedge_done : call.primary_done;
+    if (id == kInvalidCallId || done) continue;
+    FlightRecorder::Global()->Record(
+        FrEventType::kHedgeReap, destinations_[i],
+        hedge ? "hedge_lost" : "primary_lost", /*query_id=*/0,
+        static_cast<int64_t>(flight->flight_id), static_cast<int64_t>(i));
+    losers.push_back(id);
+    done = true;
   }
+  if (!losers.empty()) pump_->CancelAndTake(losers);
+}
+
+void ShardedSearchService::ReleaseLegsLocked(const Flight& flight) {
+  std::vector<CallId> legs;
+  for (const ShardCall& call : flight.calls) {
+    for (CallId id : {call.primary, call.hedge}) {
+      if (id != kInvalidCallId) legs.push_back(id);
+    }
+  }
+  // Cancels the legs still out (nobody will consume them, and a dark
+  // shard's timeout must not keep them) and takes every result, which
+  // ends the read legs' answers' hold on the pump. Oldest first, so
+  // CancelAndTake cancels the newest first.
+  std::sort(legs.begin(), legs.end());
+  pump_->CancelAndTake(legs);
 }
 
 SearchResponse ShardedSearchService::MergeLocked(
@@ -438,7 +440,7 @@ void ShardedSearchService::AdvanceShardLocked(Flight* flight, size_t i) {
       DecodeRows(flight->request.kind, result.rows, &call.answer.count,
                  &call.answer.hits);
       ++shard_decided_ok_[i];
-      if (hedge) ++stats_.hedge_wins;
+      if (hedge && call.hedge_dispatched) ++stats_.hedge_wins;
     } else {
       fail_code = StatusCodeToString(result.status.code());
       ++shard_decided_failed_[i];
@@ -452,14 +454,16 @@ void ShardedSearchService::AdvanceShardLocked(Flight* flight, size_t i) {
         static_cast<int64_t>(i));
     // The shard is decided: a still-outstanding losing leg is pure
     // waste now — cancel and reap it.
-    ReapShardLocked(flight, i, /*record=*/true);
+    ReapLosersLocked(flight, i);
   };
 
+  // Legs are read with Peek: their results stay in ReqPumpHash until the
+  // flight settles, so identical legs of later requests join them.
   CallResult result;
-  if (!call.primary_taken && pump_->TryTake(call.primary, &result)) {
-    call.primary_taken = true;
+  if (!call.primary_done && pump_->Peek(call.primary, &result)) {
+    call.primary_done = true;
     if (result.status.ok() || shards_[i].replica == nullptr ||
-        call.hedge_taken) {
+        call.hedge_done) {
       decide(result, /*hedge=*/false);
     } else if (call.hedge == kInvalidCallId) {
       // Failure-triggered failover: don't wait for the latency
@@ -468,19 +472,19 @@ void ShardedSearchService::AdvanceShardLocked(Flight* flight, size_t i) {
     }  // else the hedge is still outstanding; keep waiting
     return;
   }
-  if (call.hedge != kInvalidCallId && !call.hedge_taken &&
-      pump_->TryTake(call.hedge, &result)) {
-    call.hedge_taken = true;
+  if (call.hedge != kInvalidCallId && !call.hedge_done &&
+      pump_->Peek(call.hedge, &result)) {
+    call.hedge_done = true;
     // A failed hedge decides the shard, with its own error, only once
     // the primary has failed too.
-    if (result.status.ok() || call.primary_taken) {
+    if (result.status.ok() || call.primary_done) {
       decide(result, /*hedge=*/true);
     }
   }
 }
 
 void ShardedSearchService::SettleLocked(
-    std::map<std::string, Flight>::iterator it, std::vector<Delivery>* out) {
+    std::map<uint64_t, Flight>::iterator it, std::vector<Delivery>* out) {
   Flight* flight = &it->second;
   const int n = static_cast<int>(flight->calls.size());
   int decided = 0;
@@ -490,70 +494,45 @@ void ShardedSearchService::SettleLocked(
     ++decided;
     if (!call.ok) ++decided_failed;
   }
-  const bool all_decided = decided == n;
 
-  // Representative error for quorum failures: prefer a non-transient
-  // shard error (the engine answered — e.g. a parse error — and every
-  // shard gave the same answer) over a generic "shards dark".
-  auto failure_status = [&]() -> Status {
+  // The request fails early once its quorum has become impossible (more
+  // shards down than it can tolerate); a success waits for every shard
+  // to decide so healthy runs merge all shards.
+  const int need = NeededShards(flight->request.shard, n);
+  SearchResponse resp;
+  if (n - decided_failed < need) {
+    ++stats_.quorum_failures;
+    FlightRecorder::Global()->Record(
+        FrEventType::kQuorumFail, options_.name,
+        std::to_string(decided_failed) + "_of_" + std::to_string(n) +
+            "_shards_failed",
+        flight->query_id, static_cast<int64_t>(flight->flight_id), need);
+    // Representative error: prefer a non-transient shard error (the
+    // engine answered — e.g. a parse error — and every shard gave the
+    // same answer) over a generic "shards dark".
+    resp.status = Status::Unavailable(
+        options_.name + ": " + std::to_string(decided_failed) + " of " +
+        std::to_string(n) + " shards failed to answer");
     for (const ShardCall& call : flight->calls) {
       if (call.decided && !call.ok &&
           !IsTransient(call.answer.status.code())) {
-        return call.answer.status;
+        resp.status = call.answer.status;
+        break;
       }
     }
-    return Status::Unavailable(
-        options_.name + ": " + std::to_string(decided_failed) + " of " +
-        std::to_string(n) + " shards failed to answer");
-  };
-
-  // Resolve waiters. A waiter fails early once its quorum has become
-  // impossible (more shards down than it can tolerate); successes wait
-  // for every shard to decide so healthy runs merge all shards.
-  SearchResponse merged;
-  bool have_merged = false;
-  auto waiter = flight->waiters.begin();
-  while (waiter != flight->waiters.end()) {
-    int need = NeededShards(waiter->options, n);
-    bool impossible = n - decided_failed < need;
-    if (impossible) {
-      ++stats_.quorum_failures;
-      FlightRecorder::Global()->Record(
-          FrEventType::kQuorumFail, options_.name,
-          std::to_string(decided_failed) + "_of_" + std::to_string(n) +
-              "_shards_failed",
-          waiter->query_id, static_cast<int64_t>(flight->flight_id), need);
-      out->push_back(Delivery{std::move(waiter->done),
-                              SearchResponse{failure_status(), 0, {}}});
-      waiter = flight->waiters.erase(waiter);
-      continue;
+  } else if (decided == n) {
+    resp = MergeLocked(*flight);
+    if (resp.partial) {
+      ++stats_.partial_results;
+      stats_.degraded_shards += static_cast<uint64_t>(resp.shards_failed);
+    } else {
+      ++stats_.complete_results;
     }
-    if (all_decided) {
-      if (!have_merged) {
-        merged = MergeLocked(*flight);
-        have_merged = true;
-      }
-      SearchResponse resp = merged;
-      if (resp.partial) {
-        ++stats_.partial_results;
-        stats_.degraded_shards += static_cast<uint64_t>(resp.shards_failed);
-      } else {
-        ++stats_.complete_results;
-      }
-      out->push_back(Delivery{std::move(waiter->done), std::move(resp)});
-      waiter = flight->waiters.erase(waiter);
-      continue;
-    }
-    ++waiter;
+  } else {
+    return;
   }
-
-  if (!all_decided && !flight->waiters.empty()) return;
-  // Every waiter has been resolved. If some failed early, nobody will
-  // consume the remaining legs, so cancel them instead of letting a
-  // dark shard's timeout keep the flight alive.
-  for (size_t i = 0; i < flight->calls.size(); ++i) {
-    ReapShardLocked(flight, i, /*record=*/false);
-  }
+  out->push_back(Delivery{std::move(flight->done), std::move(resp)});
+  ReleaseLegsLocked(*flight);
   flights_.erase(it);
   if (flights_.empty()) idle_cv_.NotifyAll();
 }

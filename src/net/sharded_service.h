@@ -22,21 +22,25 @@ namespace wsq {
 /// Aggregate counters for one ShardedSearchService (exported by its
 /// metrics collector; see DESIGN.md §13).
 struct ShardedServiceStats {
-  /// Logical requests that started a new shard fan-out.
+  /// Logical requests whose fan-out dispatched at least one primary leg.
   uint64_t fanouts = 0;
-  /// Logical requests answered by joining an existing fan-out.
+  /// Logical requests whose every primary leg joined an unresolved leg
+  /// of another request on the pump (ReqPump's joins).
   uint64_t coalesced = 0;
-  /// Physical shard calls registered on the pump (primaries + hedges).
+  /// Shard legs that dispatched on the pump (primaries + hedges); a leg
+  /// that joined an unresolved one is not counted.
   uint64_t shard_calls = 0;
-  /// Hedge calls issued (latency-triggered or failure-triggered).
+  /// Hedge legs that dispatched (latency-triggered or failure-triggered);
+  /// a hedge that joined another request's is not counted.
   uint64_t hedges = 0;
-  /// Shards decided by their hedge rather than their primary.
+  /// Shards decided by a hedge that their request dispatched itself, so
+  /// at most `hedges`; a shard decided by a joined hedge is not counted.
   uint64_t hedge_wins = 0;
-  /// Waiter responses delivered OK with all shards contributing.
+  /// Responses delivered OK with all shards contributing.
   uint64_t complete_results = 0;
-  /// Waiter responses delivered OK but partial (quorum / best-effort).
+  /// Responses delivered OK but partial (quorum / best-effort).
   uint64_t partial_results = 0;
-  /// Waiter responses failed because the policy's quorum was missed.
+  /// Responses failed because the policy's quorum was missed.
   uint64_t quorum_failures = 0;
   /// Sum over partial responses of the shards missing from each.
   uint64_t degraded_shards = 0;
@@ -50,25 +54,28 @@ struct ShardedServiceStats {
 /// into one SearchResponse (top-k by score, counts summed).
 ///
 /// Robustness machinery, per DESIGN.md §13:
-///  - Partial-result quorum: each waiter's ShardOptions picks fail /
+///  - Partial-result quorum: each request's ShardOptions picks fail /
 ///    K-of-N / best-effort when shards cannot answer; degraded
 ///    responses are marked partial with shards_failed set.
 ///  - Hedged requests: a shard still undecided after a latency-quantile
-///    delay (seeded from the pump's per-destination histograms) is
-///    re-issued against its replica; first success wins, the loser is
-///    cancelled through ReqPump::CancelCall. A failed primary fails
-///    over to the replica immediately.
+///    delay (seeded from the pump's per-destination histograms, counted
+///    from its primary's dispatch) is re-issued against its replica;
+///    first success wins, the loser is cancelled through
+///    ReqPump::CancelAndTake. A failed primary fails over to the
+///    replica immediately.
 ///  - Event-driven gather: each leg's pump notification advances only
 ///    its own flight, and each hedge is a pump timer; the service runs
 ///    no thread of its own.
-///  - Single-flight coalescing: logical requests with the same
-///    (kind, k, query) join one in-flight fan-out as extra waiters;
-///    each waiter still gets its own policy verdict, and one waiter
-///    abandoning its result (e.g. an outer pump cancelling its call)
-///    never disturbs the shared shard calls.
+///  - Shared legs: every leg is registered on the pump keyed by the
+///    leg's request (kind, k, query), so identical legs of concurrent
+///    requests join one dispatch (ReqPump's joins). A request reads its
+///    legs' results without taking them until it settles, so a later
+///    identical request also joins the legs that have already answered
+///    meanwhile. Each request still reaches its own policy verdict, and
+///    one request reaping its legs never disturbs another's.
 ///
 /// Every accepted request completes, including at destruction
-/// (outstanding waiters are failed with kUnavailable).
+/// (outstanding requests are failed with kUnavailable).
 class ShardedSearchService : public SearchService {
  public:
   /// One shard: the primary stack and an optional replica used for
@@ -124,31 +131,34 @@ class ShardedSearchService : public SearchService {
   struct ShardCall {
     CallId primary = kInvalidCallId;
     CallId hedge = kInvalidCallId;
-    bool primary_taken = false;
-    bool hedge_taken = false;
+    /// Set once the leg's result has been read, or the leg reaped
+    /// unread. A read result stays in ReqPumpHash until the flight
+    /// settles (ReleaseLegsLocked).
+    bool primary_done = false;
+    bool hedge_done = false;
+    /// Whether the hedge leg dispatched rather than joined (hedge_wins).
+    bool hedge_dispatched = false;
     bool decided = false;
     bool ok = false;
     ShardAnswer answer;  // valid when decided && ok
   };
 
-  /// One coalesced waiter: the callback plus its own quorum policy.
-  struct Waiter {
-    ShardOptions options;
+  /// One request's fan-out, keyed in flights_ by its flight id.
+  struct Flight {
+    /// Monotonic id correlating this fan-out's recorder events (hedges,
+    /// leg outcomes) across threads; its pump callbacks look it up by it.
+    uint64_t flight_id = 0;
+    /// The request; its `shard` options judge the merged answer.
+    SearchRequest request;
+    /// The request key of its legs: request.CacheKey(), which leaves the
+    /// shard options out, so requests with different policies share
+    /// legs and each judges the merged answer itself.
+    std::string leg_key;
+    std::vector<ShardCall> calls;
     SearchCallback done;
     /// Query the submitting thread was bound to (flight recorder);
-    /// stamps this waiter's quorum-failure event.
+    /// stamps the request's quorum-failure event.
     uint64_t query_id = 0;
-  };
-
-  /// One in-flight fan-out, keyed by SearchRequest::CacheKey().
-  struct Flight {
-    std::string key;  // in flights_; its pump callbacks look it up by it
-    SearchRequest request;
-    std::vector<ShardCall> calls;
-    std::vector<Waiter> waiters;
-    /// Monotonic id correlating this fan-out's recorder events
-    /// (coalesce joins, hedges, leg outcomes) across threads.
-    uint64_t flight_id = 0;
   };
 
   /// Callback delivery staged while holding mu_, delivered outside it.
@@ -170,32 +180,35 @@ class ShardedSearchService : public SearchService {
   /// Pump callback for shard `i` of `flight`: a leg's result landed or,
   /// with `hedge_timer`, the shard's hedge delay passed.
   PumpCallback ShardEvent(const Flight& flight, size_t i, bool hedge_timer);
-  /// Advances shard `i` of flight `key` (if still the one numbered
-  /// `flight_id`) and settles it; appends resolved-waiter deliveries.
-  void OnShardEvent(const std::string& key, uint64_t flight_id, size_t i,
-                    bool hedge_timer, std::vector<Delivery>* out)
-      WSQ_EXCLUDES(mu_);
+  /// Advances shard `i` of flight `flight_id` (if still out) and
+  /// settles it; appends the delivery if it resolved.
+  void OnShardEvent(uint64_t flight_id, size_t i, bool hedge_timer,
+                    std::vector<Delivery>* out) WSQ_EXCLUDES(mu_);
   /// Takes shard `i`'s landed legs and decides the shard, failing over
   /// to the replica when the primary failed.
   void AdvanceShardLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
-  /// Resolves the flight's waiters and erases the flight once none is
-  /// left; appends deliveries.
-  void SettleLocked(std::map<std::string, Flight>::iterator it,
+  /// Resolves the flight once its policy's verdict is known, reaping
+  /// its legs and erasing it; appends the delivery.
+  void SettleLocked(std::map<uint64_t, Flight>::iterator it,
                     std::vector<Delivery>* out) WSQ_REQUIRES(mu_);
   /// Registers shard `i`'s hedge call on the replica.
   void FireHedgeLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
-  /// Cancels and reaps shard `i`'s legs that are still outstanding,
-  /// recording each as a hedge loser if `record`.
-  void ReapShardLocked(Flight* flight, size_t i, bool record)
-      WSQ_REQUIRES(mu_);
-  /// Merged response over the flight's OK shards for one waiter.
+  /// Cancels and reaps shard `i`'s legs that have not been read,
+  /// recording each as a hedge loser.
+  void ReapLosersLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
+  /// Cancels the flight's legs still out and takes every leg's result.
+  void ReleaseLegsLocked(const Flight& flight) WSQ_REQUIRES(mu_);
+  /// Merged response over the flight's OK shards.
   SearchResponse MergeLocked(const Flight& flight) const
       WSQ_REQUIRES(mu_);
   /// Hedge delay for shard `i` from its latency histogram.
   int64_t HedgeDelayMicros(size_t i) const;
-  /// Registers a leg of shard `i` (primary or hedge) on the pump.
+  /// Registers a leg of shard `i` (primary or hedge) on the pump, keyed
+  /// by the leg's request; counts it in shard_calls unless it joined
+  /// another leg, and sets `*joined` to whether it did.
   CallId RegisterLeg(const Flight& flight, size_t i, SearchService* service,
-                     const std::string& destination);
+                     const std::string& destination, bool* joined)
+      WSQ_REQUIRES(mu_);
 
   const std::vector<Shard> shards_;
   ReqPump* const pump_;
@@ -203,15 +216,15 @@ class ShardedSearchService : public SearchService {
   /// Per-shard primary destination names (= primary->name()), cached so
   /// pump callbacks and collectors never touch wrapped services' locks.
   std::vector<std::string> destinations_;
-  /// Latency histograms seeding the hedge delay, one per shard;
-  /// fetched once at construction (stable registry pointers).
+  /// Latency histograms seeding the hedge delay, one per shard, from
+  /// the pump at construction (stable registry pointers).
   std::vector<const Histogram*> latency_hists_;
   const std::shared_ptr<Guard> guard_;
 
   mutable Mutex mu_;
   CondVar idle_cv_;
   uint64_t next_flight_id_ WSQ_GUARDED_BY(mu_) = 1;
-  std::map<std::string, Flight> flights_ WSQ_GUARDED_BY(mu_);
+  std::map<uint64_t, Flight> flights_ WSQ_GUARDED_BY(mu_);
   ShardedServiceStats stats_ WSQ_GUARDED_BY(mu_);
   /// Per-shard rolling health bit (last decided outcome; starts true).
   std::vector<bool> shard_ok_ WSQ_GUARDED_BY(mu_);
@@ -282,11 +295,11 @@ class SimulatedShardCluster {
  private:
   Options options_;
   /// Destruction runs in reverse declaration order: the
-  /// ShardedSearchService goes first (cancels its legs and fails
-  /// waiters), then its pump (drops calls in backoff and pending hedge
-  /// timers), then the nodes, which deliver what they still hold — hung
-  /// requests included — into the pump's shared core, where it is
-  /// discarded; then engines and slices.
+  /// ShardedSearchService goes first (cancels its legs and fails its
+  /// outstanding requests), then its pump (drops calls in backoff and
+  /// pending hedge timers), then the nodes, which deliver what they
+  /// still hold — hung requests included — into the pump's shared
+  /// core, where it is discarded; then engines and slices.
   std::vector<Corpus> slices_;
   std::vector<std::unique_ptr<SearchEngine>> engines_;
   std::vector<std::unique_ptr<SimulatedSearchService>> nodes_;

@@ -58,8 +58,10 @@ enum class FrEventType : uint8_t {
   kBreakerTrip = 10,
   kBreakerProbe = 11,
   kBreakerClose = 12,
-  // Sharded scatter-gather.
+  // A ReqPump registration joining an identical call, unresolved or
+  // answered (a = the joined call's id, b = the joiner's).
   kCoalesceJoin = 13,
+  // Sharded scatter-gather.
   kFanout = 14,
   kHedgeFire = 15,
   kHedgeReap = 16,

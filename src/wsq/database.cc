@@ -490,12 +490,8 @@ Result<QueryExecution> WsqDatabase::ExecuteSelect(
     if (tracer != nullptr) {
       span.emplace(tracer.get(), "query", "rewrite");
     }
-    RewriteOptions rewrite = options.rewrite;
-    if (options.on_call_error != OnCallError::kFailQuery) {
-      rewrite.on_call_error = options.on_call_error;
-    }
-    WSQ_ASSIGN_OR_RETURN(plan,
-                         ApplyAsyncIteration(std::move(plan), rewrite));
+    WSQ_ASSIGN_OR_RETURN(
+        plan, ApplyAsyncIteration(std::move(plan), options.rewrite));
   }
 
   // Per-query budget: a child of the database budget, so the tighter

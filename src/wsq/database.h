@@ -37,6 +37,14 @@ struct QueryExecution {
 /// The WSQ system facade: a Redbase-style relational engine (catalog,
 /// storage, SQL front end, iterator executor) extended with Web virtual
 /// tables and asynchronous iteration — the full system of the paper.
+///
+/// Thread contract: Execute of SELECT or EXPLAIN statements, and
+/// DsqEngine::Explain, may run concurrently on one database from any
+/// number of threads. Their external calls share the database's ReqPump,
+/// where identical calls join one dispatch, and each
+/// statement's QueryStats counts its own calls. DDL (CREATE, DROP), DML
+/// (INSERT, UPDATE, DELETE) and Checkpoint running concurrently with
+/// other statements are not covered yet.
 class WsqDatabase {
  public:
   struct Options {
@@ -137,10 +145,9 @@ class WsqDatabase {
     /// Apply the asynchronous-iteration rewrite (paper §4). Off = the
     /// conventional sequential execution the paper benchmarks against.
     bool async_iteration = true;
+    /// The rewrite's knobs, including `on_call_error`, the degradation
+    /// policy for failed external calls.
     RewriteOptions rewrite;
-    /// Degradation policy for failed external calls; shorthand for
-    /// setting `rewrite.on_call_error` (this wins when non-default).
-    OnCallError on_call_error = OnCallError::kFailQuery;
     /// Absolute budget for the whole query, measured from Execute();
     /// 0 = none. On expiry the query aborts with kDeadlineExceeded and
     /// the remaining budget clamps every external call's timeout at

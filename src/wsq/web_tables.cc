@@ -34,11 +34,12 @@ CallId SubmitSearchCall(SearchService* service, SearchRequest::Kind kind,
                         std::string_view search_exp,
                         const VTableRequest& request, ReqPump* pump,
                         int64_t timeout_micros) {
-  auto submit = [&](AsyncCallFn fn) {
-    return timeout_micros > 0
-               ? pump->Register(service->name(), std::move(fn),
-                                timeout_micros)
-               : pump->Register(service->name(), std::move(fn));
+  auto submit = [&](AsyncCallFn fn, const std::string& key = {}) {
+    return pump->Register(service->name(), std::move(fn),
+                          timeout_micros > 0
+                              ? timeout_micros
+                              : pump->limits().default_timeout_micros,
+                          nullptr, key);
   };
   Result<std::string> query = ExpandSearchTemplate(search_exp, request.terms);
   if (!query.ok()) {
@@ -59,12 +60,19 @@ CallId SubmitSearchCall(SearchService* service, SearchRequest::Kind kind,
     sreq.k = static_cast<size_t>(request.rank_limit);
   }
   sreq.shard = request.shard;
-  return submit([service, kind, sreq = std::move(sreq)](
-                    CallCompletion done) mutable {
-    service->Submit(std::move(sreq), [kind, done](SearchResponse resp) {
-      done(DecodeResponse(kind, std::move(resp)));
-    });
-  });
+  // Identical requests share one call while it is in flight or its
+  // answer waits untaken. The shard policy is part of the key: each
+  // caller judges a partial answer by its own.
+  std::string key = StrFormat("%s:%d:", ShardPolicyToString(sreq.shard.policy),
+                              sreq.shard.min_shards) +
+                    sreq.CacheKey();
+  return submit(
+      [service, kind, sreq = std::move(sreq)](CallCompletion done) mutable {
+        service->Submit(std::move(sreq), [kind, done](SearchResponse resp) {
+          done(DecodeResponse(kind, std::move(resp)));
+        });
+      },
+      key);
 }
 
 WebSearchTable::WebSearchTable(std::string name, SearchService* service,

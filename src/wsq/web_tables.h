@@ -17,8 +17,11 @@ namespace wsq {
 /// policy), and decodes the answer into output rows: one (Count) row
 /// for kCount, one (URL, Rank, Date) row per hit for kTopK, plus the
 /// shards missing from a partial answer. `timeout_micros` > 0 sets the
-/// call's deadline; otherwise the pump's default applies. A template
-/// that fails to expand resolves the call with that error.
+/// call's deadline; otherwise the pump's default applies. The call is
+/// keyed by the request and its shard policy, so it joins an identical
+/// one that is unresolved or whose answer is still untaken
+/// (ReqPump::Register). A template that fails to expand
+/// resolves the call with that error.
 CallId SubmitSearchCall(SearchService* service, SearchRequest::Kind kind,
                         std::string_view search_exp,
                         const VTableRequest& request, ReqPump* pump,

@@ -291,7 +291,7 @@ DegradedRun RunDegradedSigsQuery(OnCallError policy, uint64_t seed) {
     }
 
     WsqDatabase::ExecOptions opts;
-    opts.on_call_error = policy;
+    opts.rewrite.on_call_error = policy;
     Stopwatch timer;
     auto r = db.Execute(
         "Select Name, Count From Sigs, WebCount Where Name = T1 "

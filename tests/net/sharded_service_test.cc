@@ -283,9 +283,9 @@ TEST_F(ShardedServiceTest, BestEffortAnswersDespiteMostShardsDark) {
   ExpectLedgerBalanced(cluster.pump());
 }
 
-TEST_F(ShardedServiceTest, PerWaiterPoliciesJudgeTheSameFlight) {
+TEST_F(ShardedServiceTest, MixedPoliciesShareOneSetOfShardDispatches) {
   SimulatedShardCluster::Options opt = FastCluster(4);
-  // Slow shards so both waiters join one flight before it resolves.
+  // Slow shards so the second request arrives before the first settles.
   opt.latency = LatencyModel::Fixed(20000);
   opt.shard_faults.resize(4);
   opt.shard_faults[0].permanent_rate = 1.0;
@@ -299,12 +299,12 @@ TEST_F(ShardedServiceTest, PerWaiterPoliciesJudgeTheSameFlight) {
     SearchResponse lax WSQ_GUARDED_BY(mu);
   } outcome;
 
-  // Best-effort waiter first: it cannot resolve until every shard
-  // decides (>= the 20ms shard latency), so the flight is still
-  // pending when the strict waiter arrives — even though shard 0's
-  // permanent fault fails almost instantly. The other order is racy:
-  // a lone kFail waiter can resolve (and reap the flight) before the
-  // second Submit joins it.
+  // Best-effort request first: it cannot settle until every shard
+  // decides (>= the 20ms shard latency), so it still holds its legs
+  // when the strict request registers — even though shard 0's permanent
+  // fault fails almost instantly. The other order is racy: a lone kFail
+  // request can settle and take its legs before the second one joins
+  // them.
   SearchRequest lax_req = Count("utah");
   lax_req.shard.policy = ShardPolicy::kBestEffort;
   cluster.service()->Submit(lax_req, [&outcome](SearchResponse r) {
@@ -335,11 +335,21 @@ TEST_F(ShardedServiceTest, PerWaiterPoliciesJudgeTheSameFlight) {
   }
 
   cluster.Quiesce();
-  // Both logical requests shared one fan-out.
+  // Both requests shared one set of shard dispatches: the healthy
+  // shards' legs joined in flight, and the dark shard's failed leg,
+  // which failed inline before the second request registered, joined
+  // as an answer the first request still held.
   ShardedServiceStats stats = cluster.service()->stats();
   EXPECT_EQ(stats.fanouts, 1u);
   EXPECT_EQ(stats.coalesced, 1u);
   EXPECT_EQ(stats.shard_calls, 4u);
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(cluster.node(s)->stats().total_requests, 1u) << "shard " << s;
+  }
+  ReqPumpStats legs = cluster.pump()->stats();
+  EXPECT_EQ(legs.registered, 8u);
+  EXPECT_EQ(legs.dispatched, 4u);
+  EXPECT_EQ(legs.joined, 4u);
   ExpectLedgerBalanced(cluster.pump());
 }
 
@@ -376,10 +386,19 @@ TEST_F(ShardedServiceTest, CoalescingSharesOneFanOut) {
   }
 
   cluster.Quiesce();
+  // Every leg after the first request's joined it on the pump: each
+  // shard served the query once.
   ShardedServiceStats stats = cluster.service()->stats();
   EXPECT_EQ(stats.fanouts, 1u);
   EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kWaiters - 1));
   EXPECT_EQ(stats.shard_calls, 4u);
+  ReqPumpStats legs = cluster.pump()->stats();
+  EXPECT_EQ(legs.dispatched, 4u);
+  EXPECT_EQ(legs.joined, 4u * (kWaiters - 1));
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(cluster.node(s)->stats().completed_requests, 1u)
+        << "shard " << s;
+  }
   ExpectLedgerBalanced(cluster.pump());
 }
 
@@ -439,10 +458,66 @@ TEST_F(ShardedServiceTest, SlowPrimaryIsHedgedAndLoserReaped) {
   ExpectLedgerBalanced(cluster.pump());
 }
 
+TEST_F(ShardedServiceTest, IdenticalRequestsShareHedgesAndCountEachWinOnce) {
+  SimulatedShardCluster::Options opt = FastCluster(2);
+  opt.with_replicas = true;
+  // Primaries stall 200ms on top of the 20ms every node takes, so each
+  // request's hedge (5ms) wins; the second request's hedges join the
+  // first's while those are out.
+  opt.latency = LatencyModel::Fixed(20000);
+  opt.shard_faults.resize(2);
+  for (auto& plan : opt.shard_faults) {
+    plan.delay_rate = 1.0;
+    plan.delay_micros = 200000;
+  }
+  opt.service.default_hedge_delay_micros = 5000;
+  opt.service.call_timeout_micros = 2000000;
+  SimulatedShardCluster cluster(&TestCorpus(), opt);
+
+  struct Outcome {
+    Mutex mu;
+    CondVar cv;
+    std::vector<SearchResponse> responses WSQ_GUARDED_BY(mu);
+  } outcome;
+  for (int r = 0; r < 2; ++r) {
+    SearchRequest req = Count("colorado");
+    req.shard.policy = ShardPolicy::kFail;
+    cluster.service()->Submit(req, [&outcome](SearchResponse resp) {
+      MutexLock lock(&outcome.mu);
+      outcome.responses.push_back(std::move(resp));
+      outcome.cv.NotifyAll();
+    });
+  }
+  {
+    MutexLock lock(&outcome.mu);
+    while (outcome.responses.size() < 2) {  // bounded by the ctest timeout
+      outcome.cv.WaitForMicros(outcome.mu, 5000);
+    }
+    for (const SearchResponse& resp : outcome.responses) {
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      EXPECT_EQ(resp.count, Reference(Count("colorado")).count);
+    }
+  }
+
+  cluster.Quiesce();
+  // Hedges and their wins are both counted per dispatch: the second
+  // request's shards were won by hedges it joined, which count neither.
+  // So wins never exceed hedges.
+  ShardedServiceStats stats = cluster.service()->stats();
+  EXPECT_EQ(stats.hedges, 2u);
+  EXPECT_EQ(stats.hedge_wins, 2u);
+  EXPECT_LE(stats.hedge_wins, stats.hedges);
+  EXPECT_EQ(stats.shard_calls, 4u);
+  ReqPumpStats legs = cluster.pump()->stats();
+  EXPECT_EQ(legs.dispatched, 4u);
+  EXPECT_EQ(legs.joined, 4u);
+  ExpectLedgerBalanced(cluster.pump());
+}
+
 TEST_F(ShardedServiceTest, OuterCancelOfOneWaiterSparesTheOthers) {
   // The DB-side pump registers logical calls against the sharded
-  // service; cancelling one coalesced waiter's call must not disturb
-  // the shared shard fan-out or the surviving waiter.
+  // service; cancelling one of two identical calls must not disturb the
+  // shard legs they share or the surviving call.
   SimulatedShardCluster::Options opt = FastCluster(4);
   opt.latency = LatencyModel::Fixed(20000);
   SimulatedShardCluster cluster(&TestCorpus(), opt);
@@ -478,6 +553,7 @@ TEST_F(ShardedServiceTest, OuterCancelOfOneWaiterSparesTheOthers) {
   ShardedServiceStats stats = cluster.service()->stats();
   EXPECT_EQ(stats.fanouts, 1u);
   EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(cluster.pump()->stats().dispatched, 4u);
   ExpectLedgerBalanced(cluster.pump());
 }
 
