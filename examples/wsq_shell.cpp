@@ -11,7 +11,7 @@
 //   \plan <select>     show the plan without executing
 //   \analyze <select>  EXPLAIN ANALYZE: run + profiled plan tree
 //   \trace <select>    run + per-query trace spans
-//   \metrics           Prometheus dump of the metrics registry
+//   \statusz [json]    live state: the metrics export, in-flight calls
 //   \latency <ms>      report the configured latency
 //   \shards            sharded-backend status / partial-result policy
 //   \quit
@@ -35,7 +35,6 @@
 #include "dsq/dsq_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/statusz.h"
 #include "wsq/demo.h"
 
 namespace {
@@ -66,7 +65,6 @@ void PrintHelp() {
       "  \\analyze <select...> run the query, print the profiled plan\n"
       "                       (rows, calls, self time, blocked time)\n"
       "  \\trace <select...>   run the query, print its trace spans\n"
-      "  \\metrics             dump the metrics registry (Prometheus)\n"
       "  \\dsq <phrase>        DSQ: explain a phrase with DB terms\n"
       "  \\latency             show simulated search latency\n"
       "  \\shards              sharded AltaVista backend status\n"
@@ -76,9 +74,9 @@ void PrintHelp() {
       "  \\deadline <ms>       per-query deadline (0 = none)\n"
       "  \\memory              memory governor status (budgets, spill)\n"
       "  \\budget <mb>         per-query memory budget (0 = none)\n"
-      "  \\statusz             live status report (breakers, admission,\n"
-      "                       memory tree, in-flight calls, shards)\n"
-      "  \\statusz json        the same report as JSON\n"
+      "  \\statusz             live state: the metrics export (Prometheus\n"
+      "                       text), then the database's in-flight calls\n"
+      "  \\statusz json        the same, with the export as JSON\n"
       "  \\postmortem last     postmortem of the most recent failed or\n"
       "                       degraded statement (verdict, cause, stats,\n"
       "                       flight-recorder events)\n"
@@ -193,6 +191,25 @@ void PrintMemory(wsq::DemoEnv& env, size_t query_budget_mb) {
   }
 }
 
+// The live view: every component's series from the metrics export,
+// then the calls the database's pump has out right now.
+void PrintLiveState(wsq::DemoEnv& env, bool json) {
+  wsq::MetricsRegistry* registry = wsq::MetricsRegistry::Global();
+  if (json) {
+    std::printf("%s\n", registry->ExportJson().c_str());
+  } else {
+    std::printf("%s", registry->ExportPrometheusText().c_str());
+  }
+  std::vector<wsq::ReqPump::InFlightCall> calls =
+      env.db().pump()->InFlightCalls();
+  std::printf("in-flight calls: %zu\n", calls.size());
+  for (const wsq::ReqPump::InFlightCall& c : calls) {
+    std::printf("  call %llu dest=%s qid=%llu age=%lldus\n",
+                (unsigned long long)c.id, c.destination.c_str(),
+                (unsigned long long)c.query_id, (long long)c.age_micros);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -285,13 +302,8 @@ int main() {
         }
       } else if (trimmed == "\\memory") {
         PrintMemory(env, query_budget_mb);
-      } else if (trimmed == "\\statusz") {
-        std::printf(
-            "%s", wsq::StatuszRegistry::Global()->Render().ToText().c_str());
-      } else if (trimmed == "\\statusz json") {
-        std::printf(
-            "%s\n",
-            wsq::StatuszRegistry::Global()->Render().ToJson().c_str());
+      } else if (trimmed == "\\statusz" || trimmed == "\\statusz json") {
+        PrintLiveState(env, /*json=*/trimmed != "\\statusz");
       } else if (trimmed == "\\postmortem last" ||
                  trimmed == "\\postmortem") {
         auto last = env.db().query_log()->last();
@@ -330,11 +342,6 @@ int main() {
           }
           if (r->terms.empty()) std::printf("  (no correlations)\n");
         }
-      } else if (trimmed == "\\metrics") {
-        std::printf(
-            "%s",
-            wsq::MetricsRegistry::Global()->ExportPrometheusText()
-                .c_str());
       } else if (wsq::StartsWith(trimmed, "\\analyze ") ||
                  wsq::StartsWith(trimmed, "\\trace ")) {
         bool want_trace = wsq::StartsWith(trimmed, "\\trace ");

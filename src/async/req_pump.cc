@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/statusz.h"
 
 namespace wsq {
 
@@ -139,33 +138,21 @@ ReqPump::ReqPump(Limits limits)
           emitter->EmitGauge(
               "wsq_circuit_open", "1 while the circuit is open, else 0",
               labels, breaker.state() == CircuitState::kOpen ? 1 : 0);
-        }
-      });
-  if (!core_->limits.breaker) return;
-  statusz_id_ = StatuszRegistry::Global()->AddProvider(
-      [core = core_](std::vector<StatuszSection>* out) {
-        std::map<std::string, CircuitBreaker> breakers;
-        {
-          MutexLock lock(&core->mu);
-          breakers = BreakersLocked(*core);
-        }
-        for (const auto& [destination, breaker] : breakers) {
-          StatuszSection s;
-          s.name = "breaker/" + destination;
-          s.Add("state", std::string(CircuitStateToString(breaker.state())));
-          s.AddInt("consecutive_failures", breaker.consecutive_failures());
-          s.AddUint("trips", breaker.stats().trips);
-          s.AddUint("fast_failures", breaker.stats().fast_failures);
-          s.AddUint("probes", breaker.stats().probes);
-          out->push_back(std::move(s));
+          emitter->EmitGauge(
+              "wsq_circuit_half_open",
+              "1 while the circuit is half-open, else 0", labels,
+              breaker.state() == CircuitState::kHalfOpen ? 1 : 0);
+          emitter->EmitGauge(
+              "wsq_circuit_consecutive_failures",
+              "Consecutive transient failures counted toward a trip",
+              labels, breaker.consecutive_failures());
         }
       });
 }
 
 ReqPump::~ReqPump() {
-  // Unhook the collector and provider before tearing anything down:
-  // after this, no export can observe a half-destroyed pump.
-  if (statusz_id_ != 0) StatuszRegistry::Global()->RemoveProvider(statusz_id_);
+  // Unhook the collector before tearing anything down: after this, no
+  // export can observe a half-destroyed pump.
   MetricsRegistry::Global()->RemoveCollector(collector_id_);
   {
     MutexLock lock(&core_->mu);

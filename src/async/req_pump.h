@@ -329,8 +329,9 @@ class ReqPump {
   const Histogram* latency_histogram(const std::string& destination)
       WSQ_EXCLUDES(core_->mu);
 
-  /// One live dispatched call, as reported by InFlightCalls (statusz:
-  /// "which calls are out right now, how old are they, for whom").
+  /// One live dispatched call, as reported by InFlightCalls: which
+  /// calls are out right now, how old they are, and for whom (the
+  /// shell's live view lists them after the metrics export).
   struct InFlightCall {
     CallId id = 0;
     std::string destination;
@@ -602,7 +603,7 @@ class ReqPump {
                                            Histogram* latency)
       WSQ_REQUIRES(core->mu);
 
-  /// Copies of the destinations' breakers, for the exporters.
+  /// Copies of the destinations' breakers, for the metrics collector.
   static std::map<std::string, CircuitBreaker> BreakersLocked(
       const Core& core) WSQ_REQUIRES(core.mu);
 
@@ -615,8 +616,6 @@ class ReqPump {
   /// MetricsRegistry collector handle (removed first in ~ReqPump so the
   /// callback never outlives the pump's registration).
   uint64_t collector_id_ = 0;
-  /// \statusz provider of the breaker sections (0 = no breakers).
-  uint64_t statusz_id_ = 0;
 };
 
 }  // namespace wsq

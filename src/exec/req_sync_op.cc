@@ -30,8 +30,8 @@ void ReqSyncOperator::AddEntry(Row row, std::set<CallId> pending) {
   size_t bytes = row.ApproxBytes();
   buffered_bytes_ += bytes;
   // ForceAdd, not TryAdd: the tuple already exists and must be indexed
-  // for its calls' completions. Admission control is WaitForRoom (which
-  // watches the budget) and, in shed-oldest mode, ShedToBudget.
+  // for its calls' completions. Admission control is WaitForRoom, which
+  // watches the budget.
   mem_.ForceAdd(bytes);
   entries_.emplace(id, Entry{std::move(row), std::move(pending), bytes});
   if (tracer() != nullptr) {
@@ -40,9 +40,6 @@ void ReqSyncOperator::AddEntry(Row row, std::set<CallId> pending) {
                               entries_.at(id).pending.size(),
                               entries_.size()));
   }
-  // Proliferation copies land here too, so shed-oldest keeps its bound
-  // even when one completion fans a tuple out into many.
-  if (node_->shed_oldest) ShedToBudget();
   QueryStats& stats = ctx_->stats;
   stats.peak_buffered_rows =
       std::max<uint64_t>(stats.peak_buffered_rows, entries_.size());
@@ -51,50 +48,16 @@ void ReqSyncOperator::AddEntry(Row row, std::set<CallId> pending) {
 }
 
 bool ReqSyncOperator::HasRoom() const {
-  if (node_->max_buffered_rows > 0 &&
-      entries_.size() >= node_->max_buffered_rows) {
-    return false;
-  }
-  if (node_->max_buffered_bytes > 0 &&
-      buffered_bytes_ >= node_->max_buffered_bytes) {
-    return false;
-  }
-  // Memory governor: when the query budget has no headroom, stop
-  // pulling from the child while anything is buffered — in-flight
-  // completions drain the buffer and release its charge. With nothing
-  // buffered the next tuple must be admitted regardless (ForceAdd) or
-  // the query could never make progress.
-  if (mem_.budget() != nullptr && !entries_.empty() &&
-      mem_.budget()->Available() == 0) {
-    return false;
-  }
-  return true;
-}
-
-void ReqSyncOperator::ShedToBudget() {
-  // Shed past the node's row/byte bounds, and additionally (in this
-  // shed-oldest mode) past an exhausted query memory budget — keeping
-  // at least the newest tuple so the operator still makes progress.
-  while (!entries_.empty() &&
-         ((node_->max_buffered_rows > 0 &&
-           entries_.size() > node_->max_buffered_rows) ||
-          (node_->max_buffered_bytes > 0 &&
-           buffered_bytes_ > node_->max_buffered_bytes) ||
-          (mem_.budget() != nullptr && entries_.size() > 1 &&
-           mem_.budget()->Available() == 0))) {
-    auto it = entries_.begin();  // smallest id = oldest pending tuple
-    buffered_bytes_ -= it->second.bytes;
-    // Release the dropped tuple's budget charge with it — shedding
-    // that kept the charge would leak reservations until Close.
-    mem_.Subtract(it->second.bytes);
-    entries_.erase(it);
-    ++ctx_->stats.shed_tuples;
-  }
+  // When the query budget has no headroom, stop pulling from the child
+  // while anything is buffered — in-flight completions drain the buffer
+  // and release its charge. With nothing buffered the next tuple must
+  // be admitted regardless (ForceAdd) or the query could never make
+  // progress.
+  return mem_.budget() == nullptr || entries_.empty() ||
+         mem_.budget()->Available() > 0;
 }
 
 Status ReqSyncOperator::WaitForRoom() {
-  if (node_->shed_oldest) return Status::OK();
-  if (!HasBudget() && mem_.budget() == nullptr) return Status::OK();
   while (!HasRoom()) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
     // Snapshot before polling so a completion landing mid-poll makes
@@ -138,9 +101,9 @@ Status ReqSyncOperator::OpenImpl() {
   // Full-buffering implementation, as in the paper: drain the child
   // entirely. Draining is what launches all the asynchronous calls
   // below us — the dependent joins keep producing provisional tuples
-  // without waiting for any search to finish. A buffer budget throttles
-  // the drain: WaitForRoom blocks on in-flight completions instead of
-  // buffering without bound.
+  // without waiting for any search to finish. The query memory budget
+  // throttles the drain: WaitForRoom blocks on in-flight completions
+  // instead of buffering without bound.
   Row row;
   while (true) {
     WSQ_RETURN_IF_ERROR(CheckAlive());
@@ -332,7 +295,7 @@ Result<bool> ReqSyncOperator::NextImpl(Row* row) {
     if (!child_drained_) {
       // Streaming mode: pull the next child tuple (which launches its
       // calls) and absorb any completions that have already landed.
-      // The buffer budget throttles the pull exactly as in Open.
+      // The query memory budget throttles the pull exactly as in Open.
       WSQ_RETURN_IF_ERROR(WaitForRoom());
       Row input;
       WSQ_ASSIGN_OR_RETURN(bool more, child_->Next(&input));

@@ -29,22 +29,15 @@ namespace wsq {
 /// exceeded) is handled per the node's OnCallError policy: fail the
 /// query, cancel the waiting tuples, or complete them with NULLs.
 ///
-/// Buffer budget (ReqSyncNode::max_buffered_rows/_bytes): pending
-/// tuples — including proliferation copies — are bounded. The default
-/// response to a full buffer is backpressure: stop pulling from the
-/// child and process completions until there is room, so the calls
-/// already in flight drain the buffer. With shed_oldest the oldest
-/// pending tuple is dropped instead (QueryStats::shed_tuples); its
-/// calls are still taken as they complete, and any left at Close are
-/// cancelled there.
-///
-/// Memory governance: every buffered tuple's bytes are also charged to
-/// the query MemoryBudget (ExecContext::memory) through a
-/// MemoryReservation — ForceAdd, since the tuple already exists;
-/// admission control is the backpressure above, which additionally
-/// engages when the budget itself is exhausted while tuples are
-/// buffered. Every erase path (completion, degradation, shedding,
-/// Close) releases the matching charge so the ledger balances to zero.
+/// Buffer bound: every buffered tuple's bytes — proliferation copies
+/// included — are charged to the query MemoryBudget
+/// (ExecContext::memory) through a MemoryReservation; ForceAdd, since
+/// the tuple already exists. When the budget has no headroom while
+/// tuples are buffered, ReqSync applies backpressure: it stops pulling
+/// from the child and processes completions until there is room, so
+/// the calls already in flight drain the buffer and no tuple is lost.
+/// Every erase path (completion, degradation, Close) releases the
+/// matching charge so the ledger balances to zero.
 ///
 /// Thread model: operators are driven by a single executor thread, so
 /// this class has no lock and no WSQ_GUARDED_BY state of its own, and
@@ -107,17 +100,11 @@ class ReqSyncOperator : public Operator {
 
   void AddEntry(Row row, std::set<CallId> pending);
 
-  /// True when a row/byte budget is configured on the node.
-  bool HasBudget() const {
-    return node_->max_buffered_rows > 0 || node_->max_buffered_bytes > 0;
-  }
   /// True while the buffer can absorb one more pending tuple.
   bool HasRoom() const;
   /// Backpressure: blocks (processing completions) until HasRoom().
-  /// No-op in shed-oldest mode or without a budget.
+  /// No-op without a query budget.
   Status WaitForRoom();
-  /// Shed-oldest: drops oldest pending tuples until back under budget.
-  void ShedToBudget();
 
   const ReqSyncNode* node_;
   OperatorPtr child_;
@@ -129,7 +116,7 @@ class ReqSyncOperator : public Operator {
   bool child_drained_ = false;
 
   uint64_t next_entry_id_ = 1;
-  /// Ordered by entry id (= insertion order) so shed-oldest is O(1).
+  /// Keyed by entry id (= insertion order).
   std::map<uint64_t, Entry> entries_;
   std::unordered_map<CallId, std::vector<uint64_t>> waiters_;
   std::deque<Row> ready_;

@@ -2,7 +2,6 @@
 
 #include "common/clock.h"
 #include "obs/metrics.h"
-#include "obs/statusz.h"
 
 namespace wsq {
 
@@ -47,31 +46,9 @@ ResultCache::ResultCache(size_t capacity, int64_t ttl_micros,
                            "Payload bytes currently cached", {},
                            static_cast<int64_t>(bytes));
       });
-  statusz_id_ = StatuszRegistry::Global()->AddProvider(
-      [this](std::vector<StatuszSection>* out) {
-        StatuszSection s;
-        s.name = "result_cache";
-        ResultCacheStats stats;
-        size_t entries;
-        size_t resident;
-        {
-          MutexLock lock(&mu_);
-          stats = stats_;
-          entries = lru_.size();
-          resident = bytes_;
-        }
-        s.AddUint("entries", entries);
-        s.AddUint("bytes", resident);
-        s.AddUint("hits", stats.hits);
-        s.AddUint("misses", stats.misses);
-        s.AddUint("evictions", stats.evictions);
-        s.AddUint("pressure_shed", stats.pressure_shed);
-        out->push_back(std::move(s));
-      });
 }
 
 ResultCache::~ResultCache() {
-  StatuszRegistry::Global()->RemoveProvider(statusz_id_);
   MetricsRegistry::Global()->RemoveCollector(collector_id_);
   DetachBudget();
 }

@@ -103,8 +103,6 @@ class ResultCache {
   MemoryBudget* budget_ = nullptr;
   uint64_t pressure_hook_id_ = 0;
   uint64_t collector_id_ = 0;
-  /// \statusz section provider handle, removed in the destructor.
-  uint64_t statusz_id_ = 0;
 };
 
 /// SearchService decorator that answers repeated requests from a

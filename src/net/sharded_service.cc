@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "common/clock.h"
-#include "common/strings.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/statusz.h"
 
 namespace wsq {
 
@@ -167,34 +165,9 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
                                failed_counts[i]);
         }
       });
-  statusz_id_ = StatuszRegistry::Global()->AddProvider(
-      [this](std::vector<StatuszSection>* out) {
-        StatuszSection s;
-        s.name = "shards/" + options_.name;
-        ShardedServiceStats stats;
-        std::vector<bool> healthy;
-        {
-          MutexLock lock(&mu_);
-          stats = stats_;
-          healthy.assign(shard_ok_.begin(), shard_ok_.end());
-        }
-        s.AddUint("fanouts", stats.fanouts);
-        s.AddUint("coalesced", stats.coalesced);
-        s.AddUint("hedges", stats.hedges);
-        s.AddUint("hedge_wins", stats.hedge_wins);
-        s.AddUint("partial_results", stats.partial_results);
-        s.AddUint("quorum_failures", stats.quorum_failures);
-        s.AddUint("degraded_shards", stats.degraded_shards);
-        for (size_t i = 0; i < healthy.size(); ++i) {
-          s.Add(StrFormat("health/%s", destinations_[i].c_str()),
-                healthy[i] ? "ok" : "dark");
-        }
-        out->push_back(std::move(s));
-      });
 }
 
 ShardedSearchService::~ShardedSearchService() {
-  StatuszRegistry::Global()->RemoveProvider(statusz_id_);
   MetricsRegistry::Global()->RemoveCollector(collector_id_);
   {
     // Waits out a running pump callback; later ones find no service.

@@ -234,8 +234,6 @@ class ShardedSearchService : public SearchService {
   bool stopping_ WSQ_GUARDED_BY(mu_) = false;
 
   uint64_t collector_id_ = 0;
-  /// \statusz section provider handle, removed in the destructor.
-  uint64_t statusz_id_ = 0;
 };
 
 /// Self-contained N-shard simulated cluster: takes N disjoint shard

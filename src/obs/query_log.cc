@@ -43,6 +43,23 @@ void AppendMemory(std::string* out, const QueryStats& stats) {
   AppendCount(out, "peak_memory_bytes", stats.peak_memory_bytes);
 }
 
+/// The process-wide postmortem counters. The first QueryLog looks them
+/// up, so the export carries them, at 0, from start-up.
+struct PostmortemCounters {
+  Counter* emitted;
+  Counter* suppressed;
+};
+
+const PostmortemCounters& GlobalPostmortemCounters() {
+  static const PostmortemCounters kCounters{
+      MetricsRegistry::Global()->GetCounter("wsq_fr_postmortems_total",
+                                            "Postmortem records emitted"),
+      MetricsRegistry::Global()->GetCounter(
+          "wsq_fr_postmortems_suppressed_total",
+          "Postmortem records suppressed by rate limiting")};
+  return kCounters;
+}
+
 }  // namespace
 
 std::string_view QueryRecord::verdict() const {
@@ -112,7 +129,9 @@ QueryLog::QueryLog(int64_t slow_query_micros,
     : slow_query_micros_(slow_query_micros < 0 ? 0 : slow_query_micros),
       postmortem_min_interval_micros_(postmortem_min_interval_micros),
       sink_(std::move(sink)),
-      clock_(std::move(clock)) {}
+      clock_(std::move(clock)) {
+  GlobalPostmortemCounters();
+}
 
 int64_t QueryLog::NowMicros() const {
   return clock_ ? clock_() : wsq::NowMicros();
@@ -155,17 +174,12 @@ bool QueryLog::OnQueryEnd(const std::string& sql, const Status& status,
       if (record->postmortem) last_emit_micros_ = now;
       last_ = record;
     }
-    static Counter* emitted = MetricsRegistry::Global()->GetCounter(
-        "wsq_fr_postmortems_total", "Postmortem records emitted");
-    static Counter* suppressed = MetricsRegistry::Global()->GetCounter(
-        "wsq_fr_postmortems_suppressed_total",
-        "Postmortem records suppressed by rate limiting");
     if (record->postmortem) {
       emitted_total_.fetch_add(1, std::memory_order_relaxed);
-      emitted->Increment();
+      GlobalPostmortemCounters().emitted->Increment();
     } else {
       suppressed_total_.fetch_add(1, std::memory_order_relaxed);
-      suppressed->Increment();
+      GlobalPostmortemCounters().suppressed->Increment();
     }
   }
   if (!slow && !record->postmortem) return false;

@@ -29,10 +29,8 @@ struct QueryStats {
   /// already cancelled, an early stop under LIMIT, an error, a deadline
   /// or an explicit cancel), or whose tuples were dropped below it.
   uint64_t cancelled_calls = 0;
-  /// Pending tuples dropped by a ReqSync shed-oldest buffer budget.
-  uint64_t shed_tuples = 0;
   /// Peak pending tuples / approximate bytes buffered by any ReqSync
-  /// (max across operators; see ReqSyncNode::max_buffered_rows).
+  /// (max across operators).
   uint64_t peak_buffered_rows = 0;
   uint64_t peak_buffered_bytes = 0;
   /// External calls that answered OK but from a strict subset of their
@@ -51,9 +49,9 @@ struct QueryStats {
   /// shedding) on behalf of this query's reservations.
   uint64_t pressure_released_bytes = 0;
 
-  /// Tuples dropped, NULL-padded or shed by a degradation policy.
+  /// Tuples dropped or NULL-padded by a degradation policy.
   uint64_t degraded_tuples() const {
-    return dropped_tuples + null_padded_tuples + shed_tuples;
+    return dropped_tuples + null_padded_tuples;
   }
   /// True when the answer is degraded: partial shard results or
   /// degraded tuples.

@@ -350,18 +350,6 @@ void SetOnCallError(PlanNode* node, OnCallError policy) {
     SetOnCallError(child.get(), policy);
   }
 }
-
-void SetBufferBudget(PlanNode* node, const RewriteOptions& options) {
-  if (node->kind() == PlanNode::Kind::kReqSync) {
-    auto* sync = static_cast<ReqSyncNode*>(node);
-    sync->max_buffered_rows = options.max_buffered_rows;
-    sync->max_buffered_bytes = options.max_buffered_bytes;
-    sync->shed_oldest = options.shed_oldest;
-  }
-  for (auto& child : node->children()) {
-    SetBufferBudget(child.get(), options);
-  }
-}
 }  // namespace
 
 Result<PlanNodePtr> ApplyAsyncIteration(PlanNodePtr plan,
@@ -384,9 +372,6 @@ Result<PlanNodePtr> ApplyAsyncIteration(PlanNodePtr plan,
   }
   if (options.on_call_error != OnCallError::kFailQuery) {
     SetOnCallError(plan.get(), options.on_call_error);
-  }
-  if (options.max_buffered_rows > 0 || options.max_buffered_bytes > 0) {
-    SetBufferBudget(plan.get(), options);
   }
   return plan;
 }

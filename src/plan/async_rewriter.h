@@ -23,13 +23,6 @@ struct RewriteOptions {
   /// Degradation policy applied to every ReqSync in the plan: what to
   /// do with tuples whose external call fails or times out.
   OnCallError on_call_error = OnCallError::kFailQuery;
-  /// Buffered-tuple budget applied to every ReqSync in the plan
-  /// (see ReqSyncNode::max_buffered_rows); 0 = unbounded.
-  uint64_t max_buffered_rows = 0;
-  uint64_t max_buffered_bytes = 0;
-  /// Shed the oldest pending tuple instead of applying backpressure
-  /// when a budget is hit.
-  bool shed_oldest = false;
 };
 
 /// Applies the paper's §4.5 algorithm to a bound plan:

@@ -389,18 +389,6 @@ class ReqSyncNode : public PlanNode {
   /// engine unavailable, hard error after retries).
   OnCallError on_call_error = OnCallError::kFailQuery;
 
-  /// Buffered-tuple budget: max pending (incomplete) tuples this
-  /// operator may hold, counting proliferation copies, and max
-  /// approximate bytes across those tuples. 0 = unbounded. When a pull
-  /// from the child would exceed a budget, ReqSync stops pulling and
-  /// processes completions until the buffer drains (backpressure) — or,
-  /// with shed_oldest, drops the oldest pending tuple instead
-  /// (QueryStats::shed_tuples) so the query keeps its bound without
-  /// stalling.
-  uint64_t max_buffered_rows = 0;
-  uint64_t max_buffered_bytes = 0;
-  bool shed_oldest = false;
-
   /// "ReqSync.A" (paper §4.5.2): indices of columns whose values this
   /// operator fills in; maintained through percolation for clash
   /// analysis.

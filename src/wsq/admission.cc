@@ -49,6 +49,9 @@ AdmissionController::AdmissionController(AdmissionLimits limits)
         emitter->EmitGauge("wsq_admission_active_peak",
                            "Peak concurrently executing queries", {},
                            static_cast<int64_t>(s.active_peak));
+        emitter->EmitGauge("wsq_admission_queued_peak",
+                           "Peak queries waiting for an execution slot", {},
+                           static_cast<int64_t>(s.queued_peak));
       });
 }
 

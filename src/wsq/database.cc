@@ -10,7 +10,6 @@
 #include "common/macros.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/statusz.h"
 #include "parser/parser.h"
 #include "wsq/web_tables.h"
 
@@ -22,6 +21,31 @@ namespace {
 /// so slow-query lines and traces from different databases never
 /// collide in a shared log.
 std::atomic<uint64_t> g_next_query_id{1};
+
+/// Publishes `budget`'s wsq_mem_* series, labelled by its name.
+void EmitBudget(MetricsEmitter* emitter, MemoryBudget* budget) {
+  MetricLabels labels{{"budget", budget->name()}};
+  emitter->EmitGauge("wsq_mem_used_bytes", "Bytes currently reserved",
+                     labels, static_cast<int64_t>(budget->used()));
+  emitter->EmitGauge("wsq_mem_limit_bytes", "Budget limit (0 = unlimited)",
+                     labels, static_cast<int64_t>(budget->limit()));
+  emitter->EmitGauge("wsq_mem_peak_used_bytes",
+                     "High-water mark of reserved bytes", labels,
+                     static_cast<int64_t>(budget->peak_used()));
+  MemoryBudgetStats s = budget->stats();
+  emitter->EmitCounter("wsq_mem_reserve_failures_total",
+                       "Reservations refused at this budget", labels,
+                       s.reserve_failures);
+  emitter->EmitCounter("wsq_mem_pressure_invocations_total",
+                       "Pressure-hook sweeps run at this budget", labels,
+                       s.pressure_invocations);
+  emitter->EmitCounter("wsq_mem_pressure_released_bytes_total",
+                       "Bytes freed by pressure hooks at this budget",
+                       labels, s.pressure_released_bytes);
+  emitter->EmitCounter("wsq_mem_forced_overages_total",
+                       "ForceReserve charges admitted past the limit",
+                       labels, s.forced_overages);
+}
 
 }  // namespace
 
@@ -55,114 +79,16 @@ WsqDatabase::WsqDatabase(const Options& options,
     spill_options.dir = options.spill_dir;
     spill_ = std::make_unique<SpillManager>(spill_options);
   }
+  // The process budget is published once; each database publishes only
+  // its own (the registry sums series that share name and labels).
+  static const uint64_t kProcessCollector =
+      MetricsRegistry::Global()->AddCollector([](MetricsEmitter* emitter) {
+        EmitBudget(emitter, MemoryBudget::Process());
+      });
+  (void)kProcessCollector;
   mem_collector_id_ = MetricsRegistry::Global()->AddCollector(
       [this](MetricsEmitter* emitter) {
-        auto emit = [emitter](MemoryBudget* b) {
-          MetricLabels labels{{"budget", b->name()}};
-          emitter->EmitGauge("wsq_mem_used_bytes",
-                             "Bytes currently reserved", labels,
-                             static_cast<int64_t>(b->used()));
-          emitter->EmitGauge("wsq_mem_limit_bytes",
-                             "Budget limit (0 = unlimited)", labels,
-                             static_cast<int64_t>(b->limit()));
-          emitter->EmitGauge("wsq_mem_peak_used_bytes",
-                             "High-water mark of reserved bytes", labels,
-                             static_cast<int64_t>(b->peak_used()));
-          MemoryBudgetStats s = b->stats();
-          emitter->EmitCounter("wsq_mem_reserve_failures_total",
-                               "Reservations refused at this budget",
-                               labels, s.reserve_failures);
-          emitter->EmitCounter(
-              "wsq_mem_pressure_invocations_total",
-              "Pressure-hook sweeps run at this budget", labels,
-              s.pressure_invocations);
-          emitter->EmitCounter(
-              "wsq_mem_pressure_released_bytes_total",
-              "Bytes freed by pressure hooks at this budget", labels,
-              s.pressure_released_bytes);
-          emitter->EmitCounter(
-              "wsq_mem_forced_overages_total",
-              "ForceReserve charges admitted past the limit", labels,
-              s.forced_overages);
-        };
-        emit(MemoryBudget::Process());
-        emit(&memory_budget_);
-      });
-  // \statusz sections for everything this database owns. The provider
-  // runs under the statusz registry lock and takes only component locks
-  // below it (the metrics-collector lock order).
-  statusz_id_ = StatuszRegistry::Global()->AddProvider(
-      [this](std::vector<StatuszSection>* out) {
-        {
-          StatuszSection s;
-          s.name = "admission";
-          AdmissionStats a = admission_.stats();
-          s.AddInt("active", admission_.active());
-          s.AddInt("queued", admission_.queued());
-          s.AddUint("admitted", a.admitted);
-          s.AddUint("shed_queue_full", a.shed_queue_full);
-          s.AddUint("shed_timeout", a.shed_timeout);
-          s.AddUint("shed_cancelled", a.shed_cancelled);
-          s.AddUint("active_peak", a.active_peak);
-          s.AddUint("queued_peak", a.queued_peak);
-          out->push_back(std::move(s));
-        }
-        for (MemoryBudget* b :
-             {MemoryBudget::Process(), &memory_budget_}) {
-          StatuszSection s;
-          s.name = "memory/" + b->name();
-          s.AddUint("used_bytes", b->used());
-          s.AddUint("peak_used_bytes", b->peak_used());
-          s.AddUint("limit_bytes", b->limit());
-          MemoryBudgetStats ms = b->stats();
-          s.AddUint("reserve_failures", ms.reserve_failures);
-          s.AddUint("pressure_invocations", ms.pressure_invocations);
-          s.AddUint("pressure_released_bytes",
-                    ms.pressure_released_bytes);
-          out->push_back(std::move(s));
-        }
-        {
-          StatuszSection s;
-          s.name = "buffer_pool";
-          BufferPoolStats bp = buffer_pool_.stats();
-          s.AddUint("pool_pages", buffer_pool_.pool_size());
-          s.AddUint("resident_pages", buffer_pool_.resident_pages());
-          s.AddUint("hits", bp.hits);
-          s.AddUint("misses", bp.misses);
-          s.AddUint("evictions", bp.evictions);
-          out->push_back(std::move(s));
-        }
-        if (spill_ != nullptr) {
-          StatuszSection s;
-          s.name = "spill";
-          SpillStats sp = spill_->stats();
-          s.AddUint("active_files", spill_->active_files());
-          s.AddUint("runs_written", sp.runs_written);
-          s.AddUint("bytes_written", sp.bytes_written);
-          s.AddUint("bytes_read", sp.bytes_read);
-          out->push_back(std::move(s));
-        }
-        {
-          StatuszSection s;
-          s.name = "pump";
-          std::vector<ReqPump::InFlightCall> calls = pump_.InFlightCalls();
-          s.AddUint("in_flight", calls.size());
-          for (const ReqPump::InFlightCall& c : calls) {
-            s.Add(StrFormat("call_%llu", (unsigned long long)c.id),
-                  StrFormat("dest=%s qid=%llu age=%lldus",
-                            c.destination.c_str(),
-                            (unsigned long long)c.query_id,
-                            (long long)c.age_micros));
-          }
-          out->push_back(std::move(s));
-        }
-        {
-          StatuszSection s;
-          s.name = "postmortems";
-          s.AddUint("emitted", query_log_.emitted_total());
-          s.AddUint("suppressed", query_log_.suppressed_total());
-          out->push_back(std::move(s));
-        }
+        EmitBudget(emitter, &memory_budget_);
       });
 }
 
@@ -172,7 +98,6 @@ WsqDatabase::WsqDatabase(const Options& options)
                   /*wal=*/nullptr, /*persistent=*/false) {}
 
 WsqDatabase::~WsqDatabase() {
-  StatuszRegistry::Global()->RemoveProvider(statusz_id_);
   MetricsRegistry::Global()->RemoveCollector(mem_collector_id_);
   if (persistent_ && options_.checkpoint_on_close) {
     Status s = Checkpoint();
@@ -428,17 +353,9 @@ Result<QueryExecution> WsqDatabase::ExecuteInternal(
         out.result.rows.push_back(Row({Value::Str(std::move(text))}));
         return out;
       }
-      Binder binder(&catalog_, &vtables_, options_.binder);
-      WSQ_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                           binder.Bind(*explain.select));
-      if (explain.async) {
-        WSQ_ASSIGN_OR_RETURN(
-            plan, ApplyAsyncIteration(std::move(plan), options.rewrite));
-      }
-      std::string text = plan->ToString();
-      WSQ_ASSIGN_OR_RETURN(PlanCostEstimate cost,
-                           EstimatePlanCost(*plan));
-      text += "-- " + cost.ToString() + "\n";
+      WSQ_ASSIGN_OR_RETURN(
+          std::string text,
+          ExplainPlan(*explain.select, explain.async, options.rewrite));
       QueryExecution out;
       out.result.schema =
           Schema({Column("Plan", TypeId::kString, "")});
@@ -454,8 +371,14 @@ Result<std::string> WsqDatabase::ExplainSelect(const std::string& sql,
                                                RewriteOptions rewrite) {
   WSQ_ASSIGN_OR_RETURN(std::unique_ptr<SelectStatement> stmt,
                        Parser::ParseSelect(sql));
+  return ExplainPlan(*stmt, async, rewrite);
+}
+
+Result<std::string> WsqDatabase::ExplainPlan(const SelectStatement& stmt,
+                                             bool async,
+                                             const RewriteOptions& rewrite) {
   Binder binder(&catalog_, &vtables_, options_.binder);
-  WSQ_ASSIGN_OR_RETURN(PlanNodePtr plan, binder.Bind(*stmt));
+  WSQ_ASSIGN_OR_RETURN(PlanNodePtr plan, binder.Bind(stmt));
   if (async) {
     WSQ_ASSIGN_OR_RETURN(plan,
                          ApplyAsyncIteration(std::move(plan), rewrite));

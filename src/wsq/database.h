@@ -230,6 +230,10 @@ class WsqDatabase {
                                        const ExecOptions& options,
                                        const CancellationToken* token,
                                        QueryStats* failure_stats);
+  /// The plan text of EXPLAIN and ExplainSelect: `stmt` bound, rewritten
+  /// for async iteration when `async` is set, and its cost line.
+  Result<std::string> ExplainPlan(const SelectStatement& stmt, bool async,
+                                  const RewriteOptions& rewrite);
   Result<QueryExecution> ExecuteCreateTable(
       const CreateTableStatement& stmt);
   Result<QueryExecution> ExecuteCreateIndex(
@@ -258,8 +262,6 @@ class WsqDatabase {
   QueryLog query_log_;
   /// wsq_mem_* collector handle, removed in the destructor.
   uint64_t mem_collector_id_ = 0;
-  /// \statusz section provider handle, removed in the destructor.
-  uint64_t statusz_id_ = 0;
 };
 
 }  // namespace wsq

@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "async/req_pump.h"
 #include "common/clock.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 
 // The call lifecycle ReqPump owns beyond dispatch: retries of transient
 // failures as re-dispatches after a seeded backoff (Limits::retry) and
@@ -394,6 +396,64 @@ TEST(ReqPumpBreakerTest, ShieldsDestinationWhileOpenThenRecovers) {
   EXPECT_EQ(pump.breaker("AltaVista")->state(), CircuitState::kClosed);
   EXPECT_TRUE(call().status.ok());
   EXPECT_EQ(served.load(), 5);
+  ExpectLedgerBalanced(pump);
+}
+
+/// The value of `series` (name plus labels) in the metrics export; ""
+/// when the export has no such series.
+std::string Exported(const std::string& series) {
+  const std::string text =
+      "\n" + MetricsRegistry::Global()->ExportPrometheusText();
+  const std::string line_start = "\n" + series + " ";
+  size_t at = text.find(line_start);
+  if (at == std::string::npos) return "";
+  at += line_start.size();
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+TEST(ReqPumpBreakerTest, ExportShowsStateAndFailureStreak) {
+  std::atomic<int64_t> now{0};
+  ReqPump::Limits limits;
+  limits.breaker = CircuitBreakerOptions{
+      .failure_threshold = 3, .cooldown_micros = 1000, .now = [&] {
+        return now.load();
+      }};
+  ReqPump pump(limits);
+  const std::string dest = "breaker_export";
+  const std::string labels = "{destination=\"breaker_export\"}";
+  auto exported = [&](const char* name) { return Exported(name + labels); };
+  std::atomic<int> calls{0};
+  auto fail_once = [&] {
+    return pump.TakeBlocking(pump.Register(dest, FailingCall(&calls)));
+  };
+
+  // Two transient failures: still closed, with a streak of two.
+  for (int i = 0; i < 2; ++i) EXPECT_FALSE(fail_once().status.ok());
+  EXPECT_EQ(exported("wsq_circuit_open"), "0");
+  EXPECT_EQ(exported("wsq_circuit_half_open"), "0");
+  EXPECT_EQ(exported("wsq_circuit_consecutive_failures"), "2");
+
+  // The third trips it: open, and the streak starts over.
+  EXPECT_FALSE(fail_once().status.ok());
+  EXPECT_EQ(exported("wsq_circuit_open"), "1");
+  EXPECT_EQ(exported("wsq_circuit_half_open"), "0");
+  EXPECT_EQ(exported("wsq_circuit_consecutive_failures"), "0");
+  EXPECT_EQ(exported("wsq_circuit_trips_total"), "1");
+
+  // After the cool-down one probe goes out: half-open while it is out.
+  now = 1000;
+  ParkedCalls parked;
+  CallId probe = pump.Register(dest, parked.Fn());
+  EXPECT_EQ(parked.invocations(), 1u);
+  EXPECT_EQ(exported("wsq_circuit_open"), "0");
+  EXPECT_EQ(exported("wsq_circuit_half_open"), "1");
+  EXPECT_EQ(exported("wsq_circuit_probes_total"), "1");
+
+  // Its answer closes the circuit.
+  parked.DeliverAll(CallResult{Status::OK(), {}});
+  EXPECT_TRUE(pump.TakeBlocking(probe).status.ok());
+  EXPECT_EQ(exported("wsq_circuit_open"), "0");
+  EXPECT_EQ(exported("wsq_circuit_half_open"), "0");
   ExpectLedgerBalanced(pump);
 }
 

@@ -342,6 +342,12 @@ TEST_F(DatabaseTest, ExplainReturnsPlanText) {
   std::string plan = r->result.rows[0].value(0).AsString();
   EXPECT_NE(plan.find("ReqSync"), std::string::npos) << plan;
   EXPECT_NE(plan.find("AEVScan"), std::string::npos) << plan;
+  // The statement and the API build the same text.
+  auto async_plan = Env().db().ExplainSelect(
+      "SELECT Name, Count FROM States, WebCount WHERE Name = T1",
+      /*async=*/true);
+  ASSERT_TRUE(async_plan.ok()) << async_plan.status().ToString();
+  EXPECT_EQ(plan, *async_plan);
 
   auto sync_plan = Env().db().ExplainSelect(
       "SELECT Name, Count FROM States, WebCount WHERE Name = T1",

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "wsq/database.h"
 #include "wsq/demo.h"
 
@@ -143,6 +144,44 @@ TEST(MemoryGovernorTest, ExhaustedBudgetRefusesNewStatements) {
   db.memory_budget()->Release(limit);
   auto ok = db.Execute("SELECT G, COUNT(*) FROM Big GROUP BY G");
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
+// Each database exports only its own budget and the process budget is
+// exported once: the registry sums series that share name and labels,
+// so a per-database copy would multiply every process value.
+TEST(MemoryGovernorTest, ProcessBudgetIsExportedOnce) {
+  WsqDatabase a;
+  WsqDatabase b;
+  WsqDatabase c;
+  a.memory_budget()->ForceReserve(1024);
+  b.memory_budget()->ForceReserve(2048);
+  MemoryBudget* process = MemoryBudget::Process();
+  const std::string text =
+      "\n" + MetricsRegistry::Global()->ExportPrometheusText();
+  auto exported = [&](const std::string& name) {
+    const std::string line_start = "\n" + name + "{budget=\"process\"} ";
+    size_t at = text.find(line_start);
+    if (at == std::string::npos) return std::string("missing");
+    at += line_start.size();
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  const MemoryBudgetStats s = process->stats();
+  EXPECT_GE(process->used(), 3072u);
+  EXPECT_EQ(exported("wsq_mem_used_bytes"), std::to_string(process->used()));
+  EXPECT_EQ(exported("wsq_mem_limit_bytes"),
+            std::to_string(process->limit()));
+  EXPECT_EQ(exported("wsq_mem_peak_used_bytes"),
+            std::to_string(process->peak_used()));
+  EXPECT_EQ(exported("wsq_mem_reserve_failures_total"),
+            std::to_string(s.reserve_failures));
+  EXPECT_EQ(exported("wsq_mem_pressure_invocations_total"),
+            std::to_string(s.pressure_invocations));
+  EXPECT_EQ(exported("wsq_mem_pressure_released_bytes_total"),
+            std::to_string(s.pressure_released_bytes));
+  EXPECT_EQ(exported("wsq_mem_forced_overages_total"),
+            std::to_string(s.forced_overages));
+  a.memory_budget()->Release(1024);
+  b.memory_budget()->Release(2048);
 }
 
 TEST(MemoryGovernorTest, PressureShedsClientCacheEntries) {

@@ -1816,7 +1816,6 @@ METRIC_PREFIXES = (
     "wsq_result_cache_",
     "wsq_shard_",
     "wsq_spill_",
-    "wsq_statusz_",     # introspection surface
     "wsq_wal_",
 )
 METRIC_EXACT = ("wsq_queries_total",)
