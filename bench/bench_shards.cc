@@ -123,7 +123,6 @@ wsq::SimulatedShardCluster::Options ScalingOptions(size_t n) {
   opt.latency = wsq::LatencyModel{2000, 1000, 0.05, 5.0};
   opt.seed = kSeed;
   opt.with_replicas = true;
-  opt.service.default_hedge_delay_micros = 8000;
   return opt;
 }
 

@@ -11,7 +11,7 @@
 //   \plan <select>     show the plan without executing
 //   \analyze <select>  EXPLAIN ANALYZE: run + profiled plan tree
 //   \trace <select>    run + per-query trace spans
-//   \statusz [json]    live state: the metrics export, in-flight calls
+//   \statusz [json]    live state: the metrics export
 //   \latency <ms>      report the configured latency
 //   \shards            sharded-backend status / partial-result policy
 //   \quit
@@ -75,8 +75,8 @@ void PrintHelp() {
       "  \\memory              memory governor status (budgets, spill)\n"
       "  \\budget <mb>         per-query memory budget (0 = none)\n"
       "  \\statusz             live state: the metrics export (Prometheus\n"
-      "                       text), then the database's in-flight calls\n"
-      "  \\statusz json        the same, with the export as JSON\n"
+      "                       text)\n"
+      "  \\statusz json        the same, as JSON\n"
       "  \\postmortem last     postmortem of the most recent failed or\n"
       "                       degraded statement (verdict, cause, stats,\n"
       "                       flight-recorder events)\n"
@@ -191,22 +191,13 @@ void PrintMemory(wsq::DemoEnv& env, size_t query_budget_mb) {
   }
 }
 
-// The live view: every component's series from the metrics export,
-// then the calls the database's pump has out right now.
-void PrintLiveState(wsq::DemoEnv& env, bool json) {
+// The live view: every component's series from the metrics export.
+void PrintLiveState(bool json) {
   wsq::MetricsRegistry* registry = wsq::MetricsRegistry::Global();
   if (json) {
     std::printf("%s\n", registry->ExportJson().c_str());
   } else {
     std::printf("%s", registry->ExportPrometheusText().c_str());
-  }
-  std::vector<wsq::ReqPump::InFlightCall> calls =
-      env.db().pump()->InFlightCalls();
-  std::printf("in-flight calls: %zu\n", calls.size());
-  for (const wsq::ReqPump::InFlightCall& c : calls) {
-    std::printf("  call %llu dest=%s qid=%llu age=%lldus\n",
-                (unsigned long long)c.id, c.destination.c_str(),
-                (unsigned long long)c.query_id, (long long)c.age_micros);
   }
 }
 
@@ -303,7 +294,7 @@ int main() {
       } else if (trimmed == "\\memory") {
         PrintMemory(env, query_budget_mb);
       } else if (trimmed == "\\statusz" || trimmed == "\\statusz json") {
-        PrintLiveState(env, /*json=*/trimmed != "\\statusz");
+        PrintLiveState(/*json=*/trimmed != "\\statusz");
       } else if (trimmed == "\\postmortem last" ||
                  trimmed == "\\postmortem") {
         auto last = env.db().query_log()->last();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/clock.h"
 #include "obs/flight_recorder.h"
@@ -33,9 +34,10 @@ Histogram* QueueWaitHistogram() {
   return kQueueWait;
 }
 
-/// Records one resolved dispatch's timings into `latency` (its
-/// destination's histogram) and the queue-wait histogram. Callers must
-/// NOT hold Core::mu. `query_id` feeds the latency exemplars:
+/// Records one resolved call's timings into `latency` (its
+/// destination's histogram) and the queue-wait histogram. Both are
+/// lock-free, so callers hold Core::mu: whoever sees the call resolved
+/// sees its timings recorded. `query_id` feeds the latency exemplars:
 /// completions land on pump or service threads, so the thread-bound id
 /// is not available here.
 void RecordCallTiming(Histogram* latency, int64_t queue_wait_micros,
@@ -50,6 +52,30 @@ void RecordCallTiming(Histogram* latency, int64_t queue_wait_micros,
 
 /// A retry's backoff floor doubles per retry, at most this many times.
 constexpr int kMaxBackoffDoublings = 16;
+
+/// Hedge a call once its first dispatch has been out for this quantile
+/// of its destination's latencies...
+constexpr double kHedgeQuantile = 0.95;
+/// ...once this pump has seen this many of them (no hedge before)...
+constexpr uint64_t kMinHedgeSamples = 50;
+/// ...but never sooner than this: a noisy fast quantile must not turn
+/// hedging into always-mirror.
+constexpr int64_t kHedgeMinDelayMicros = 1000;
+
+/// The upper edge of the histogram bucket holding `h`'s `q`-quantile,
+/// at most its maximum. A bucket's midpoint would fall below about half
+/// of its samples, so at a near-constant latency most calls would
+/// outlast it; its upper edge is beaten by all of them.
+int64_t QuantileUpperBound(const HistogramSnapshot& h, double q) {
+  const uint64_t rank =
+      static_cast<uint64_t>(q * static_cast<double>(h.count - 1));
+  uint64_t seen = 0;
+  for (size_t i = 0; i < h.buckets.size(); ++i) {
+    seen += h.buckets[i];
+    if (seen > rank) return std::min(HistogramBucketUpperBound(i), h.max);
+  }
+  return h.max;
+}
 
 }  // namespace
 
@@ -87,6 +113,13 @@ ReqPump::ReqPump(Limits limits)
         emitter->EmitCounter("wsq_reqpump_calls_retried_total",
                              "Re-dispatches after a transient failure", {},
                              s.retried);
+        emitter->EmitCounter(
+            "wsq_reqpump_calls_hedged_total",
+            "Calls sent to their hedge target (latency hedge or failover)",
+            {}, s.hedged);
+        emitter->EmitCounter("wsq_reqpump_hedge_wins_total",
+                             "Hedged calls resolved by the hedge's answer",
+                             {}, s.hedge_wins);
         emitter->EmitCounter("wsq_reqpump_calls_completed_total",
                              "External calls completed (incl. failures)",
                              {}, s.completed);
@@ -168,7 +201,10 @@ ReqPump::~ReqPump() {
          it != core_->unresolved.end();) {
       auto reg = it++;
       const CallMeta& call = core_->calls.at(reg->second.call);
-      if (call.phase == Phase::kInFlight) continue;
+      if (call.phase == Phase::kInFlight ||
+          call.hedge == HedgePhase::kInFlight) {
+        continue;
+      }
       ++core_->stats.cancelled;
       FlightRecorder::Global()->Record(
           FrEventType::kCallCancel, call.destination, "shutdown",
@@ -185,9 +221,9 @@ ReqPump::~ReqPump() {
 }
 
 bool ReqPump::StaleLocked(const Core& core, const Deadline& d) {
-  if (d.timer) return false;
-  return (d.retry ? core.calls.count(d.id) : core.unresolved.count(d.id)) ==
-         0;
+  return (d.kind == Deadline::Kind::kRegistration
+              ? core.unresolved.count(d.id)
+              : core.calls.count(d.id)) == 0;
 }
 
 bool ReqPump::CanDispatchLocked(const Core& core,
@@ -228,7 +264,8 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn) {
 
 CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
                          int64_t timeout_micros, PumpCallback on_result,
-                         const std::string& key, bool* joined) {
+                         const std::string& key, bool* joined,
+                         std::optional<HedgeTarget> hedge) {
   CallId id;
   std::optional<QueuedCall> start;
   bool notify = false;
@@ -237,16 +274,26 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
   {
     MutexLock lock(&core_->mu);
     auto known = core_->destinations.find(destination);
-    Destination* dest;
-    if (known != core_->destinations.end()) {
-      dest = &known->second;
-    } else {
-      // The destination's first call: its histogram comes from the
+    Destination* dest =
+        known != core_->destinations.end() ? &known->second : nullptr;
+    Destination* hedge_dest = nullptr;
+    if (hedge) {
+      auto target = core_->destinations.find(hedge->destination);
+      if (target != core_->destinations.end()) hedge_dest = &target->second;
+    }
+    if (dest == nullptr || (hedge && hedge_dest == nullptr)) {
+      // A destination's first call: its histogram comes from the
       // registry, whose lock is taken before the pump's.
       lock.Unlock();
       Histogram* latency = LatencyHistogram(destination);
+      Histogram* hedge_latency =
+          hedge ? LatencyHistogram(hedge->destination) : nullptr;
       lock.Lock();
       dest = AddDestinationLocked(core_.get(), destination, latency);
+      if (hedge) {
+        hedge_dest = AddDestinationLocked(core_.get(), hedge->destination,
+                                          hedge_latency);
+      }
     }
     id = core_->next_id++;
     ++core_->stats.registered;
@@ -259,6 +306,8 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
       CallResult answer = core_->results.at(holders.front());
       answer.queue_wait_micros = 0;
       answer.in_flight_micros = 0;
+      answer.hedged = false;
+      answer.hedge_won = false;
       ++core_->stats.joined;
       ++core_->stats.completed;
       if (!answer.status.ok()) ++core_->stats.failed;
@@ -305,8 +354,7 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
     reg.on_result = std::move(on_result);
     if (timeout_micros > 0) {
       reg.deadline_micros = now + timeout_micros;
-      core_->deadlines.push(
-          Deadline{reg.deadline_micros, id, destination, nullptr});
+      core_->deadlines.push(Deadline{reg.deadline_micros, id, destination});
       // Wake the timer only if it must re-arm for an earlier deadline.
       notify = core_->deadlines.top().when_micros == reg.deadline_micros;
     }
@@ -327,24 +375,30 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
       meta.registered_micros = now;
       meta.query_id = query_id;
       meta.joiners.push_back(id);
+      if (hedge) {
+        meta.hedge_destination = std::move(hedge->destination);
+        meta.hedge_dest = hedge_dest;
+        meta.hedge_fn = std::move(hedge->fn);
+      }
       if (!key.empty()) dest->keyed.emplace(key, KeyedCall{id, {}});
       QueuedCall queued{id, destination, std::move(fn), query_id};
-      if (!dispatch_now) {
-        core_->queue.push_back(std::move(queued));
-        core_->stats.queued_peak =
-            std::max(core_->stats.queued_peak,
-                     static_cast<uint64_t>(core_->queue.size()));
-      }
+      if (!dispatch_now) EnqueueLocked(core_.get(), std::move(queued));
       // Under the lock, so a breaker rejection is logged after it.
       FlightRecorder::Global()->Record(
           FrEventType::kCallRegister, destination,
           dispatch_now ? "" : "queued", query_id, static_cast<int64_t>(id),
           dispatch_now ? 0 : static_cast<int64_t>(core_->queue.size()));
       if (dispatch_now) {
-        if (StartLocked(core_.get(), call, &queued, now)) {
-          start = std::move(queued);
-        } else {
-          notify = true;  // resolved: wake its consumer
+        switch (StartLocked(core_.get(), call, &queued, now)) {
+          case Start::kStarted:
+            start = std::move(queued);
+            break;
+          case Start::kWaiting:
+            EnqueueLocked(core_.get(), std::move(queued));
+            break;
+          case Start::kResolved:
+            notify = true;  // wake its consumer
+            break;
         }
       }
     }
@@ -355,26 +409,59 @@ CallId ReqPump::Register(const std::string& destination, AsyncCallFn fn,
   return id;
 }
 
-bool ReqPump::StartLocked(Core* core, CallIt call, QueuedCall* queued,
-                          int64_t now) {
+ReqPump::Start ReqPump::StartLocked(Core* core, CallIt call,
+                                    QueuedCall* queued, int64_t now) {
   CallMeta& m = call->second;
+  if (queued->hedge_cause != nullptr) {
+    // A failover: one attempt at the alternate, if its breaker admits
+    // it; else the primary's failure is final.
+    if (m.hedge_dest->breaker &&
+        !m.hedge_dest->breaker->Allow(&m.hedge_as_probe)) {
+      FlightRecorder::Global()->Record(
+          FrEventType::kCallFailed, m.hedge_destination, "circuit_open",
+          m.query_id, static_cast<int64_t>(call->first));
+      ResolveCallLocked(core, call, CallResult{m.last_failure, {}},
+                        /*answer=*/false, now);
+      return Start::kResolved;
+    }
+    // A call its breaker rejected waited for the alternate from here.
+    if (m.dispatched_micros == 0) m.dispatched_micros = now;
+    SendHedgeLocked(core, &m, now);
+    return Start::kStarted;
+  }
   queued->retry = m.attempts > 0;
   if (!queued->retry) {
     if (m.dest->breaker && !m.dest->breaker->Allow(&m.as_probe)) {
-      // Fail fast: never dispatched, so never retried either.
+      // Fail fast: never dispatched, so never retried either; the call
+      // fails over to an alternate, which `*queued` becomes.
       FlightRecorder::Global()->Record(
           FrEventType::kCallFailed, m.destination, "circuit_open",
           m.query_id, static_cast<int64_t>(call->first));
-      ResolveCallLocked(
-          core, call,
-          CallResult{Status::Unavailable("circuit open for destination: " +
-                                         m.destination),
-                     {}},
-          /*answer=*/false, now);
-      return false;
+      Status open =
+          Status::Unavailable("circuit open for destination: " + m.destination);
+      if (!HasAlternate(m)) {
+        ResolveCallLocked(core, call, CallResult{std::move(open), {}},
+                          /*answer=*/false, now);
+        return Start::kResolved;
+      }
+      *queued = FailOverLocked(call, std::move(open));
+      if (!CanDispatchLocked(*core, *m.hedge_dest)) return Start::kWaiting;
+      return StartLocked(core, call, queued, now);
     }
     ++core->stats.dispatched;
     m.dispatched_micros = now;
+    const bool self_hedge = m.hedge_dest == m.dest;
+    if (m.hedge_dest != nullptr && m.dest->hedge_delay_micros > 0 &&
+        (!self_hedge || m.dest->overtaken)) {
+      // The hedge is due once this first dispatch has been out for the
+      // destination's hedge delay. A self-hedge may resend the call's
+      // own fn.
+      if (self_hedge && !m.hedge_fn) m.hedge_fn = queued->fn;
+      const int64_t when = now + m.dest->hedge_delay_micros;
+      core->deadlines.push(
+          Deadline{when, call->first, {}, Deadline::Kind::kHedge});
+      if (core->deadlines.top().when_micros == when) core->cv.NotifyAll();
+    }
   } else {
     ++core->stats.retried;
   }
@@ -386,22 +473,24 @@ bool ReqPump::StartLocked(Core* core, CallIt call, QueuedCall* queued,
   core->stats.max_in_flight =
       std::max(core->stats.max_in_flight,
                static_cast<uint64_t>(core->in_flight_global));
-  return true;
+  return Start::kStarted;
 }
 
 void ReqPump::Dispatch(const std::shared_ptr<Core>& core, QueuedCall call) {
+  const bool hedge = call.hedge_cause != nullptr;
   FlightRecorder::Global()->Record(
-      FrEventType::kCallDispatch, call.destination,
-      call.retry ? "retry" : "", call.query_id,
+      hedge ? FrEventType::kHedgeFire : FrEventType::kCallDispatch,
+      call.destination,
+      hedge ? call.hedge_cause : (call.retry ? "retry" : ""), call.query_id,
       static_cast<int64_t>(call.id));
   // The completion may fire synchronously (e.g. a cache hit) or from a
   // service thread later; both paths go through OnComplete. The lambda
   // keeps the core alive so even a completion arriving after ~ReqPump
   // is safe.
   AsyncCallFn fn = std::move(call.fn);
-  fn([core, id = call.id,
-      destination = std::move(call.destination)](CallResult result) {
-    OnComplete(core, id, destination, std::move(result));
+  fn([core, id = call.id, destination = std::move(call.destination),
+      hedge](CallResult result) {
+    OnComplete(core, id, destination, hedge, std::move(result));
   });
 }
 
@@ -411,22 +500,16 @@ void ReqPump::DispatchAll(const std::shared_ptr<Core>& core,
 }
 
 void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
-                         const std::string& destination,
+                         const std::string& destination, bool hedge,
                          CallResult result) {
   std::vector<QueuedCall> to_dispatch;
-  int64_t queue_wait_micros = 0;
-  int64_t in_flight_micros = 0;
-  Histogram* latency = nullptr;
-  bool retrying = false;
-  std::string failure_code;
-  uint64_t query_id = 0;
   {
     MutexLock lock(&core->mu);
-    if (auto abandoned = core->abandoned.find(id);
+    if (auto abandoned = core->abandoned.find(DispatchKey(id, hedge));
         abandoned != core->abandoned.end()) {
-      // The call was already resolved (deadline or cancel) and released
-      // its slots; its real result arrives too late for the consumer
-      // and only teaches the breaker.
+      // The dispatch was already given up (deadline, cancel, or the
+      // other dispatch answered) and released its slot; its real result
+      // arrives too late for anyone and only teaches the breaker.
       LearnLocked(&core->destinations.at(destination), result.status,
                   abandoned->second);
       core->abandoned.erase(abandoned);
@@ -437,56 +520,183 @@ void ReqPump::OnComplete(const std::shared_ptr<Core>& core, CallId id,
                                        static_cast<int64_t>(id));
       return;
     }
-    // A dispatched call that was not abandoned is still unresolved.
+    // A dispatch that was not abandoned belongs to an unresolved call.
     auto call = core->calls.find(id);
     assert(call != core->calls.end());
     CallMeta& m = call->second;
-    query_id = m.query_id;
+    const uint64_t query_id = m.query_id;
     --core->in_flight_global;
-    --m.dest->in_flight;
     const int64_t now = NowMicros();
-    if (!result.status.ok() && IsTransient(result.status.code()) &&
-        !core->shutdown && m.attempts < core->limits.retry.max_attempts) {
-      const int64_t floor =
-          std::max<int64_t>(0, core->limits.retry.initial_backoff_micros)
-          << std::min(m.attempts - 1, kMaxBackoffDoublings);
-      // Retry unless even the backoff's floor ends past the latest
-      // deadline of its registrations: a retry that cannot start in time
-      // would only turn the engine's answer into a timeout.
-      const int64_t deadline = LatestDeadlineLocked(*core, m);
-      if (deadline == 0 || now + floor < deadline) {
-        const int64_t when = now + core->rng.UniformRange(floor, 3 * floor);
-        m.phase = Phase::kBackoff;
-        m.last_failure = std::move(result.status);
-        core->deadlines.push(Deadline{when, id, destination, nullptr,
-                                      /*retry=*/true});
-        retrying = true;
+    // Where this answer came from, and how long it took: an alternate's
+    // from its own dispatch, else the call's from its first.
+    Destination* answered_at = hedge ? m.hedge_dest : m.dest;
+    const int64_t in_flight_micros =
+        now - (answered_at != m.dest ? m.hedge_dispatched_micros
+                                     : m.dispatched_micros);
+    const std::string_view failure_code =
+        result.status.ok() ? std::string_view()
+                           : StatusCodeToString(result.status.code());
+    // Whether `result` resolves the call now.
+    bool decides = true;
+    bool retrying = false;
+    if (hedge) {
+      --m.hedge_dest->in_flight;
+      LearnLocked(m.hedge_dest, result.status, m.hedge_as_probe);
+      // A failed hedge decides only once the call's own dispatch has
+      // failed too.
+      decides = result.status.ok() || m.phase == Phase::kFailed;
+      if (!decides) m.hedge = HedgePhase::kFailed;
+    } else {
+      --m.dest->in_flight;
+      if (m.attempts == 1) NoteAnswerLocked(m.dest, m.dispatched_micros);
+      if (!result.status.ok() && m.hedge != HedgePhase::kInFlight &&
+          IsTransient(result.status.code()) && !core->shutdown &&
+          m.attempts < core->limits.retry.max_attempts) {
+        const int64_t floor =
+            std::max<int64_t>(0, core->limits.retry.initial_backoff_micros)
+            << std::min(m.attempts - 1, kMaxBackoffDoublings);
+        // Retry unless even the backoff's floor ends past the latest
+        // deadline of its registrations: a retry that cannot start in
+        // time would only turn the engine's answer into a timeout.
+        const int64_t deadline = LatestDeadlineLocked(*core, m);
+        if (deadline == 0 || now + floor < deadline) {
+          const int64_t when =
+              now + core->rng.UniformRange(floor, 3 * floor);
+          m.phase = Phase::kBackoff;
+          m.last_failure = std::move(result.status);
+          core->deadlines.push(
+              Deadline{when, id, destination, Deadline::Kind::kRetry});
+          retrying = true;
+          decides = false;
+        }
+      }
+      if (!retrying) {
+        LearnLocked(m.dest, result.status, m.as_probe);
+        if (!result.status.ok() && HasAlternate(m) && !core->shutdown) {
+          // The call fails over: the failover queues behind the calls
+          // already waiting, and decides instead.
+          EnqueueLocked(core.get(), FailOverLocked(call, result.status));
+          decides = false;
+        } else if (!result.status.ok() && m.hedge == HedgePhase::kInFlight) {
+          // The hedge already out decides instead.
+          m.phase = Phase::kFailed;
+          m.last_failure = result.status;
+          decides = false;
+        }
       }
     }
     if (!retrying) {
-      queue_wait_micros = m.dispatched_micros - m.registered_micros;
-      in_flight_micros = now - m.dispatched_micros;
-      latency = m.dest->latency;
-      if (!result.status.ok()) {
-        failure_code = StatusCodeToString(result.status.code());
+      FlightRecorder::Global()->Record(
+          failure_code.empty() ? FrEventType::kCallComplete
+                               : FrEventType::kCallFailed,
+          destination, failure_code, query_id, static_cast<int64_t>(id),
+          in_flight_micros);
+    }
+    if (decides) {
+      // The other dispatch, if still out, lost.
+      const bool other_out = hedge ? m.phase == Phase::kInFlight
+                                   : m.hedge == HedgePhase::kInFlight;
+      if (other_out) {
+        AbandonLocked(core.get(), call, /*hedge=*/!hedge);
+        FlightRecorder::Global()->Record(
+            FrEventType::kHedgeReap,
+            hedge ? m.destination : m.hedge_destination,
+            hedge ? "primary_lost" : "hedge_lost", query_id,
+            static_cast<int64_t>(id));
       }
-      LearnLocked(m.dest, result.status, m.as_probe);
-      ResolveCallLocked(core.get(), call, std::move(result), /*answer=*/true,
-                        now);
+      result.hedge_won = hedge && result.status.ok();
+      if (result.hedge_won) ++core->stats.hedge_wins;
+      RecordCallTiming(answered_at->latency,
+                       m.dispatched_micros - m.registered_micros,
+                       in_flight_micros, query_id);
+      RecordLatencyLocked(answered_at, in_flight_micros);
+      ResolveCallLocked(core.get(), call, std::move(result),
+                        /*answer=*/true, now);
     }
     to_dispatch = TakeDispatchableLocked(core.get());
   }
   core->cv.NotifyAll();
-  if (!retrying) {
-    // Outside the lock (see RecordCallTiming).
-    FlightRecorder::Global()->Record(
-        failure_code.empty() ? FrEventType::kCallComplete
-                             : FrEventType::kCallFailed,
-        destination, failure_code, query_id, static_cast<int64_t>(id),
-        in_flight_micros);
-    RecordCallTiming(latency, queue_wait_micros, in_flight_micros, query_id);
-  }
   DispatchAll(core, &to_dispatch);
+}
+
+std::optional<ReqPump::QueuedCall> ReqPump::StartHedgeLocked(Core* core,
+                                                             CallIt call) {
+  CallMeta& m = call->second;
+  // A hedge never queues: without a free slot at its target there is
+  // none. A call waiting for a slot there would have taken a free one.
+  if (core->shutdown || !m.hedge_fn || m.hedge != HedgePhase::kNone ||
+      !CanDispatchLocked(*core, *m.hedge_dest)) {
+    return std::nullopt;
+  }
+  if (m.hedge_dest->breaker &&
+      !m.hedge_dest->breaker->Allow(&m.hedge_as_probe)) {
+    return std::nullopt;
+  }
+  SendHedgeLocked(core, &m, NowMicros());
+  QueuedCall hedge{call->first, m.hedge_destination,
+                   std::exchange(m.hedge_fn, nullptr), m.query_id};
+  hedge.hedge_cause = "latency_quantile";
+  return hedge;
+}
+
+ReqPump::QueuedCall ReqPump::FailOverLocked(CallIt call, Status failure) {
+  CallMeta& m = call->second;
+  m.phase = Phase::kFailed;
+  m.last_failure = std::move(failure);
+  m.hedge = HedgePhase::kQueued;
+  QueuedCall failover{call->first, m.hedge_destination,
+                      std::exchange(m.hedge_fn, nullptr), m.query_id};
+  failover.hedge_cause = "primary_failed";
+  return failover;
+}
+
+void ReqPump::SendHedgeLocked(Core* core, CallMeta* call, int64_t now) {
+  call->hedge = HedgePhase::kInFlight;
+  call->hedge_dispatched_micros = now;
+  ++core->stats.hedged;
+  ++core->in_flight_global;
+  ++call->hedge_dest->in_flight;
+  core->stats.max_in_flight =
+      std::max(core->stats.max_in_flight,
+               static_cast<uint64_t>(core->in_flight_global));
+}
+
+void ReqPump::EnqueueLocked(Core* core, QueuedCall call) {
+  core->queue.push_back(std::move(call));
+  core->stats.queued_peak = std::max(
+      core->stats.queued_peak, static_cast<uint64_t>(core->queue.size()));
+}
+
+void ReqPump::NoteAnswerLocked(Destination* destination,
+                               int64_t dispatched_micros) {
+  if (dispatched_micros + kHedgeMinDelayMicros <=
+      destination->latest_answered_dispatch_micros) {
+    destination->overtaken = true;
+  }
+  destination->latest_answered_dispatch_micros = std::max(
+      destination->latest_answered_dispatch_micros, dispatched_micros);
+}
+
+void ReqPump::AbandonLocked(Core* core, CallIt call, bool hedge) {
+  CallMeta& m = call->second;
+  core->abandoned.emplace(DispatchKey(call->first, hedge),
+                          hedge ? m.hedge_as_probe : m.as_probe);
+  --core->in_flight_global;
+  --(hedge ? m.hedge_dest : m.dest)->in_flight;
+}
+
+void ReqPump::RecordLatencyLocked(Destination* destination, int64_t micros) {
+  HistogramSnapshot& h = destination->latencies;
+  if (h.buckets.empty()) h.buckets.assign(kHistogramBuckets, 0);
+  micros = std::max<int64_t>(micros, 0);
+  ++h.buckets[HistogramBucketIndex(micros)];
+  ++h.count;
+  h.sum += static_cast<uint64_t>(micros);
+  h.max = std::max(h.max, micros);
+  if (h.count % kMinHedgeSamples == 0) {
+    destination->hedge_delay_micros = std::max(
+        QuantileUpperBound(h, kHedgeQuantile), kHedgeMinDelayMicros);
+  }
 }
 
 void ReqPump::ResolveCallLocked(Core* core, CallIt call, CallResult result,
@@ -508,6 +718,7 @@ void ReqPump::StoreResultLocked(Core* core, RegistrationIt reg,
                                 const CallMeta& call, CallResult result,
                                 bool notify, int64_t now) {
   Registration& r = reg->second;
+  result.hedged = call.hedge_dispatched_micros > 0;
   if (call.dispatched_micros > 0) {
     // A registration that joined a dispatched call waited on it only
     // from its own registration on.
@@ -591,14 +802,23 @@ std::vector<ReqPump::QueuedCall> ReqPump::TakeDispatchableLocked(
     }
     // A queued call is unresolved: resolving it removes it from here.
     auto call = core->calls.find(it->id);
-    if (!CanDispatchLocked(*core, *call->second.dest)) {
+    const CallMeta& m = call->second;
+    if (!CanDispatchLocked(*core, it->hedge_cause != nullptr ? *m.hedge_dest
+                                                             : *m.dest)) {
       ++it;
       continue;
     }
     QueuedCall queued = std::move(*it);
     it = core->queue.erase(it);
-    if (StartLocked(core, call, &queued, now)) {
-      out.push_back(std::move(queued));
+    switch (StartLocked(core, call, &queued, now)) {
+      case Start::kStarted:
+        out.push_back(std::move(queued));
+        break;
+      case Start::kWaiting:  // its failover waits in its place
+        it = std::next(core->queue.insert(it, std::move(queued)));
+        break;
+      case Start::kResolved:
+        break;
     }
   }
   return out;
@@ -607,8 +827,8 @@ std::vector<ReqPump::QueuedCall> ReqPump::TakeDispatchableLocked(
 void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
   MutexLock lock(&core->mu);
   for (;;) {
-    // Registrants' callbacks run outside the lock. Notifications still
-    // queued at shutdown run (their calls resolved); timers do not.
+    // Notifications run outside the lock, those still queued at
+    // shutdown too (their calls resolved).
     if (!core->notifications.empty()) {
       std::vector<PumpCallback> ready;
       ready.swap(core->notifications);
@@ -638,16 +858,24 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
     }
     Deadline d = core->deadlines.top();
     core->deadlines.pop();
-    if (d.timer) {
+    if (StaleLocked(*core, d)) continue;
+
+    if (d.kind == Deadline::Kind::kHedge) {
+      // Only a call still out on its first dispatch is hedged.
+      auto call = core->calls.find(d.id);
+      if (call->second.phase != Phase::kInFlight ||
+          call->second.attempts != 1) {
+        continue;
+      }
+      std::optional<QueuedCall> hedge = StartHedgeLocked(core.get(), call);
+      if (!hedge) continue;
       lock.Unlock();
-      d.timer();
+      Dispatch(core, std::move(*hedge));
       lock.Lock();
       continue;
     }
-    if (StaleLocked(*core, d)) continue;
-
     std::vector<QueuedCall> to_dispatch;
-    if (d.retry) {
+    if (d.kind == Deadline::Kind::kRetry) {
       // The backoff is over: the call queues for a slot again, unless
       // every registration's deadline passed meanwhile — their own
       // entries, due now too, resolve them.
@@ -656,7 +884,8 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
       if (deadline > 0 && now >= deadline) continue;
       m.phase = Phase::kQueued;
       core->queue.push_back(
-          QueuedCall{d.id, d.destination, std::move(m.fn), m.query_id});
+          QueuedCall{d.id, std::move(d.destination), std::move(m.fn),
+                     m.query_id});
       to_dispatch = TakeDispatchableLocked(core.get());
       lock.Unlock();
       core->cv.NotifyAll();  // the scan may have resolved rejected calls
@@ -697,17 +926,6 @@ void ReqPump::TimerLoop(std::shared_ptr<Core> core) {
   }
 }
 
-void ReqPump::RunAfter(int64_t delay_micros, PumpCallback fn) {
-  const int64_t when = NowMicros() + delay_micros;
-  bool earliest;
-  {
-    MutexLock lock(&core_->mu);
-    core_->deadlines.push(Deadline{when, kInvalidCallId, "", std::move(fn)});
-    earliest = core_->deadlines.top().when_micros == when;
-  }
-  if (earliest) core_->cv.NotifyAll();  // the timer must re-arm earlier
-}
-
 ReqPump::Phase ReqPump::ResolveEarlyLocked(
     Core* core, RegistrationIt reg, CallResult result, bool notify,
     std::vector<QueuedCall>* to_dispatch) {
@@ -718,26 +936,27 @@ ReqPump::Phase ReqPump::ResolveEarlyLocked(
   StoreResultLocked(core, reg, m, std::move(result), notify, NowMicros());
   m.joiners.erase(std::find(m.joiners.begin(), m.joiners.end(), id));
   if (!m.joiners.empty()) return phase;  // the others still wait on it
+  // Abandon each dispatch still out and free its limit slot now, so the
+  // queue behind a hung destination keeps moving; its real completion,
+  // if one ever arrives, only teaches its breaker.
+  const bool hedge_out = m.hedge == HedgePhase::kInFlight;
+  if (hedge_out) AbandonLocked(core, call, /*hedge=*/true);
+  if (phase == Phase::kQueued || m.hedge == HedgePhase::kQueued) {
+    // Its own dispatch or its failover waits in the queue.
+    auto queued = std::find_if(
+        core->queue.begin(), core->queue.end(),
+        [&call](const QueuedCall& q) { return q.id == call->first; });
+    if (queued != core->queue.end()) core->queue.erase(queued);
+  }
   if (phase == Phase::kInFlight) {
-    // Abandon it and free its limit slots now, so the queue behind a
-    // hung destination keeps moving; its real completion, if one ever
-    // arrives, only teaches the breaker.
-    core->abandoned.emplace(call->first, m.as_probe);
-    --core->in_flight_global;
-    --m.dest->in_flight;
-  } else {
-    if (phase == Phase::kQueued) {
-      auto queued = std::find_if(
-          core->queue.begin(), core->queue.end(),
-          [&call](const QueuedCall& q) { return q.id == call->first; });
-      if (queued != core->queue.end()) core->queue.erase(queued);
-    }
+    AbandonLocked(core, call, /*hedge=*/false);
+  } else if (phase != Phase::kFailed && m.attempts > 0) {
     // Not in flight, so no straggler is coming. A retried call ends
     // with its last failed attempt, which the breaker learns now.
-    if (m.attempts > 0) LearnLocked(m.dest, m.last_failure, m.as_probe);
+    LearnLocked(m.dest, m.last_failure, m.as_probe);
   }
   EndCallLocked(core, call, /*answer=*/false);
-  if (phase == Phase::kInFlight) {
+  if (phase == Phase::kInFlight || hedge_out) {
     for (QueuedCall& queued : TakeDispatchableLocked(core)) {
       to_dispatch->push_back(std::move(queued));
     }
@@ -794,13 +1013,6 @@ size_t ReqPump::CancelAndTake(std::span<const CallId> calls) {
 bool ReqPump::IsComplete(CallId id) const {
   MutexLock lock(&core_->mu);
   return core_->results.count(id) > 0;
-}
-
-int64_t ReqPump::CallAgeMicros(CallId id) const {
-  MutexLock lock(&core_->mu);
-  auto reg = core_->unresolved.find(id);
-  if (reg == core_->unresolved.end()) return 0;
-  return NowMicros() - core_->calls.at(reg->second.call).registered_micros;
 }
 
 bool ReqPump::TryTake(CallId id, CallResult* out) {
@@ -915,28 +1127,6 @@ const Histogram* ReqPump::latency_histogram(
 size_t ReqPump::pending_results() const {
   MutexLock lock(&core_->mu);
   return core_->results.size();
-}
-
-std::vector<ReqPump::InFlightCall> ReqPump::InFlightCalls() const {
-  std::vector<InFlightCall> out;
-  int64_t now = NowMicros();
-  {
-    MutexLock lock(&core_->mu);
-    for (const auto& [id, meta] : core_->calls) {
-      if (meta.phase != Phase::kInFlight) continue;
-      InFlightCall call;
-      call.id = id;
-      call.destination = meta.destination;
-      call.query_id = meta.query_id;
-      call.age_micros = now - meta.dispatched_micros;
-      out.push_back(std::move(call));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const InFlightCall& a, const InFlightCall& b) {
-              return a.id < b.id;
-            });
-  return out;
 }
 
 }  // namespace wsq

@@ -20,12 +20,11 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "net/circuit_breaker.h"
+#include "obs/histogram.h"
 #include "types/row.h"
 #include "types/value.h"
 
 namespace wsq {
-
-class Histogram;
 
 /// Outcome of one asynchronous external call: zero or more result rows
 /// (a WebCount call yields exactly one; a WebPages call yields 0..k).
@@ -45,6 +44,12 @@ struct CallResult {
   /// results and non-sharded services. Lets ReqSync surface degradation
   /// in QueryStats/EXPLAIN ANALYZE without a side channel.
   uint32_t degraded_shards = 0;
+  /// Whether the pump sent the call a second time (a hedge or a
+  /// failover; see ReqPump::Register), and whether that second
+  /// dispatch's answer is this one. Both false for a registration that
+  /// joined an answer.
+  bool hedged = false;
+  bool hedge_won = false;
 };
 
 /// Completion sink handed to the call's dispatch function.
@@ -55,11 +60,22 @@ using CallCompletion = std::function<void(CallResult)>;
 /// (from any thread).
 using AsyncCallFn = std::function<void(CallCompletion)>;
 
-/// A registrant's callback (a call's result notification or a RunAfter
-/// timer). The pump runs it on its timer thread, outside its lock and
-/// never inside a pump method, so it may call back into the pump and
-/// take locks that the registering thread held around Register.
+/// A registrant's result notification. The pump runs it on its timer
+/// thread, outside its lock and never inside a pump method, so it may
+/// call back into the pump and take locks that the registering thread
+/// held around Register.
 using PumpCallback = std::function<void()>;
+
+/// Where a call may be sent a second time (ReqPump::Register): a
+/// destination and the fn that issues the same request there. Naming
+/// the call's own destination makes a self-hedge, whose `fn` may be
+/// left unset: the pump then sends the call's own fn again. Naming
+/// another destination makes it an alternate, which a failed call also
+/// fails over to.
+struct HedgeTarget {
+  std::string destination;
+  AsyncCallFn fn;
+};
 
 /// Retries of transient call failures (ReqPump::Limits::retry).
 struct RetryPolicy {
@@ -91,8 +107,8 @@ struct ReqPumpStats {
   /// Calls resolved with kCancelled: queued calls dropped at
   /// destruction, or calls cancelled through CancelCall because nothing
   /// will consume their answers (a query's executor closing its ReqSync
-  /// or sweeping its unconsumed calls, a sharded backend dropping a
-  /// losing hedge leg). Not counted in `completed`/`failed`.
+  /// or sweeping its unconsumed calls, a sharded backend settling a
+  /// request with legs still out). Not counted in `completed`/`failed`.
   uint64_t cancelled = 0;
   /// Calls rejected at Register because the wait queue was at
   /// Limits::max_queued (resolved kResourceExhausted immediately). Not
@@ -111,6 +127,12 @@ struct ReqPumpStats {
   /// Re-dispatches of calls whose attempt failed transiently
   /// (Limits::retry); not counted in `dispatched`.
   uint64_t retried = 0;
+  /// Calls sent to their hedge target (a latency hedge or a failover);
+  /// not counted in `dispatched`, so the engines see `dispatched +
+  /// retried + hedged` requests.
+  uint64_t hedged = 0;
+  /// Hedged calls resolved by the hedge's OK answer, once per call.
+  uint64_t hedge_wins = 0;
   /// Sums of the per-registration timings attached to CallResult,
   /// accumulated when a registration of a dispatched call resolves
   /// (completion, timeout, or cancel); one that joined an answer adds 0.
@@ -137,8 +159,7 @@ struct ReqPumpStats {
 /// released immediately and its real completion, if one ever arrives,
 /// is discarded. Shared internal state keeps such late completions safe
 /// even after the ReqPump itself has been destroyed. The same thread
-/// runs registrants' callbacks: result notifications passed to Register
-/// and one-shot RunAfter timers.
+/// runs the result notifications passed to Register.
 ///
 /// The pump owns each call's whole lifecycle: it also retries transient
 /// failures after a backoff (Limits::retry) and keeps a circuit breaker
@@ -158,6 +179,27 @@ struct ReqPumpStats {
 /// waits untaken in ReqPumpHash: a consumer that reads a result with
 /// Peek and takes it later holds the answer open for identical
 /// requests meanwhile. A registration without a key never joins.
+///
+/// And it is the one module that knows a call may be sent twice. A
+/// registration may name a hedge target. Once the call has been out on
+/// its first dispatch for its destination's p95 latency, taken from this
+/// pump's own completions (the upper edge of the p95's histogram
+/// bucket, at most their maximum; none before 50 of them, never sooner
+/// than 1 ms), the pump dispatches the target once, if that
+/// destination has a free slot and its breaker admits it; a hedge never
+/// queues. A self-hedge waits, in addition, until the destination has
+/// shown that it serves two requests independently: one of its answers
+/// came in after the answer to a call sent there at least 1 ms later. A
+/// FIFO engine never shows that, and a second copy there would only
+/// queue behind the first. A call whose last attempt failed, or whose
+/// first dispatch its breaker rejected, fails over to an alternate (a
+/// target at another destination) at once: the failover queues for a
+/// slot like a first dispatch, and its breaker may still reject it. A
+/// hedge or failover is one attempt and is never retried. The first OK
+/// answer resolves every joiner, and the other dispatch is abandoned:
+/// its slot is freed, its late completion discarded and taught to its
+/// own destination's breaker. A failed dispatch decides the call only
+/// once the other has failed too. So consumers never see two answers.
 class ReqPump {
  public:
   struct Limits {
@@ -190,7 +232,8 @@ class ReqPump {
     RetryPolicy retry;
     /// Per-destination circuit breaker; unset = none. It gates a
     /// call's first dispatch — a rejected call resolves kUnavailable at
-    /// once, is never dispatched and never retried — and learns every
+    /// once, or fails over to its alternate, and is never dispatched or
+    /// retried — and learns every
     /// admitted call's final outcome, late completions of abandoned
     /// calls included.
     std::optional<CircuitBreakerOptions> breaker;
@@ -202,11 +245,11 @@ class ReqPump {
   ReqPump(const ReqPump&) = delete;
   ReqPump& operator=(const ReqPump&) = delete;
 
-  /// Blocks until all dispatched, non-abandoned calls complete; calls
-  /// waiting in the queue or in a retry backoff are dropped
-  /// (kCancelled) and none is retried. Calls that timed out do not
-  /// delay destruction — their late completions land harmlessly in the
-  /// shared core.
+  /// Blocks until all dispatched, non-abandoned calls and hedges
+  /// complete; calls waiting in the queue or in a retry backoff are
+  /// dropped (kCancelled), and none is retried or hedged. Calls that
+  /// timed out do not delay destruction — their late completions land
+  /// harmlessly in the shared core.
   ~ReqPump();
 
   /// Registers call `fn` against `destination` and returns immediately
@@ -223,26 +266,18 @@ class ReqPump {
   /// the same key that is unresolved, or that has answered while a copy
   /// of its answer is still untaken; `fn` is then never run. A
   /// registration that would be shed joins instead. `*joined`, if
-  /// given, is set to whether it joined. A destination's first
-  /// registration takes the metrics registry's lock (see
-  /// latency_histogram).
+  /// given, is set to whether it joined. `hedge`, if set, is where the
+  /// call may be sent a second time (see the class comment); a joiner's
+  /// is unused. A destination's first registration, as primary or hedge
+  /// target, takes the metrics registry's lock (see latency_histogram).
   CallId Register(const std::string& destination, AsyncCallFn fn,
                   int64_t timeout_micros, PumpCallback on_result = nullptr,
-                  const std::string& key = {}, bool* joined = nullptr)
-      WSQ_EXCLUDES(core_->mu);
-
-  /// Runs `fn` once on the timer thread, `delay_micros` from now.
-  /// Timers run in time order; one still pending at ~ReqPump never runs.
-  void RunAfter(int64_t delay_micros, PumpCallback fn)
+                  const std::string& key = {}, bool* joined = nullptr,
+                  std::optional<HedgeTarget> hedge = std::nullopt)
       WSQ_EXCLUDES(core_->mu);
 
   /// True once the call's result is available in ReqPumpHash.
   bool IsComplete(CallId id) const WSQ_EXCLUDES(core_->mu);
-
-  /// How long ago the call that registration `id` waits on was
-  /// registered: earlier than `id` itself if it joined an older call. 0
-  /// once `id` has resolved.
-  int64_t CallAgeMicros(CallId id) const WSQ_EXCLUDES(core_->mu);
 
   /// Removes and returns the result if complete; nullopt otherwise.
   bool TryTake(CallId id, CallResult* out) WSQ_EXCLUDES(core_->mu);
@@ -310,7 +345,8 @@ class ReqPump {
   ReqPumpStats stats() const WSQ_EXCLUDES(core_->mu);
   const Limits& limits() const { return core_->limits; }
 
-  /// Currently dispatched (in-flight) calls, excluding abandoned ones.
+  /// Currently dispatched (in-flight) calls and hedges, excluding
+  /// abandoned ones.
   int in_flight() const WSQ_EXCLUDES(core_->mu);
 
   /// Copy of `destination`'s circuit breaker; nullopt when breakers are
@@ -320,29 +356,15 @@ class ReqPump {
 
   /// `destination`'s dispatch-to-completion latency histogram
   /// (`wsq_external_call_latency_micros{destination}`), which the pump
-  /// feeds with one observation per dispatch; null if the registry is
-  /// full. Creates the destination's record if it has none, which looks
+  /// feeds with one observation per call a completion resolved, from its
+  /// first dispatch to its answer; null if the registry is full.
+  /// Creates the destination's record if it has none, which looks
   /// the histogram up in the metrics registry. Register does that for a
   /// destination's first call too, so a caller that registers calls
   /// while holding a lock its metrics collector takes (the registry's
   /// lock comes first) calls this for each destination beforehand.
   const Histogram* latency_histogram(const std::string& destination)
       WSQ_EXCLUDES(core_->mu);
-
-  /// One live dispatched call, as reported by InFlightCalls: which
-  /// calls are out right now, how old they are, and for whom (the
-  /// shell's live view lists them after the metrics export).
-  struct InFlightCall {
-    CallId id = 0;
-    std::string destination;
-    uint64_t query_id = 0;
-    /// Time since dispatch.
-    int64_t age_micros = 0;
-  };
-
-  /// Snapshot of currently dispatched, non-abandoned calls, ordered by
-  /// call id (registration order).
-  std::vector<InFlightCall> InFlightCalls() const WSQ_EXCLUDES(core_->mu);
 
   /// Completed results sitting in ReqPumpHash, not yet taken. Should
   /// return to its pre-query value after a query closes — a growing
@@ -359,13 +381,33 @@ class ReqPump {
     uint64_t query_id = 0;
     /// A re-dispatch after a transient failure (Limits::retry).
     bool retry = false;
+    /// Set for a dispatch to the call's hedge target: why it was sent
+    /// (`latency_quantile` or `primary_failed`). Only a failover
+    /// (`primary_failed`) waits in the queue.
+    const char* hedge_cause = nullptr;
   };
 
-  /// Where an unresolved call is.
+  /// What StartLocked did with a dispatch.
+  enum class Start {
+    kStarted,   ///< moved in flight: dispatch it outside the lock
+    kResolved,  ///< its breaker rejected it and the call resolved
+    kWaiting,   ///< it became a failover that waits for a slot
+  };
+
+  /// Where an unresolved call's own dispatches are.
   enum class Phase {
     kQueued,    ///< waiting in the queue for a limit slot
     kInFlight,  ///< dispatched, holding its slots
     kBackoff,   ///< failed transiently, slots freed, retry pending
+    kFailed,    ///< its last attempt failed; its hedge decides the call
+  };
+
+  /// Where an unresolved call's hedge dispatch is.
+  enum class HedgePhase {
+    kNone,      ///< not sent
+    kQueued,    ///< a failover waiting in the queue for a slot
+    kInFlight,  ///< dispatched, holding a slot at the hedge target
+    kFailed,    ///< answered with an error; the call's own dispatch decides
   };
 
   /// One registration with no result yet (see Core::unresolved).
@@ -402,6 +444,19 @@ class ReqPump {
     /// `wsq_external_call_latency_micros{destination}`, looked up once
     /// (outside Core::mu); null if the registry is full.
     Histogram* latency = nullptr;
+    /// The same latencies, kept by this pump alone (other pumps and tests
+    /// feed the registry's): the source of `hedge_delay_micros`.
+    HistogramSnapshot latencies;
+    /// How long a call's first dispatch may be out before the call is
+    /// hedged; 0 (never) until `latencies` holds kMinHedgeSamples, then
+    /// refreshed every kMinHedgeSamples latencies.
+    int64_t hedge_delay_micros = 0;
+    /// The latest first dispatch among its calls that have answered.
+    int64_t latest_answered_dispatch_micros = 0;
+    /// Whether a call's first dispatch here answered after a call sent
+    /// here at least kHedgeMinDelayMicros later had: the destination
+    /// serves requests independently, so a self-hedge can win.
+    bool overtaken = false;
     /// Its keyed calls by request key, unresolved or with an answer
     /// still held: where Register joins.
     std::unordered_map<std::string, KeyedCall> keyed;
@@ -431,21 +486,36 @@ class ReqPump {
     /// Whether the breaker admitted the call as its half-open probe.
     bool as_probe = false;
     /// Status of the attempt being retried (kBackoff, or kQueued after
-    /// a backoff): the call's outcome if it never runs again.
+    /// a backoff), or of the failed last attempt (kFailed): the call's
+    /// outcome if it never runs again.
     Status last_failure;
+    /// Register's hedge target; `hedge_dest` is null without one, and
+    /// `hedge_fn` goes once the hedge is sent. A self-hedge's fn is
+    /// copied from the call's own when the hedge is armed.
+    std::string hedge_destination;
+    Destination* hedge_dest = nullptr;
+    AsyncCallFn hedge_fn;
+    HedgePhase hedge = HedgePhase::kNone;
+    /// When the hedge was dispatched; 0 before.
+    int64_t hedge_dispatched_micros = 0;
+    /// Whether the hedge target's breaker admitted the hedge as its probe.
+    bool hedge_as_probe = false;
     /// Its unresolved registrations, in registration order; never empty.
     std::vector<CallId> joiners;
   };
 
-  /// A registration's deadline, the end of a call's retry backoff when
-  /// `retry` is set, or a RunAfter timer when `timer` is set.
+  /// An entry of the timer thread's heap.
   struct Deadline {
+    enum class Kind {
+      kRegistration,  ///< a registration's deadline
+      kRetry,         ///< the end of a call's retry backoff
+      kHedge,         ///< when a call's first dispatch is due a hedge
+    };
     int64_t when_micros;
-    /// The registration's id, or the call's for a backoff.
+    /// The registration's id, or the call's for kRetry and kHedge.
     CallId id;
     std::string destination;
-    PumpCallback timer;
-    bool retry = false;
+    Kind kind = Kind::kRegistration;
 
     bool operator>(const Deadline& o) const {
       if (when_micros != o.when_micros) return when_micros > o.when_micros;
@@ -484,11 +554,13 @@ class ReqPump {
     /// release the answer.
     std::unordered_map<CallId, std::pair<Destination*, std::string>> held
         WSQ_GUARDED_BY(mu);
-    /// Dispatched calls whose registrations all timed out or were
-    /// cancelled, mapped to whether each was its breaker's probe: their
-    /// eventual real completion only teaches the breaker and is
-    /// otherwise discarded.
-    std::unordered_map<CallId, bool> abandoned WSQ_GUARDED_BY(mu);
+    /// Dispatches whose answers nobody waits for any more (every
+    /// registration on the call timed out or was cancelled, or the other
+    /// dispatch of a hedged call answered), keyed by DispatchKey and
+    /// mapped to whether each was its breaker's probe: their eventual
+    /// real completion only teaches the breaker and is otherwise
+    /// discarded.
+    std::unordered_map<uint64_t, bool> abandoned WSQ_GUARDED_BY(mu);
     std::priority_queue<Deadline, std::vector<Deadline>,
                         std::greater<Deadline>>
         deadlines WSQ_GUARDED_BY(mu);
@@ -517,28 +589,82 @@ class ReqPump {
                           std::vector<QueuedCall>* calls)
       WSQ_EXCLUDES(core->mu);
 
-  /// Invoked by call completions (possibly after ~ReqPump).
+  /// Invoked by call completions (possibly after ~ReqPump); `hedge`
+  /// marks the completion of the call's hedge dispatch.
   static void OnComplete(const std::shared_ptr<Core>& core, CallId id,
-                         const std::string& destination,
+                         const std::string& destination, bool hedge,
                          CallResult result) WSQ_EXCLUDES(core->mu);
 
-  /// Pops dispatchable queued calls under core->mu and reserves their
-  /// limit slots; returns them for dispatch outside the lock. A first
-  /// dispatch its breaker rejects is resolved instead.
+  /// Whether `call` may still fail over: it has an unsent hedge target
+  /// at another destination.
+  static bool HasAlternate(const CallMeta& call) {
+    return call.hedge == HedgePhase::kNone && call.hedge_fn &&
+           call.hedge_dest != call.dest;
+  }
+
+  /// Key of call `id`'s own dispatch, or of its hedge, in
+  /// Core::abandoned.
+  static uint64_t DispatchKey(CallId id, bool hedge) {
+    return id << 1 | (hedge ? 1 : 0);
+  }
+
+  /// Sends `call` to its hedge target as a latency hedge if it has one
+  /// left, the pump is not shutting down, the target has a free slot and
+  /// its breaker admits it; returns the dispatch to make outside the
+  /// lock, or nullopt.
+  static std::optional<QueuedCall> StartHedgeLocked(Core* core, CallIt call)
+      WSQ_REQUIRES(core->mu);
+
+  /// Turns `call`, whose own dispatch failed with `failure` (or was
+  /// rejected), into a failover to its alternate: the returned entry
+  /// waits in the queue like a first dispatch.
+  static QueuedCall FailOverLocked(CallIt call, Status failure);
+
+  /// Moves `call`'s hedge dispatch in flight at `now`, reserving its
+  /// slots at the hedge target.
+  static void SendHedgeLocked(Core* core, CallMeta* call, int64_t now)
+      WSQ_REQUIRES(core->mu);
+
+  /// Notes that a call first dispatched to `destination` at
+  /// `dispatched_micros` has answered (see Destination::overtaken).
+  static void NoteAnswerLocked(Destination* destination,
+                               int64_t dispatched_micros);
+
+  /// Abandons `call`'s hedge dispatch if `hedge`, else its own: frees
+  /// its slot, and its late completion only teaches its breaker.
+  static void AbandonLocked(Core* core, CallIt call, bool hedge)
+      WSQ_REQUIRES(core->mu);
+
+  /// Adds one completion's latency to `destination`'s own record,
+  /// refreshing its hedge delay every kMinHedgeSamples of them.
+  static void RecordLatencyLocked(Destination* destination,
+                                  int64_t micros);
+
+  /// Appends `call` to the wait queue.
+  static void EnqueueLocked(Core* core, QueuedCall call)
+      WSQ_REQUIRES(core->mu);
+
+  /// Pops dispatchable queued calls and failovers under core->mu and
+  /// reserves their limit slots; returns them for dispatch outside the
+  /// lock. A dispatch its breaker rejects fails over, waiting where the
+  /// call waited, or is resolved.
   static std::vector<QueuedCall> TakeDispatchableLocked(Core* core)
       WSQ_REQUIRES(core->mu);
 
-  /// Moves `call` in flight at `now` for `queued`'s attempt, reserving
-  /// its slots (the caller checked they are free). Returns false, with
-  /// the call resolved kUnavailable, if its breaker rejects a first
-  /// dispatch.
-  static bool StartLocked(Core* core, CallIt call, QueuedCall* queued,
-                          int64_t now) WSQ_REQUIRES(core->mu);
+  /// Moves `call` in flight at `now` for `queued`'s attempt (its own
+  /// dispatch, or its failover if `queued->hedge_cause` is set),
+  /// reserving the slots (the caller checked they are free). If the
+  /// breaker rejects a first dispatch, `*queued` becomes the call's
+  /// failover, started too if its destination has a free slot, or the
+  /// call resolves kUnavailable; a rejected failover resolves the call
+  /// with its primary's failure.
+  static Start StartLocked(Core* core, CallIt call, QueuedCall* queued,
+                           int64_t now) WSQ_REQUIRES(core->mu);
 
   /// Resolves every registration waiting on `call` with `result` (each
   /// counted completed, and failed unless OK) and ends the call, holding
   /// a keyed call's result for later joiners if it is the destination's
-  /// `answer`.
+  /// `answer`. Sets the result's `hedged`; the caller sets `hedge_won`.
   static void ResolveCallLocked(Core* core, CallIt call, CallResult result,
                                 bool answer, int64_t now)
       WSQ_REQUIRES(core->mu);
@@ -574,9 +700,9 @@ class ReqPump {
   /// Resolves registration `reg` with `result` ahead of its call's
   /// completion (deadline, cancel or shutdown; see StoreResultLocked).
   /// If no other registration waits on the call, drops it from the
-  /// queue or its backoff or, if dispatched, abandons it and appends to
-  /// `to_dispatch` the queued calls its slots free. Returns the phase
-  /// the call was in.
+  /// queue or its backoff, abandons each of its dispatches still out
+  /// and appends to `to_dispatch` the queued calls their slots free.
+  /// Returns the phase the call was in.
   static Phase ResolveEarlyLocked(Core* core, RegistrationIt reg,
                                   CallResult result, bool notify,
                                   std::vector<QueuedCall>* to_dispatch)
@@ -593,7 +719,7 @@ class ReqPump {
       WSQ_REQUIRES(core.mu);
 
   /// Whether `d` is a deadline of a registration that has resolved, or
-  /// the backoff end of a call that has ended.
+  /// the backoff end or hedge time of a call that has ended.
   static bool StaleLocked(const Core& core, const Deadline& d)
       WSQ_REQUIRES(core.mu);
 
@@ -607,8 +733,8 @@ class ReqPump {
   static std::map<std::string, CircuitBreaker> BreakersLocked(
       const Core& core) WSQ_REQUIRES(core.mu);
 
-  /// Timer thread body: expires deadlines, runs timers and
-  /// notifications.
+  /// Timer thread body: expires deadlines, ends backoffs, sends hedges
+  /// and runs notifications.
   static void TimerLoop(std::shared_ptr<Core> core);
 
   std::shared_ptr<Core> core_;

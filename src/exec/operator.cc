@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "async/req_pump.h"
 #include "common/strings.h"
 
 namespace wsq {
@@ -40,8 +41,12 @@ Status Operator::CloseInstrumented() {
   return status;
 }
 
-void Operator::CountPartialResult(QueryStats* stats, const char* layer,
-                                  CallId call, uint32_t degraded_shards) {
+void Operator::CountCallResult(QueryStats* stats, const char* layer,
+                               CallId call, const CallResult& result) {
+  if (result.hedged) ++stats->hedged_calls;
+  if (result.hedge_won) ++stats->hedge_wins;
+  if (!result.status.ok() || result.degraded_shards == 0) return;
+  const uint32_t degraded_shards = result.degraded_shards;
   profile_.partial_results++;
   profile_.degraded_shards += degraded_shards;
   ++stats->partial_results;

@@ -17,6 +17,8 @@
 
 namespace wsq {
 
+struct CallResult;
+
 /// Physical operator in the paper's iterator model [Gra93]: Open /
 /// GetNext (here `Next`) / Close. `schema` points into the logical plan
 /// node, which outlives the operator tree.
@@ -111,12 +113,13 @@ class Operator {
   void AddBlockedMicros(int64_t micros) {
     profile_.blocked_on_sync_micros += micros;
   }
-  /// Counts a call that answered OK from a strict subset of its
-  /// backend's shards: the quorum policy accepted the loss, but the
-  /// coverage gap shows in the query's `stats`, EXPLAIN ANALYZE and the
-  /// trace (a `layer`/"partial" event).
-  void CountPartialResult(QueryStats* stats, const char* layer, CallId call,
-                          uint32_t degraded_shards);
+  /// Counts what the pump's answer to `call` tells the query: whether
+  /// the call was hedged and the hedge answered, and an OK answer from a
+  /// strict subset of its backend's shards (the quorum policy accepted
+  /// the loss, but the coverage gap shows in the query's `stats`,
+  /// EXPLAIN ANALYZE and the trace, as a `layer`/"partial" event).
+  void CountCallResult(QueryStats* stats, const char* layer, CallId call,
+                       const CallResult& result);
   /// Memory-governor hooks: bytes written to a spill run, and the
   /// high-water mark of this operator's tracked reservation. Recorded
   /// unconditionally (not gated on profile_on_) — they are cheap and

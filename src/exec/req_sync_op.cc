@@ -209,14 +209,11 @@ Status ReqSyncOperator::ProcessCompletion(CallId call,
                                 result.rows.size()));
     }
   }
+  CountCallResult(&ctx_->stats, "reqsync", call, result);
   if (!result.status.ok()) {
     return DegradeFailedCall(call, result.status);
   }
-  if (result.degraded_shards > 0) {
-    // OK but degraded: the tuples are patched normally.
-    CountPartialResult(&ctx_->stats, "reqsync", call,
-                       result.degraded_shards);
-  }
+  // An OK answer, partial or not, patches its tuples normally.
 
   auto waiting = waiters_.find(call);
   if (waiting == waiters_.end()) return Status::OK();

@@ -171,12 +171,10 @@ Status EVScanOperator::OpenImpl() {
   }
   ctx_->issued_calls.pop_back();
   ctx_->issued_calls_charge.Subtract(sizeof(CallId));
+  CountCallResult(&ctx_->stats, "net", call, result);
   if (!result.status.ok()) {
     ++ctx_->stats.failed_calls;
     return result.status;
-  }
-  if (result.degraded_shards > 0) {
-    CountPartialResult(&ctx_->stats, "net", call, result.degraded_shards);
   }
   outputs_ = std::move(result.rows);
   return Status::OK();

@@ -56,15 +56,17 @@ void DecodeRows(SearchRequest::Kind kind, const std::vector<Row>& rows,
   }
 }
 
-/// Hedge a shard once its primary has been outstanding for this quantile
-/// of the destination's observed latency distribution...
-constexpr double kHedgeQuantile = 0.95;
-/// ...once the histogram holds this many observations (before that,
-/// Options::default_hedge_delay_micros)...
-constexpr uint64_t kMinHedgeSamples = 50;
-/// ...but never sooner than this: a noisy fast quantile must not turn
-/// hedging into always-mirror.
-constexpr int64_t kHedgeMinDelayMicros = 1000;
+/// A shard leg's call on `service`: submits `request` and encodes the
+/// answer for the pump.
+AsyncCallFn LegFn(SearchService* service, const SearchRequest& request) {
+  return [service, request](CallCompletion pump_done) {
+    service->Submit(request, [kind = request.kind,
+                              pump_done = std::move(pump_done)](
+                                 SearchResponse resp) {
+      pump_done(EncodeResponse(kind, resp));
+    });
+  };
+}
 
 /// What a request gets once the service is shutting down.
 SearchResponse ShuttingDown(const std::string& name) {
@@ -96,14 +98,12 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
       options_(std::move(options)),
       guard_(std::make_shared<Guard>(this)) {
   destinations_.reserve(shards_.size());
-  latency_hists_.reserve(shards_.size());
   for (const Shard& shard : shards_) {
     destinations_.push_back(shard.primary->name());
-    // Observed shard latency seeds the hedge delay. Asking for it also
-    // introduces the shard's destinations to the pump here, outside mu_:
+    // Introduce the shard's destinations to the pump here, outside mu_:
     // a first Register there would take the registry's lock under mu_,
     // which the collector below takes under the registry's.
-    latency_hists_.push_back(pump_->latency_histogram(destinations_.back()));
+    pump_->latency_histogram(destinations_.back());
     if (shard.replica != nullptr) {
       pump_->latency_histogram(shard.replica->name());
     }
@@ -133,7 +133,7 @@ ShardedSearchService::ShardedSearchService(std::vector<Shard> shards,
             "Logical requests whose every shard leg joined an in-flight one",
             labels, s.coalesced);
         emitter->EmitCounter("wsq_shard_hedges_total",
-                             "Hedge calls issued against shard replicas",
+                             "Shard legs the pump sent to their replica",
                              labels, s.hedges);
         emitter->EmitCounter(
             "wsq_shard_hedge_wins_total",
@@ -215,18 +215,8 @@ void ShardedSearchService::Submit(SearchRequest request,
   // Register, so the flight stays in place while its legs register.
   bool all_joined = true;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    bool joined;
-    flight.calls[i].primary = RegisterLeg(flight, i, shards_[i].primary,
-                                          destinations_[i], &joined);
-    all_joined = all_joined && joined;
-    if (shards_[i].replica != nullptr) {
-      // Hedge once the primary dispatch, which the leg may have joined
-      // earlier, has been out for the delay.
-      const int64_t delay =
-          HedgeDelayMicros(i) - pump_->CallAgeMicros(flight.calls[i].primary);
-      pump_->RunAfter(std::max<int64_t>(delay, 0),
-                      ShardEvent(flight, i, /*hedge_timer=*/true));
-    }
+    RegisterLegLocked(&flight, i);
+    all_joined = all_joined && flight.calls[i].joined;
   }
   if (all_joined) {
     ++stats_.coalesced;
@@ -237,7 +227,7 @@ void ShardedSearchService::Submit(SearchRequest request,
 
 void ShardedSearchService::Quiesce() {
   MutexLock lock(&mu_);
-  while (!flights_.empty()) {
+  while (!flights_.empty() || delivering_ > 0) {
     idle_cv_.WaitForMicros(mu_, 10000);
   }
 }
@@ -252,115 +242,65 @@ std::vector<bool> ShardedSearchService::shard_health() const {
   return shard_ok_;
 }
 
-CallId ShardedSearchService::RegisterLeg(const Flight& flight, size_t i,
-                                         SearchService* service,
-                                         const std::string& destination,
-                                         bool* joined) {
-  const SearchRequest& request = flight.request;
-  SearchRequest::Kind kind = request.kind;
-  AsyncCallFn fn = [service, request, kind](CallCompletion pump_done) {
-    service->Submit(request, [kind, pump_done = std::move(pump_done)](
-                                 SearchResponse resp) {
-      pump_done(EncodeResponse(kind, resp));
-    });
-  };
-  CallId id = pump_->Register(destination, std::move(fn),
+void ShardedSearchService::RegisterLegLocked(Flight* flight, size_t i) {
+  const Shard& shard = shards_[i];
+  std::optional<HedgeTarget> hedge;
+  if (shard.replica != nullptr) {
+    hedge = HedgeTarget{shard.replica->name(),
+                        LegFn(shard.replica, flight->request)};
+  }
+  ShardCall& call = flight->calls[i];
+  call.call = pump_->Register(destinations_[i],
+                              LegFn(shard.primary, flight->request),
                               options_.call_timeout_micros,
-                              ShardEvent(flight, i, /*hedge_timer=*/false),
-                              flight.leg_key, joined);
-  if (!*joined) ++stats_.shard_calls;
-  return id;
+                              ShardEvent(*flight, i), flight->leg_key,
+                              &call.joined, std::move(hedge));
+  if (!call.joined) ++stats_.shard_calls;
 }
 
-PumpCallback ShardedSearchService::ShardEvent(const Flight& flight, size_t i,
-                                              bool hedge_timer) {
-  return [guard = guard_, flight_id = flight.flight_id, i, hedge_timer] {
+PumpCallback ShardedSearchService::ShardEvent(const Flight& flight,
+                                              size_t i) {
+  return [guard = guard_, flight_id = flight.flight_id, i] {
     std::vector<Delivery> deliveries;
     {
       MutexLock lock(&guard->mu);
       if (guard->service == nullptr) return;
-      guard->service->OnShardEvent(flight_id, i, hedge_timer, &deliveries);
+      guard->service->OnShardEvent(flight_id, i, &deliveries);
     }
     // Deliver callbacks outside every lock: they may re-enter Submit or
     // take arbitrary downstream locks.
     for (Delivery& d : deliveries) d.done(std::move(d.response));
+    if (deliveries.empty()) return;
+    MutexLock lock(&guard->mu);
+    if (guard->service != nullptr) {
+      guard->service->OnDelivered(deliveries.size());
+    }
   };
 }
 
+void ShardedSearchService::OnDelivered(size_t n) {
+  MutexLock lock(&mu_);
+  delivering_ -= n;
+  idle_cv_.NotifyAll();
+}
+
 void ShardedSearchService::OnShardEvent(uint64_t flight_id, size_t i,
-                                        bool hedge_timer,
                                         std::vector<Delivery>* out) {
   MutexLock lock(&mu_);
   auto it = flights_.find(flight_id);
   if (it == flights_.end()) return;
-  Flight& flight = it->second;
-  // A hedge timer first takes results that have already landed, so a
-  // primary that has just answered is not hedged.
-  AdvanceShardLocked(&flight, i);
-  const ShardCall& call = flight.calls[i];
-  if (hedge_timer && !call.decided && call.hedge == kInvalidCallId) {
-    // Latency-triggered hedge: the primary has been outstanding past
-    // kHedgeQuantile of this destination's latency.
-    FireHedgeLocked(&flight, i);
-  }
+  DecideShardLocked(&it->second, i);
   SettleLocked(it, out);
-}
-
-int64_t ShardedSearchService::HedgeDelayMicros(size_t i) const {
-  int64_t delay = options_.default_hedge_delay_micros;
-  const Histogram* hist = latency_hists_[i];
-  if (hist != nullptr) {
-    HistogramSnapshot snap = hist->Snapshot();
-    if (snap.count >= kMinHedgeSamples) {
-      delay = static_cast<int64_t>(snap.Quantile(kHedgeQuantile));
-    }
-  }
-  return std::max(delay, kHedgeMinDelayMicros);
-}
-
-void ShardedSearchService::FireHedgeLocked(Flight* flight, size_t i) {
-  ShardCall& call = flight->calls[i];
-  bool joined;
-  call.hedge = RegisterLeg(*flight, i, shards_[i].replica,
-                           shards_[i].replica->name(), &joined);
-  call.hedge_dispatched = !joined;
-  if (!joined) ++stats_.hedges;
-  FlightRecorder::Global()->Record(
-      FrEventType::kHedgeFire, shards_[i].replica->name(),
-      call.primary_done ? "primary_failed" : "latency_quantile",
-      /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
-      static_cast<int64_t>(i));
-}
-
-void ShardedSearchService::ReapLosersLocked(Flight* flight, size_t i) {
-  ShardCall& call = flight->calls[i];
-  std::vector<CallId> losers;
-  for (bool hedge : {false, true}) {
-    CallId id = hedge ? call.hedge : call.primary;
-    bool& done = hedge ? call.hedge_done : call.primary_done;
-    if (id == kInvalidCallId || done) continue;
-    FlightRecorder::Global()->Record(
-        FrEventType::kHedgeReap, destinations_[i],
-        hedge ? "hedge_lost" : "primary_lost", /*query_id=*/0,
-        static_cast<int64_t>(flight->flight_id), static_cast<int64_t>(i));
-    losers.push_back(id);
-    done = true;
-  }
-  if (!losers.empty()) pump_->CancelAndTake(losers);
 }
 
 void ShardedSearchService::ReleaseLegsLocked(const Flight& flight) {
   std::vector<CallId> legs;
-  for (const ShardCall& call : flight.calls) {
-    for (CallId id : {call.primary, call.hedge}) {
-      if (id != kInvalidCallId) legs.push_back(id);
-    }
-  }
+  legs.reserve(flight.calls.size());
+  for (const ShardCall& call : flight.calls) legs.push_back(call.call);
   // Cancels the legs still out (nobody will consume them, and a dark
   // shard's timeout must not keep them) and takes every result, which
-  // ends the read legs' answers' hold on the pump. Oldest first, so
-  // CancelAndTake cancels the newest first.
-  std::sort(legs.begin(), legs.end());
+  // ends the read legs' answers' hold on the pump. Registered in shard
+  // order, so CancelAndTake cancels the newest first.
   pump_->CancelAndTake(legs);
 }
 
@@ -399,61 +339,41 @@ SearchResponse ShardedSearchService::MergeLocked(
   return resp;
 }
 
-void ShardedSearchService::AdvanceShardLocked(Flight* flight, size_t i) {
+void ShardedSearchService::DecideShardLocked(Flight* flight, size_t i) {
   ShardCall& call = flight->calls[i];
-  if (call.decided) return;
-
-  // Decides the shard on `result`, taken from the hedge leg if `hedge`.
-  auto decide = [&](CallResult& result, bool hedge) {
-    const bool ok = result.status.ok();
-    call.decided = true;
-    call.ok = ok;
-    std::string fail_code;
-    if (ok) {
-      DecodeRows(flight->request.kind, result.rows, &call.answer.count,
-                 &call.answer.hits);
-      ++shard_decided_ok_[i];
-      if (hedge && call.hedge_dispatched) ++stats_.hedge_wins;
-    } else {
-      fail_code = StatusCodeToString(result.status.code());
-      ++shard_decided_failed_[i];
-    }
-    call.answer.status = std::move(result.status);
-    shard_ok_[i] = ok;
-    FlightRecorder::Global()->Record(
-        ok ? FrEventType::kShardLegOk : FrEventType::kShardLegFail,
-        destinations_[i], ok ? (hedge ? "hedge_won" : "") : fail_code,
-        /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
-        static_cast<int64_t>(i));
-    // The shard is decided: a still-outstanding losing leg is pure
-    // waste now — cancel and reap it.
-    ReapLosersLocked(flight, i);
-  };
-
-  // Legs are read with Peek: their results stay in ReqPumpHash until the
-  // flight settles, so identical legs of later requests join them.
+  // The leg is read with Peek: its result stays in ReqPumpHash until the
+  // flight settles, so identical legs of later requests join it.
   CallResult result;
-  if (!call.primary_done && pump_->Peek(call.primary, &result)) {
-    call.primary_done = true;
-    if (result.status.ok() || shards_[i].replica == nullptr ||
-        call.hedge_done) {
-      decide(result, /*hedge=*/false);
-    } else if (call.hedge == kInvalidCallId) {
-      // Failure-triggered failover: don't wait for the latency
-      // trigger when the primary has already failed.
-      FireHedgeLocked(flight, i);
-    }  // else the hedge is still outstanding; keep waiting
-    return;
-  }
-  if (call.hedge != kInvalidCallId && !call.hedge_done &&
-      pump_->Peek(call.hedge, &result)) {
-    call.hedge_done = true;
-    // A failed hedge decides the shard, with its own error, only once
-    // the primary has failed too.
-    if (result.status.ok() || call.primary_done) {
-      decide(result, /*hedge=*/true);
+  if (call.decided || !pump_->Peek(call.call, &result)) return;
+  const bool ok = result.status.ok();
+  call.decided = true;
+  call.ok = ok;
+  if (!call.joined) {
+    // The pump's hedge of this request's own leg; a joined leg's counts
+    // with the request that dispatched it.
+    if (result.hedged) {
+      ++stats_.shard_calls;
+      ++stats_.hedges;
     }
+    if (result.hedge_won) ++stats_.hedge_wins;
   }
+  std::string fail_code;
+  if (ok) {
+    DecodeRows(flight->request.kind, result.rows, &call.answer.count,
+               &call.answer.hits);
+    ++shard_decided_ok_[i];
+  } else {
+    fail_code = StatusCodeToString(result.status.code());
+    ++shard_decided_failed_[i];
+  }
+  call.answer.status = std::move(result.status);
+  shard_ok_[i] = ok;
+  FlightRecorder::Global()->Record(
+      ok ? FrEventType::kShardLegOk : FrEventType::kShardLegFail,
+      destinations_[i],
+      ok ? (result.hedge_won ? "hedge_won" : "") : fail_code,
+      /*query_id=*/0, static_cast<int64_t>(flight->flight_id),
+      static_cast<int64_t>(i));
 }
 
 void ShardedSearchService::SettleLocked(
@@ -505,6 +425,7 @@ void ShardedSearchService::SettleLocked(
     return;
   }
   out->push_back(Delivery{std::move(flight->done), std::move(resp)});
+  ++delivering_;
   ReleaseLegsLocked(*flight);
   flights_.erase(it);
   if (flights_.empty()) idle_cv_.NotifyAll();

@@ -13,7 +13,6 @@
 #include "net/search_service.h"
 #include "net/shard_policy.h"
 #include "net/simulated_service.h"
-#include "obs/histogram.h"
 #include "search/search_engine.h"
 #include "web/corpus.h"
 
@@ -28,13 +27,16 @@ struct ShardedServiceStats {
   /// of another request on the pump (ReqPump's joins).
   uint64_t coalesced = 0;
   /// Shard legs that dispatched on the pump (primaries + hedges); a leg
-  /// that joined an unresolved one is not counted.
+  /// that joined an unresolved one is not counted. Counted from the
+  /// legs' CallResults, as are the next two, so a hedge of a leg its
+  /// request settled without reading is not.
   uint64_t shard_calls = 0;
-  /// Hedge legs that dispatched (latency-triggered or failure-triggered);
-  /// a hedge that joined another request's is not counted.
+  /// Legs of a request's own that the pump sent to their replica
+  /// (latency hedge or failover); a joined leg's hedge counts with the
+  /// request it joined.
   uint64_t hedges = 0;
-  /// Shards decided by a hedge that their request dispatched itself, so
-  /// at most `hedges`; a shard decided by a joined hedge is not counted.
+  /// Of those, the shards the replica's answer decided, so at most
+  /// `hedges`.
   uint64_t hedge_wins = 0;
   /// Responses delivered OK with all shards contributing.
   uint64_t complete_results = 0;
@@ -57,15 +59,12 @@ struct ShardedServiceStats {
 ///  - Partial-result quorum: each request's ShardOptions picks fail /
 ///    K-of-N / best-effort when shards cannot answer; degraded
 ///    responses are marked partial with shards_failed set.
-///  - Hedged requests: a shard still undecided after a latency-quantile
-///    delay (seeded from the pump's per-destination histograms, counted
-///    from its primary's dispatch) is re-issued against its replica;
-///    first success wins, the loser is cancelled through
-///    ReqPump::CancelAndTake. A failed primary fails over to the
-///    replica immediately.
+///  - Hedged requests: each leg names its shard's replica as the pump's
+///    hedge target, so the pump hedges a slow leg there and fails a
+///    failed one over (ReqPump::Register); the service only reads each
+///    leg's one answer.
 ///  - Event-driven gather: each leg's pump notification advances only
-///    its own flight, and each hedge is a pump timer; the service runs
-///    no thread of its own.
+///    its own flight; the service runs no thread of its own.
 ///  - Shared legs: every leg is registered on the pump keyed by the
 ///    leg's request (kind, k, query), so identical legs of concurrent
 ///    requests join one dispatch (ReqPump's joins). A request reads its
@@ -91,13 +90,10 @@ class ShardedSearchService : public SearchService {
     std::string name = "sharded";
     /// Per-shard-call deadline on the pump; <= 0 = pump default.
     int64_t call_timeout_micros = 250000;
-    /// Hedge delay until the shard's latency histogram holds enough
-    /// observations to seed it (see kMinHedgeSamples in the .cc).
-    int64_t default_hedge_delay_micros = 20000;
   };
 
-  /// `pump` carries the shard calls and must outlive the service; its
-  /// timer thread runs the service's hedges and leg notifications.
+  /// `pump` carries the shard calls, and their hedges, and must outlive
+  /// the service; its timer thread runs the leg notifications.
   ShardedSearchService(std::vector<Shard> shards, ReqPump* pump,
                        Options options);
   ~ShardedSearchService() override;
@@ -107,7 +103,8 @@ class ShardedSearchService : public SearchService {
   void Submit(SearchRequest request, SearchCallback done) override
       WSQ_EXCLUDES(mu_);
 
-  /// Blocks until no flight is outstanding (tests/benches).
+  /// Blocks until no flight is outstanding and every settled one's
+  /// callback has returned (tests/benches).
   void Quiesce() WSQ_EXCLUDES(mu_);
 
   size_t num_shards() const { return shards_.size(); }
@@ -129,15 +126,11 @@ class ShardedSearchService : public SearchService {
 
   /// One shard leg of one flight.
   struct ShardCall {
-    CallId primary = kInvalidCallId;
-    CallId hedge = kInvalidCallId;
-    /// Set once the leg's result has been read, or the leg reaped
-    /// unread. A read result stays in ReqPumpHash until the flight
-    /// settles (ReleaseLegsLocked).
-    bool primary_done = false;
-    bool hedge_done = false;
-    /// Whether the hedge leg dispatched rather than joined (hedge_wins).
-    bool hedge_dispatched = false;
+    CallId call = kInvalidCallId;
+    /// Whether the leg joined another request's call on the pump.
+    bool joined = false;
+    /// Set once the leg's result has been read. A read result stays in
+    /// ReqPumpHash until the flight settles (ReleaseLegsLocked).
     bool decided = false;
     bool ok = false;
     ShardAnswer answer;  // valid when decided && ok
@@ -167,48 +160,39 @@ class ShardedSearchService : public SearchService {
     SearchResponse response;
   };
 
-  /// How pump timers and leg notifications reach the service: they can
-  /// fire after it is gone (the pump outlives it), so the destructor
-  /// clears `service` and a callback holds `mu` while it runs. Lock
-  /// order: Guard::mu -> mu_ -> the pump's lock.
+  /// How leg notifications reach the service: they can run after it is
+  /// gone (the pump outlives it), so the destructor clears `service`
+  /// and a callback holds `mu` while it runs. Lock order: Guard::mu ->
+  /// mu_ -> the pump's lock.
   struct Guard {
     explicit Guard(ShardedSearchService* s) : service(s) {}
     Mutex mu;
     ShardedSearchService* service WSQ_GUARDED_BY(mu);
   };
 
-  /// Pump callback for shard `i` of `flight`: a leg's result landed or,
-  /// with `hedge_timer`, the shard's hedge delay passed.
-  PumpCallback ShardEvent(const Flight& flight, size_t i, bool hedge_timer);
-  /// Advances shard `i` of flight `flight_id` (if still out) and
-  /// settles it; appends the delivery if it resolved.
-  void OnShardEvent(uint64_t flight_id, size_t i, bool hedge_timer,
+  /// Pump notification of shard `i`'s leg of `flight`.
+  PumpCallback ShardEvent(const Flight& flight, size_t i);
+  /// Decides shard `i` of flight `flight_id` (if still out) and settles
+  /// the flight; appends the delivery if it resolved.
+  void OnShardEvent(uint64_t flight_id, size_t i,
                     std::vector<Delivery>* out) WSQ_EXCLUDES(mu_);
-  /// Takes shard `i`'s landed legs and decides the shard, failing over
-  /// to the replica when the primary failed.
-  void AdvanceShardLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
+  /// Counts `n` settled flights' callbacks as returned (Quiesce).
+  void OnDelivered(size_t n) WSQ_EXCLUDES(mu_);
+  /// Reads shard `i`'s leg and, if it has answered, decides the shard.
+  void DecideShardLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
   /// Resolves the flight once its policy's verdict is known, reaping
   /// its legs and erasing it; appends the delivery.
   void SettleLocked(std::map<uint64_t, Flight>::iterator it,
                     std::vector<Delivery>* out) WSQ_REQUIRES(mu_);
-  /// Registers shard `i`'s hedge call on the replica.
-  void FireHedgeLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
-  /// Cancels and reaps shard `i`'s legs that have not been read,
-  /// recording each as a hedge loser.
-  void ReapLosersLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
   /// Cancels the flight's legs still out and takes every leg's result.
   void ReleaseLegsLocked(const Flight& flight) WSQ_REQUIRES(mu_);
   /// Merged response over the flight's OK shards.
   SearchResponse MergeLocked(const Flight& flight) const
       WSQ_REQUIRES(mu_);
-  /// Hedge delay for shard `i` from its latency histogram.
-  int64_t HedgeDelayMicros(size_t i) const;
-  /// Registers a leg of shard `i` (primary or hedge) on the pump, keyed
-  /// by the leg's request; counts it in shard_calls unless it joined
-  /// another leg, and sets `*joined` to whether it did.
-  CallId RegisterLeg(const Flight& flight, size_t i, SearchService* service,
-                     const std::string& destination, bool* joined)
-      WSQ_REQUIRES(mu_);
+  /// Registers shard `i`'s leg of `flight` on the pump, keyed by the
+  /// leg's request and naming the shard's replica, if any, as its hedge
+  /// target; counts it in shard_calls unless it joined another leg.
+  void RegisterLegLocked(Flight* flight, size_t i) WSQ_REQUIRES(mu_);
 
   const std::vector<Shard> shards_;
   ReqPump* const pump_;
@@ -216,15 +200,14 @@ class ShardedSearchService : public SearchService {
   /// Per-shard primary destination names (= primary->name()), cached so
   /// pump callbacks and collectors never touch wrapped services' locks.
   std::vector<std::string> destinations_;
-  /// Latency histograms seeding the hedge delay, one per shard, from
-  /// the pump at construction (stable registry pointers).
-  std::vector<const Histogram*> latency_hists_;
   const std::shared_ptr<Guard> guard_;
 
   mutable Mutex mu_;
   CondVar idle_cv_;
   uint64_t next_flight_id_ WSQ_GUARDED_BY(mu_) = 1;
   std::map<uint64_t, Flight> flights_ WSQ_GUARDED_BY(mu_);
+  /// Settled flights whose callbacks have not returned yet.
+  size_t delivering_ WSQ_GUARDED_BY(mu_) = 0;
   ShardedServiceStats stats_ WSQ_GUARDED_BY(mu_);
   /// Per-shard rolling health bit (last decided outcome; starts true).
   std::vector<bool> shard_ok_ WSQ_GUARDED_BY(mu_);
@@ -295,9 +278,10 @@ class SimulatedShardCluster {
   /// Destruction runs in reverse declaration order: the
   /// ShardedSearchService goes first (cancels its legs and fails its
   /// outstanding requests), then its pump (drops calls in backoff and
-  /// pending hedge timers), then the nodes, which deliver what they
-  /// still hold — hung requests included — into the pump's shared
-  /// core, where it is discarded; then engines and slices.
+  /// sends no more hedges), then the nodes, which deliver what they
+  /// still hold — hung requests and the losers of hedges included —
+  /// into the pump's shared core, where it is discarded; then engines
+  /// and slices.
   std::vector<Corpus> slices_;
   std::vector<std::unique_ptr<SearchEngine>> engines_;
   std::vector<std::unique_ptr<SimulatedSearchService>> nodes_;

@@ -34,6 +34,11 @@ void AppendVerdict(std::string* out, const char* key,
   if (!cause.empty()) AppendQuoted(out, "cause", cause);
 }
 
+void AppendHedges(std::string* out, const QueryStats& stats) {
+  AppendCount(out, "hedged_calls", stats.hedged_calls);
+  AppendCount(out, "hedge_wins", stats.hedge_wins);
+}
+
 void AppendMemory(std::string* out, const QueryStats& stats) {
   if (stats.spill_runs > 0) {
     *out += StrFormat(" spill_runs=%llu spilled_bytes=%llu",
@@ -89,6 +94,7 @@ std::string QueryRecord::ToLine() const {
       stats.async_iteration ? "async" : "sync", rows);
   AppendCount(&out, "external_calls", stats.external_calls);
   AppendCount(&out, "failed_calls", stats.failed_calls);
+  AppendHedges(&out, stats);
   AppendCount(&out, "degraded_tuples", stats.degraded_tuples());
   if (stats.partial_results > 0) {
     out += StrFormat(" partial_results=%llu degraded_shards=%llu",
@@ -110,6 +116,7 @@ std::string QueryRecord::ToText() const {
   AppendCount(&out, "degraded_tuples", stats.degraded_tuples());
   AppendCount(&out, "external_calls", stats.external_calls);
   AppendCount(&out, "failed_calls", stats.failed_calls);
+  AppendHedges(&out, stats);
   AppendMemory(&out, stats);
   AppendQuoted(&out, "sql", sql);
   if (events_dropped > 0) {

@@ -39,6 +39,10 @@ struct QueryStats {
   /// result are lower bounds.
   uint64_t partial_results = 0;
   uint64_t degraded_shards = 0;
+  /// External calls the pump sent a second time (a hedge or a failover;
+  /// see ReqPump::Register), and those the second dispatch answered.
+  uint64_t hedged_calls = 0;
+  uint64_t hedge_wins = 0;
   /// Memory governor: bytes written to spill runs (Sort/Aggregate
   /// degrading to external algorithms) and the number of runs.
   uint64_t spilled_bytes = 0;

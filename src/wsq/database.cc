@@ -22,9 +22,16 @@ namespace {
 /// collide in a shared log.
 std::atomic<uint64_t> g_next_query_id{1};
 
-/// Publishes `budget`'s wsq_mem_* series, labelled by its name.
-void EmitBudget(MetricsEmitter* emitter, MemoryBudget* budget) {
+/// Process-unique database ordinals: they tell the `budget="db"`
+/// series of open databases apart, which would otherwise be summed.
+std::atomic<uint64_t> g_next_database{1};
+
+/// Publishes `budget`'s wsq_mem_* series, labelled by its name and
+/// `extra`.
+void EmitBudget(MetricsEmitter* emitter, MemoryBudget* budget,
+                const MetricLabels& extra = {}) {
   MetricLabels labels{{"budget", budget->name()}};
+  labels.insert(labels.end(), extra.begin(), extra.end());
   emitter->EmitGauge("wsq_mem_used_bytes", "Bytes currently reserved",
                      labels, static_cast<int64_t>(budget->used()));
   emitter->EmitGauge("wsq_mem_limit_bytes", "Budget limit (0 = unlimited)",
@@ -80,15 +87,18 @@ WsqDatabase::WsqDatabase(const Options& options,
     spill_ = std::make_unique<SpillManager>(spill_options);
   }
   // The process budget is published once; each database publishes only
-  // its own (the registry sums series that share name and labels).
+  // its own, under its ordinal (the registry sums series that share name
+  // and labels).
   static const uint64_t kProcessCollector =
       MetricsRegistry::Global()->AddCollector([](MetricsEmitter* emitter) {
         EmitBudget(emitter, MemoryBudget::Process());
       });
   (void)kProcessCollector;
   mem_collector_id_ = MetricsRegistry::Global()->AddCollector(
-      [this](MetricsEmitter* emitter) {
-        EmitBudget(emitter, &memory_budget_);
+      [this, labels = MetricLabels{{"database",
+                                    std::to_string(g_next_database++)}}](
+          MetricsEmitter* emitter) {
+        EmitBudget(emitter, &memory_budget_, labels);
       });
 }
 

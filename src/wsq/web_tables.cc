@@ -34,12 +34,13 @@ CallId SubmitSearchCall(SearchService* service, SearchRequest::Kind kind,
                         std::string_view search_exp,
                         const VTableRequest& request, ReqPump* pump,
                         int64_t timeout_micros) {
-  auto submit = [&](AsyncCallFn fn, const std::string& key = {}) {
+  auto submit = [&](AsyncCallFn fn, const std::string& key = {},
+                    std::optional<HedgeTarget> hedge = std::nullopt) {
     return pump->Register(service->name(), std::move(fn),
                           timeout_micros > 0
                               ? timeout_micros
                               : pump->limits().default_timeout_micros,
-                          nullptr, key);
+                          nullptr, key, nullptr, std::move(hedge));
   };
   Result<std::string> query = ExpandSearchTemplate(search_exp, request.terms);
   if (!query.ok()) {
@@ -66,13 +67,16 @@ CallId SubmitSearchCall(SearchService* service, SearchRequest::Kind kind,
   std::string key = StrFormat("%s:%d:", ShardPolicyToString(sreq.shard.policy),
                               sreq.shard.min_shards) +
                     sreq.CacheKey();
-  return submit(
-      [service, kind, sreq = std::move(sreq)](CallCompletion done) mutable {
-        service->Submit(std::move(sreq), [kind, done](SearchResponse resp) {
-          done(DecodeResponse(kind, std::move(resp)));
-        });
-      },
-      key);
+  AsyncCallFn call = [service, kind, sreq = std::move(sreq)](
+                         CallCompletion done) mutable {
+    service->Submit(std::move(sreq), [kind, done](SearchResponse resp) {
+      done(DecodeResponse(kind, std::move(resp)));
+    });
+  };
+  // A call still out past its engine's p95 is sent to it again, once the
+  // engine has shown it serves requests independently (a self-hedge;
+  // see ReqPump::Register).
+  return submit(std::move(call), key, HedgeTarget{service->name(), nullptr});
 }
 
 WebSearchTable::WebSearchTable(std::string name, SearchService* service,

@@ -158,11 +158,13 @@ TEST(ReqPumpStressTest, PollingConsumerThenDrain) {
   std::thread consumer([&] {
     std::vector<CallId> pending;
     while (taken.load() < kTotal) {
+      // The sequence number first: a call registered and completed
+      // after the snapshot below then moves it, and the wait returns.
+      uint64_t seq = pump.completion_seq();
       {
         std::lock_guard<std::mutex> lock(mu);
         pending.assign(ids.begin(), ids.end());
       }
-      uint64_t seq = pump.completion_seq();
       bool progressed = false;
       for (CallId id : pending) {
         CallResult r;

@@ -466,27 +466,5 @@ TEST(ReqPumpCallbackTest, NotificationNeverRunsOnTheRegisteringThread) {
   EXPECT_NE(log.threads()[0], std::this_thread::get_id());
 }
 
-TEST(ReqPumpCallbackTest, TimersRunInTimeOrder) {
-  ReqPump pump;
-  CallbackLog log;
-  pump.RunAfter(30000, log.Add(3));
-  pump.RunAfter(10000, log.Add(1));
-  pump.RunAfter(20000, log.Add(2));
-  EXPECT_EQ(log.WaitFor(3), (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ReqPumpCallbackTest, TimerPendingAtDestructionNeverRuns) {
-  CallbackLog log;
-  Stopwatch timer;
-  {
-    ReqPump pump;
-    pump.RunAfter(10000000, log.Add(1));
-  }
-  // The destructor neither waited for the timer nor ran it; the timer
-  // thread is gone, so nothing can run it later.
-  EXPECT_LT(timer.ElapsedMicros(), 5000000);
-  EXPECT_TRUE(log.WaitFor(0).empty());
-}
-
 }  // namespace
 }  // namespace wsq

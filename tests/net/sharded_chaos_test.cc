@@ -109,7 +109,6 @@ TEST_F(ShardedChaosTest, SweepPreservesInvariants) {
       }
       // Hung shard calls must resolve via the pump deadline, quickly.
       opt.service.call_timeout_micros = 40000;
-      opt.service.default_hedge_delay_micros = 5000;
       SimulatedShardCluster cluster(&TestCorpus(), opt);
 
       struct Tally {

@@ -76,6 +76,18 @@ class ShardedServiceTest : public ::testing::Test {
     return req;
   }
 
+  /// Gives `destination` a hedge delay on `pump` without any option: 50
+  /// instant answers (the pump's minimum sample) make its p95 0, so the
+  /// delay is the 1 ms floor.
+  static void WarmUp(ReqPump* pump, const std::string& destination) {
+    for (int i = 0; i < 50; ++i) {
+      CallId id = pump->Register(destination, [](CallCompletion done) {
+        done(CallResult{Status::OK(), {}});
+      });
+      ASSERT_TRUE(pump->TakeBlocking(id).status.ok());
+    }
+  }
+
   static void ExpectLedgerBalanced(ReqPump* pump) {
     ReqPumpStats s = pump->stats();
     EXPECT_EQ(s.registered, s.completed + s.cancelled + s.shed)
@@ -427,15 +439,18 @@ TEST_F(ShardedServiceTest, SlowPrimaryIsHedgedAndLoserReaped) {
   SimulatedShardCluster::Options opt = FastCluster(2);
   opt.with_replicas = true;
   // Primaries stall 200ms before forwarding; replicas are clean, so the
-  // latency-triggered hedge (default delay 5ms here) wins every shard.
+  // latency-triggered hedge (1 ms after the warm-up) wins every shard.
   opt.shard_faults.resize(2);
   for (auto& plan : opt.shard_faults) {
     plan.delay_rate = 1.0;
     plan.delay_micros = 200000;
   }
-  opt.service.default_hedge_delay_micros = 5000;
   opt.service.call_timeout_micros = 2000000;
   SimulatedShardCluster cluster(&TestCorpus(), opt);
+  for (size_t s = 0; s < 2; ++s) {
+    WarmUp(cluster.pump(), cluster.node(s)->name());
+  }
+  const ReqPumpStats warm = cluster.pump()->stats();
 
   SearchRequest req = TopK("colorado");
   req.shard.policy = ShardPolicy::kFail;
@@ -451,9 +466,12 @@ TEST_F(ShardedServiceTest, SlowPrimaryIsHedgedAndLoserReaped) {
   ShardedServiceStats stats = cluster.service()->stats();
   EXPECT_EQ(stats.hedges, 2u);
   EXPECT_EQ(stats.hedge_wins, 2u);
+  ReqPumpStats legs = cluster.pump()->stats();
+  EXPECT_EQ(legs.hedged - warm.hedged, 2u);
+  EXPECT_EQ(legs.hedge_wins - warm.hedge_wins, 2u);
 
-  // The abandoned primaries resolve (cancelled) once their delayed
-  // forwards land; the ledger must balance, not leak.
+  // The pump abandoned the losing primaries; their delayed forwards land
+  // in its core and are discarded. The ledger must balance, not leak.
   cluster.Quiesce();
   ExpectLedgerBalanced(cluster.pump());
 }
@@ -462,17 +480,20 @@ TEST_F(ShardedServiceTest, IdenticalRequestsShareHedgesAndCountEachWinOnce) {
   SimulatedShardCluster::Options opt = FastCluster(2);
   opt.with_replicas = true;
   // Primaries stall 200ms on top of the 20ms every node takes, so each
-  // request's hedge (5ms) wins; the second request's hedges join the
-  // first's while those are out.
+  // shard's hedge (1 ms after the warm-up) wins; the second request's
+  // legs join the first's while those are out, and share their hedges.
   opt.latency = LatencyModel::Fixed(20000);
   opt.shard_faults.resize(2);
   for (auto& plan : opt.shard_faults) {
     plan.delay_rate = 1.0;
     plan.delay_micros = 200000;
   }
-  opt.service.default_hedge_delay_micros = 5000;
   opt.service.call_timeout_micros = 2000000;
   SimulatedShardCluster cluster(&TestCorpus(), opt);
+  for (size_t s = 0; s < 2; ++s) {
+    WarmUp(cluster.pump(), cluster.node(s)->name());
+  }
+  const ReqPumpStats warm = cluster.pump()->stats();
 
   struct Outcome {
     Mutex mu;
@@ -501,16 +522,19 @@ TEST_F(ShardedServiceTest, IdenticalRequestsShareHedgesAndCountEachWinOnce) {
 
   cluster.Quiesce();
   // Hedges and their wins are both counted per dispatch: the second
-  // request's shards were won by hedges it joined, which count neither.
-  // So wins never exceed hedges.
+  // request's shards were won by hedges of the legs it joined, which
+  // count neither. So wins never exceed hedges.
   ShardedServiceStats stats = cluster.service()->stats();
   EXPECT_EQ(stats.hedges, 2u);
   EXPECT_EQ(stats.hedge_wins, 2u);
   EXPECT_LE(stats.hedge_wins, stats.hedges);
   EXPECT_EQ(stats.shard_calls, 4u);
+  // Four engine requests: two primaries and their two hedges. A hedge is
+  // no registration, so only the second request's two legs joined.
   ReqPumpStats legs = cluster.pump()->stats();
-  EXPECT_EQ(legs.dispatched, 4u);
-  EXPECT_EQ(legs.joined, 4u);
+  EXPECT_EQ(legs.dispatched - warm.dispatched, 2u);
+  EXPECT_EQ(legs.hedged - warm.hedged, 2u);
+  EXPECT_EQ(legs.joined - warm.joined, 2u);
   ExpectLedgerBalanced(cluster.pump());
 }
 
@@ -630,8 +654,8 @@ TEST_F(ShardedServiceTest, CacheRejectsPartialResponses) {
 }
 
 TEST_F(ShardedServiceTest, CallbacksAfterDestructionNeverTouchTheService) {
-  // A destination of its own, with no latency history: the hedge delay
-  // is the 1 ms floor.
+  // A destination of its own, so no other case's latency history hedges
+  // its calls.
   SearchEngineConfig cfg = BaseEngineConfig();
   cfg.name = "late_callbacks";
   SearchEngine engine(&TestCorpus(), cfg);
@@ -644,8 +668,8 @@ TEST_F(ShardedServiceTest, CallbacksAfterDestructionNeverTouchTheService) {
   SimulatedSearchService replica(&engine, fast);
   ReqPump pump;  // outlives the service, as in SimulatedShardCluster
 
-  // Park the pump's timer thread so the service's timers and
-  // notifications pile up behind it.
+  // Park the pump's timer thread in a result notification, so the
+  // service's leg notifications pile up behind it.
   struct Gate {
     Mutex mu;
     CondVar cv;
@@ -653,7 +677,8 @@ TEST_F(ShardedServiceTest, CallbacksAfterDestructionNeverTouchTheService) {
     bool open WSQ_GUARDED_BY(mu) = false;
     bool sentinel WSQ_GUARDED_BY(mu) = false;
   } gate;
-  pump.RunAfter(0, [&gate] {
+  auto answer = [](CallCompletion done) { done(CallResult{Status::OK(), {}}); };
+  CallId parked = pump.Register("gate", answer, 0, [&gate] {
     MutexLock lock(&gate.mu);
     gate.entered = true;
     gate.cv.NotifyAll();
@@ -664,26 +689,23 @@ TEST_F(ShardedServiceTest, CallbacksAfterDestructionNeverTouchTheService) {
     while (!gate.entered) gate.cv.WaitForMicros(gate.mu, 5000);
   }
 
-  ShardedSearchService::Options opt;
-  opt.default_hedge_delay_micros = 1000;
   auto service = std::make_unique<ShardedSearchService>(
       std::vector<ShardedSearchService::Shard>{{&fast_primary, &replica},
                                                {&slow_primary, &replica}},
-      &pump, opt);
+      &pump, ShardedSearchService::Options{});
   Status status;
   service->Submit(Count("colorado"),
                   [&status](SearchResponse resp) { status = resp.status; });
-  // Shard 0's leg lands (its notification queues) and both hedge
-  // delays pass while the timer thread is parked.
-  while (pump.stats().completed < 1) {  // bounded by the ctest timeout
+  // Shard 0's leg lands (its notification queues) while the timer
+  // thread is parked.
+  while (pump.stats().completed < 2) {  // bounded by the ctest timeout
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
   service.reset();
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
 
-  // Release the pile-up; a later timer runs after all of it.
-  pump.RunAfter(0, [&gate] {
+  // Release the pile-up; a later notification runs after all of it.
+  CallId last = pump.Register("gate", answer, 0, [&gate] {
     MutexLock lock(&gate.mu);
     gate.sentinel = true;
     gate.cv.NotifyAll();
@@ -694,8 +716,14 @@ TEST_F(ShardedServiceTest, CallbacksAfterDestructionNeverTouchTheService) {
     gate.cv.NotifyAll();
     while (!gate.sentinel) gate.cv.WaitForMicros(gate.mu, 5000);
   }
-  // The hedge timers found no service: only the two primaries ran.
-  EXPECT_EQ(pump.stats().registered, 2u);
+  // The notifications found no service. With no latency history on its
+  // destination, no leg was hedged: the pump registered the two legs and
+  // the two gate calls only.
+  ReqPumpStats stats = pump.stats();
+  EXPECT_EQ(stats.registered, 4u);
+  EXPECT_EQ(stats.hedged, 0u);
+  EXPECT_TRUE(pump.TakeBlocking(parked).status.ok());
+  EXPECT_TRUE(pump.TakeBlocking(last).status.ok());
   slow_primary.Quiesce();
   ExpectLedgerBalanced(&pump);
 }

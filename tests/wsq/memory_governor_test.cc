@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -182,6 +183,54 @@ TEST(MemoryGovernorTest, ProcessBudgetIsExportedOnce) {
             std::to_string(s.forced_overages));
   a.memory_budget()->Release(1024);
   b.memory_budget()->Release(2048);
+}
+
+TEST(MemoryGovernorTest, EachDatabaseBudgetIsExportedApart) {
+  WsqDatabase::Options small;
+  small.memory_budget_bytes = 32u << 20;
+  WsqDatabase::Options large;
+  large.memory_budget_bytes = 64u << 20;
+  WsqDatabase a(small);
+  WsqDatabase b(large);
+  a.memory_budget()->ForceReserve(4096);
+  b.memory_budget()->ForceReserve(12288);
+  // {database label -> value} of one `budget="db"` series.
+  auto series = [](const std::string& text, const std::string& name) {
+    std::map<std::string, std::string> out;
+    const std::string start = "\n" + name + "{budget=\"db\",database=\"";
+    for (size_t at = text.find(start); at != std::string::npos;
+         at = text.find(start, at + 1)) {
+      const size_t label = at + start.size();
+      const size_t label_end = text.find('"', label);
+      const size_t value = text.find("} ", label_end) + 2;
+      out[text.substr(label, label_end - label)] =
+          text.substr(value, text.find('\n', value) - value);
+    }
+    return out;
+  };
+  const std::string text =
+      "\n" + MetricsRegistry::Global()->ExportPrometheusText();
+  const auto limits = series(text, "wsq_mem_limit_bytes");
+  const auto peaks = series(text, "wsq_mem_peak_used_bytes");
+  // Each database's limit and peak sit under one label of their own.
+  auto label_of = [&](WsqDatabase& db) {
+    for (const auto& [label, limit] : limits) {
+      auto peak = peaks.find(label);
+      if (limit == std::to_string(db.memory_budget()->limit()) &&
+          peak != peaks.end() &&
+          peak->second == std::to_string(db.memory_budget()->peak_used())) {
+        return label;
+      }
+    }
+    return std::string("missing");
+  };
+  const std::string label_a = label_of(a);
+  const std::string label_b = label_of(b);
+  EXPECT_NE(label_a, "missing") << text;
+  EXPECT_NE(label_b, "missing") << text;
+  EXPECT_NE(label_a, label_b);
+  a.memory_budget()->Release(4096);
+  b.memory_budget()->Release(12288);
 }
 
 TEST(MemoryGovernorTest, PressureShedsClientCacheEntries) {

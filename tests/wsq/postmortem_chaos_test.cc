@@ -95,8 +95,10 @@ TEST(PostmortemChaosTest, FaultFreeLoadEmitsNothingAndExportIsStable) {
   EXPECT_EQ(env.db().query_log()->last(), nullptr);
 
   // Quiesce every async layer, then the live-state export must be
-  // byte-stable: identical state renders identically.
+  // byte-stable: identical state renders identically. The engines may
+  // still hold the losers of the database pump's hedges.
   env.shard_cluster()->Quiesce();
+  env.google_service().Quiesce();
   env.db().pump()->Drain();
   const std::string once = registry->ExportPrometheusText();
   EXPECT_EQ(once, registry->ExportPrometheusText());
@@ -106,9 +108,9 @@ TEST(PostmortemChaosTest, FaultFreeLoadEmitsNothingAndExportIsStable) {
   // its breakers.
   for (const char* series :
        {"wsq_admission_admitted_total", "wsq_admission_queued_peak",
-        "wsq_mem_used_bytes{budget=\"db\"}",
+        "wsq_mem_used_bytes{budget=\"db\",database=",
         "wsq_mem_used_bytes{budget=\"process\"}",
-        "wsq_mem_peak_used_bytes{budget=\"db\"}",
+        "wsq_mem_peak_used_bytes{budget=\"db\",database=",
         "wsq_buffer_pool_resident_pages", "wsq_spill_active_files",
         "wsq_shard_fanouts_total{", "wsq_shard_healthy{",
         "wsq_circuit_open{", "wsq_circuit_half_open{",
